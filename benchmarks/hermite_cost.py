@@ -2,10 +2,13 @@
 """Optional, non-gating benchmark: how much does iterating Hermite reduction
 cost on top of a single reduction?
 
-The interesting claim is that the full layer decomposition costs essentially
-the same as the first reduction alone, because the inputs shrink so fast.
-This script times both on denominators (x^2+1)^m (x-1)^m (x+3)^(m-1) x for
-growing m and prints the ratio.  Run directly; not part of the test suite.
+It times both on denominators (x^2+1)^m (x-1)^m (x+3)^(m-1) x for growing m
+and prints the ratio (all layers / first reduction).  The ratio is not near 1
+and grows with m: measured on Python 3.11 it was 1.62 at m = 2 and 3.57 at
+m = 10, because every further layer runs Yun's squarefree decomposition
+again on a new denominator.  The benchmark in perfbench/ reports the same
+ratio as `hermite.layers_over_first` (1.64 on dres-oracle, 2.34 on
+deep-poles, seed 1).  Run directly; not part of the test suite.
 """
 
 import time

@@ -4,8 +4,9 @@ emit exact text or JSON.
 Grammar (everything exact, no floats): integer literals, the variable x,
 binary + - * /, integer ^, parentheses, unary minus.  Precedence is
 ^ before unary - before * / before + -, with left associativity for the
-binary operators; implicit multiplication is rejected.  Exit codes: 0 ok,
-1 usage or parse error, 2 precondition violation, 3 internal assertion.
+binary operators; implicit multiplication is rejected.  A power whose exponent
+or degree exceeds MAX_DEGREE is a parse error, raised before it is computed.
+Exit codes: 0 ok, 1 usage or parse error, 2 precondition violation, 3 internal assertion.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .reduction import simple_reduction
 
 
 # -- expression parsing -----------------------------------------------------
+
+MAX_DEGREE = 1000  # cap on exponent literals and on the degree of a power
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,10 @@ class _Parser:
                 self.take()
                 sign = -1
             tok = self.take("int")
-            return Pow(base, sign * int(tok[1]), off)
+            exponent = int(tok[1])
+            if exponent > MAX_DEGREE:
+                raise ParseError(f"exponent {exponent} exceeds the cap {MAX_DEGREE}", tok[2])
+            return Pow(base, sign * exponent, off)
         return base
 
     def atom(self) -> Expr:
@@ -172,6 +178,8 @@ def _evaluate(node: Expr) -> RatFun:
         base = _evaluate(node.base)
         if base.is_zero and node.exponent < 0:
             raise ParseError("negative power of zero", node.offset)
+        if max(base.num.degree or 0, base.den.degree) * abs(node.exponent) > MAX_DEGREE:
+            raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", node.offset)
         return base**node.exponent
     if isinstance(node, BinOp):
         left = _evaluate(node.left)

@@ -199,15 +199,18 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def shift(self, c) -> Poly:
-        """The composition p(x + c), computed exactly by a Horner scheme."""
+        """The composition p(x + c).  With c = u/v and D the common denominator,
+        Q(y) = v^n D p(y/v) has integer coefficients and Q(vx + u) = v^n D p(x + c),
+        so only Q is shifted, by the integer u."""
         c = _as_rat(c)
         if c == 0 or self.is_zero:
             return self
-        result = Poly()
-        step = Poly([c, 1])
-        for coef in reversed(self.coeffs):
-            result = result * step + coef
-        return result
+        n = len(self.coeffs) - 1
+        u, v = c.numerator, c.denominator
+        den = math.lcm(*(a.denominator for a in self.coeffs))
+        cs = [a.numerator * (den // a.denominator) * v ** (n - k) for k, a in enumerate(self.coeffs)]
+        _taylor_shift(cs, u)
+        return Poly([Fraction(q, den * v ** (n - k)) for k, q in enumerate(cs)])
 
     def __call__(self, point) -> Fraction:
         point = _as_rat(point)
@@ -276,10 +279,15 @@ def _int_primitive(cs: list[int]) -> list[int]:
 
 def _to_int_primitive(p: Poly) -> list[int]:
     """Primitive integer coefficient list with positive leading coefficient."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return _int_primitive([int(c * den_lcm) for c in p.coeffs])
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _int_primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _taylor_shift(cs: list, c) -> None:
+    """p(x) -> p(x + c) on the coefficient list in place, by repeated synthetic division."""
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += c * cs[j + 1]
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -493,13 +501,35 @@ def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
 
 def resultant_shift(b: Poly) -> Poly:
     """R(z) = Res_x(b(x), b(x+z)) by evaluation at z = 0..deg(b)^2 followed by
-    exact interpolation.  The leading x-coefficient of b(x+z) does not depend
-    on z, so every integer evaluation point is good."""
+    exact interpolation, all on integers.
+
+    For b = s*B with B primitive, R = s^(2n) * R_B with R_B = Res_x(B(x), B(x+z))
+    in Z[z].  The leading x-coefficient of B(x+z) does not depend on z, so every
+    integer evaluation point is good.  The divided differences of R_B over
+    consecutive integer nodes, Delta^k R_B(a) / k!, are the coefficients of
+    R_B(z+a) in the falling-factorial basis z(z-1)...(z-k+1); each z^m is an
+    integer (Stirling) combination of that basis, so k! divides Delta^k R_B(a)
+    and every division below is exact."""
     if b.is_zero or b.degree < 2:
         raise DomainError("resultant_shift requires degree >= 2")
     n = b.degree
-    points = [(Fraction(j), resultant(b, b.shift(j))) for j in range(n * n + 1)]
-    return interpolate(points)
+    big = _to_int_primitive(b)
+    shifted = list(big)
+    coef = []
+    for _ in range(n * n + 1):
+        coef.append(_int_resultant(big, shifted))
+        _taylor_shift(shifted, 1)
+    for k in range(1, n * n + 1):
+        for i in range(n * n, k - 1, -1):
+            coef[i], rem = divmod(coef[i] - coef[i - 1], k)
+            if rem:
+                raise InexactDivisionError(f"divided difference of Res_x(B(x), B(x+z)) not integral: {b}")
+    # Newton form to monomials: R = c_0 + z*(c_1 + (z-1)*(c_2 + ...)).
+    out = [coef.pop()]
+    for k in range(n * n - 1, -1, -1):
+        out = [coef[k] - k * out[0]] + [out[i - 1] - k * out[i] for i in range(1, len(out))] + [out[-1]]
+    scale = (b.lc / big[-1]) ** (2 * n)
+    return Poly([c * scale for c in out])
 
 
 # A polynomial in K[z][x] is a list of Poly (in z) indexed by the power of x.

@@ -44,11 +44,13 @@ class RatFun:
         if num.is_zero:
             num, den = ZERO, ONE
         else:
-            g = polys.gcd(num, den)
-            if not g.is_constant:
-                num, den = num.exact_div(g), den.exact_div(g)
-            scale = 1 / den.lc
-            if scale != 1:
+            # A constant numerator or denominator is coprime to the other.
+            if not (num.is_constant or den.is_constant):
+                g = polys.gcd(num, den)
+                if not g.is_constant:
+                    num, den = num.exact_div(g), den.exact_div(g)
+            if not den.is_monic:
+                scale = 1 / den.lc
                 num, den = num * scale, den * scale
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

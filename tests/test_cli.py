@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dresidues.cli import main, parse, parse_poly
+from dresidues.cli import MAX_DEGREE, main, parse, parse_poly
 from dresidues.errors import ParseError
 from dresidues.polys import ONE, Poly, X
 from dresidues.ratfun import RatFun
@@ -69,6 +69,28 @@ class TestParse:
             RatFun(-x**2 + 1, x**3 + x),
         ]:
             assert parse(str(f)) == f
+
+
+class TestInputCaps:
+    # Only values just above the cap: a broken guard must not be able to
+    # build a huge polynomial.
+    def test_exponent_literal_at_cap_accepted(self):
+        assert parse(f"x^{MAX_DEGREE}").num.degree == MAX_DEGREE
+
+    def test_exponent_literal_above_cap_rejected(self):
+        for text in (f"x^{MAX_DEGREE + 1}", f"x^-{MAX_DEGREE + 1}", f"2^{MAX_DEGREE + 1}"):
+            with pytest.raises(ParseError):
+                parse(text)
+
+    def test_power_degree_above_cap_rejected(self):
+        half = MAX_DEGREE // 2 + 1
+        for text in (f"(x^2)^{half}", f"(x^2+1)^-{half}", f"(1/x^2)^{half}", f"((x^{half})^2)^1"):
+            with pytest.raises(ParseError):
+                parse(text)
+
+    def test_cap_exit_code(self, capsys):
+        assert main(["dres", f"(x^2)^{MAX_DEGREE // 2 + 1}"]) == 1
+        assert "degree cap" in capsys.readouterr().err
 
 
 class TestMain:

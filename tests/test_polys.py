@@ -131,6 +131,30 @@ class TestShiftEvalDerivative:
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             assert p.shift(c).shift(-c) == p
 
+    def test_shift_matches_horner_composition(self):
+        # Reference: p(x + c) by a Horner scheme over Poly products.
+        def compose(p: Poly, c: Fraction) -> Poly:
+            acc = ZERO
+            for coef in reversed(p.coeffs):
+                acc = acc * Poly([c, 1]) + coef
+            return acc
+
+        rng = random.Random(37)
+        for deg in range(9):
+            for _ in range(4):
+                lead = frac(rng.randint(1, 9), rng.randint(1, 5))
+                p = Poly([frac(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(deg)] + [lead])
+                c = frac(rng.randint(-9, 9), rng.randint(1, 7))
+                assert p.shift(c) == compose(p, c)
+
+    def test_shift_composes(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            p = random_poly(rng, rng.randint(0, 8))
+            a = frac(rng.randint(-9, 9), rng.randint(1, 5))
+            b = frac(rng.randint(-9, 9), rng.randint(1, 5))
+            assert p.shift(a).shift(b) == p.shift(a + b)
+
     def test_derivative(self):
         assert (x**3).derivative() == 3 * x**2
         assert Poly([42]).derivative() == ZERO
@@ -201,6 +225,17 @@ class TestResultantShift:
         for _ in range(20):
             b = random_poly(rng, rng.randint(2, 6))
             assert resultant_shift(b) == resultant_shift_prs(b)
+
+    def test_dual_backend_agreement_rational_coefficients(self):
+        # Non-integer, non-primitive coefficients and a leading coefficient
+        # that is negative (even degrees) or positive but not 1 (odd degrees)
+        # exercise the scale and sign of the integer evaluation backend.
+        rng = random.Random(43)
+        for deg in range(2, 9):
+            lead = frac(rng.randint(2, 9), rng.randint(2, 7)) * (-1 if deg % 2 == 0 else 1)
+            cs = [frac(rng.randint(-20, 20), rng.randint(2, 9)) for _ in range(deg)] + [lead]
+            b = Poly(cs) * frac(6, 35)
+            assert resultant_shift(b) == resultant_shift_prs(b), f"backends disagree on {b}"
 
 
 class TestResultantCores:

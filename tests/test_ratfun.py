@@ -47,6 +47,38 @@ class TestNormalize:
                 assert gcd(f.num, f.den) == ONE
 
 
+class TestCanonicalFormConstantParts:
+    # A constant numerator or denominator skips the gcd; the form must not change.
+    def test_constant_over_non_monic(self):
+        f = RatFun(Poly([3]), 2 * x + 4)
+        assert f.num == Poly([Fraction(3, 2)]) and f.den == x + 2
+
+    def test_polynomial_over_constant(self):
+        f = RatFun(4 * x**2 - 2, Poly([Fraction(2, 3)]))
+        assert f.num == 6 * x**2 - 3 and f.den == ONE
+
+    def test_negative_constants(self):
+        f = RatFun(Poly([-5]), Poly([-10]))
+        assert f.num == Poly([Fraction(1, 2)]) and f.den == ONE
+        g = RatFun(Poly([-1]), -x**2 + 1)
+        assert g.num == ONE and g.den == x**2 - 1
+
+    def test_zero_over_constant_and_polynomial(self):
+        for den in (Poly([-7]), 3 * x + 1):
+            f = RatFun(ZERO, den)
+            assert f.num == ZERO and f.den == ONE
+
+    def test_matches_normalised_quotient(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            c = Poly([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))])
+            p = random_poly(rng, rng.randint(1, 5))
+            if p.is_zero:
+                continue
+            for f, num, den in ((RatFun(c, p), c * (1 / p.lc), p.monic()), (RatFun(p, c), p * (1 / c.lc), ONE)):
+                assert f.num == num and f.den == den
+
+
 class TestProperPart:
     def test_splits_polynomial(self):
         f = RatFun(x**2 + 1, x)  # x + 1/x
