@@ -6,6 +6,10 @@ binary + - * /, integer ^, parentheses, unary minus.  Precedence is
 ^ before unary - before * / before + -, with left associativity for the
 binary operators; implicit multiplication is rejected.  A power whose exponent
 or degree exceeds MAX_DEGREE is a parse error, raised before it is computed.
+So are an integer literal longer than Python's integer string conversion
+limit (sys.get_int_max_str_digits) and a power whose coefficients would be
+estimated longer than it: |exponent| times the largest coefficient bit-length
+of the base.
 Exit codes: 0 ok, 1 usage or parse error, 2 precondition violation, 3 internal assertion.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +33,12 @@ from .reduction import simple_reduction
 # -- expression parsing -----------------------------------------------------
 
 MAX_DEGREE = 1000  # cap on exponent literals and on the degree of a power
+
+
+def _max_digits() -> int:
+    """Python's limit on decimal digits in int <-> str conversion, 0 for none
+    (interpreters before 3.10.7 have no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,7 @@ _TOKEN_OPS = set("+-*/^()")
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
+    limit = _max_digits()
     i = 0
     while i < len(text):
         ch = text[i]
@@ -79,6 +91,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if limit and j - i > limit:
+                raise ParseError(f"integer literal of {j - i} digits exceeds the limit of {limit}", i)
             tokens.append(("int", text[i:j], i))
             i = j
         elif ch == "x":
@@ -180,6 +194,14 @@ def _evaluate(node: Expr) -> RatFun:
             raise ParseError("negative power of zero", node.offset)
         if max(base.num.degree or 0, base.den.degree) * abs(node.exponent) > MAX_DEGREE:
             raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", node.offset)
+        limit = _max_digits()
+        if limit and abs(node.exponent) > 1:
+            bits = max(
+                max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in base.num.coeffs + base.den.coeffs
+            )
+            if abs(node.exponent) * bits * math.log10(2) > limit:
+                raise ParseError(f"power exceeds the coefficient size limit of {limit} digits", node.offset)
         return base**node.exponent
     if isinstance(node, BinOp):
         left = _evaluate(node.left)

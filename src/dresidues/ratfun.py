@@ -58,6 +58,15 @@ class RatFun:
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
 
+    @classmethod
+    def from_lowest_terms(cls, num: Poly, den: Poly) -> RatFun:
+        """num/den without a gcd, for callers that know gcd(num, den) = 1 and
+        den monic by construction (den = 1 when num = 0)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
     # -- queries -------------------------------------------------------------
 
     @property

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,29 @@ class TestInputCaps:
     def test_cap_exit_code(self, capsys):
         assert main(["dres", f"(x^2)^{MAX_DEGREE // 2 + 1}"]) == 1
         assert "degree cap" in capsys.readouterr().err
+
+    def test_literal_at_digit_limit_accepted(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse("9" * limit) == RatFun(Poly([10**limit - 1]))
+
+    def test_literal_above_digit_limit_rejected(self, capsys):
+        text = "1/(x-" + "9" * (sys.get_int_max_str_digits() + 1) + ")"
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.offset == 5
+        assert main(["dres", text]) == 1
+        assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_power_above_coefficient_limit_rejected(self, capsys):
+        # 9^5000 has 4772 digits; its base 9^1000 has 3170 bits.
+        with pytest.raises(ParseError) as info:
+            parse("1/(x-(9^1000)^5)")
+        assert info.value.offset == 13
+        assert main(["dres", "--json", "1/(x-(9^1000)^5)"]) == 1
+        assert "coefficient size limit" in capsys.readouterr().err
+
+    def test_power_below_coefficient_limit_accepted(self):
+        assert parse("(9^1000)^4") == RatFun(Poly([9**4000]))
 
 
 class TestMain:

@@ -4,13 +4,59 @@ from fractions import Fraction
 
 import pytest
 
-from dresidues.errors import DomainError
+from dresidues import hermite, polys
+from dresidues.errors import DomainError, InternalError
 from dresidues.hermite import hermite_list, hermite_reduction
-from dresidues.polys import ONE, Poly, X, is_squarefree, squarefree_decomposition
+from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree, squarefree_decomposition
 from dresidues.ratfun import RF_ZERO, RatFun
-from dresidues.testkit import build_from_spec, random_orbit_spec
+from dresidues.testkit import build_from_spec, random_orbit_spec, random_poly
 
 x = X
+
+
+# -- reference: the iterated reduction on whole denominators --------------------
+
+
+def ref_hermite_reduction(f):
+    """Hermite reduction over the whole denominator, one squarefree
+    decomposition per call and a gcd-normalised g; a test-only reference."""
+    if f.is_zero:
+        return RF_ZERO, RF_ZERO
+    entries = list(squarefree_decomposition(f.den).factors)
+    g = RF_ZERO
+    num = f.num
+    while entries and max(m for _, m in entries) > 1:
+        j = max(m for _, m in entries)
+        v = ONE
+        u = ONE
+        lower = []
+        for q, m in entries:
+            if m == j:
+                v = v * q
+            else:
+                u = u * q**m
+                lower.append((q, m))
+        dv = v.derivative()
+        b = (num * polys.inverse_mod(u * dv, v)) % v
+        c = (num - b * u * dv).exact_div(v)
+        scale = Fraction(1, j - 1)
+        g = g + RatFun(-b * scale, v ** (j - 1))
+        num = u * b.derivative() * scale + c
+        entries = lower + [(v, j - 1)]
+    den = ONE
+    for q, m in entries:
+        den = den * q**m
+    return g, RatFun(num, den)
+
+
+def ref_hermite_list(f):
+    """Layers by iterating `ref_hermite_reduction` on each new g."""
+    hats = []
+    g = f
+    while not g.is_zero:
+        g, h = ref_hermite_reduction(g)
+        hats.append(h)
+    return [h * (Fraction(-1) ** k * math.factorial(k)) for k, h in enumerate(hats)]
 
 
 def reconstruct(layers):
@@ -85,3 +131,120 @@ class TestHermiteList:
                 assert layer.is_proper
                 assert layer.is_zero or is_squarefree(layer.den)
             assert len(layers) == squarefree_decomposition(f.den).max_multiplicity()
+
+
+def _rational_poly(rng, degree):
+    """Random polynomial with non-integral, non-primitive rational coefficients."""
+    return Poly([Fraction(rng.randint(-40, 40), rng.randint(1, 9)) * rng.choice((2, 6, 10)) for _ in range(degree + 1)])
+
+
+def _numerator_over(rng, den):
+    """A random numerator of degree below deg(den), nonzero."""
+    num = ZERO
+    while num.is_zero:
+        num = _rational_poly(rng, rng.randint(0, den.degree - 1))
+    return num
+
+
+def _differential_inputs():
+    rng = random.Random(2024)
+    quadratics = [x**2 + 1, x**2 + 2, x**2 + x + 1, x**2 + 4 * x + 5, x**2 - 3]
+    cubics = [x**3 - 2, x**3 + x + 1, x**3 - 3 * x + 1]
+    fs = []
+    # testkit specs: rational poles in several orbits, orders up to 5
+    for _ in range(12):
+        f = build_from_spec(random_orbit_spec(rng, max_orbits=4, max_order=5))
+        if not f.is_zero:
+            fs.append(f)
+    # algebraic poles: irreducible quadratic and cubic factors, with multiplicities
+    for _ in range(10):
+        den = ONE
+        for q in rng.sample(quadratics, 2) + rng.sample(cubics, 1):
+            den = den * q.shift(rng.randint(-3, 3)) ** rng.randint(1, 4)
+        fs.append(RatFun(_numerator_over(rng, den), den))
+    # multiplicity gaps: only some classes exist
+    for den in (x**4 * (x**2 + 2), x**5 * (x - 1) ** 2, (x**2 + 1) ** 6 * (x + 3), x**7 * (x**3 - 2) ** 3 * (x + 1)):
+        fs.append(RatFun(ONE, den))
+        fs.append(RatFun(_numerator_over(rng, den), den))
+    # one class of order up to 10
+    for m in range(2, 11):
+        for q in (x - Fraction(1, 3), x**2 + 1, (x - 1) * (x + 2), x**3 + x + 1):
+            den = q**m
+            fs.append(RatFun(_numerator_over(rng, den), den))
+    # rational, non-primitive numerators over mixed denominators
+    for _ in range(10):
+        den = random_poly(rng, 2).monic() ** rng.randint(1, 3) * (x - rng.randint(-5, 5)) ** rng.randint(1, 4)
+        fs.append(RatFun(_numerator_over(rng, den), den))
+    return fs
+
+
+class TestDifferential:
+    """The per-class core against the whole-denominator reference."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _differential_inputs()
+
+    def test_layers_match_reference(self, inputs):
+        for f in inputs:
+            ref = ref_hermite_list(f)
+            got = hermite_list(f)
+            assert len(got) == len(ref), f
+            for k, (a, b) in enumerate(zip(got, ref)):
+                assert a.num.coeffs == b.num.coeffs and a.den.coeffs == b.den.coeffs, (f, k)
+
+    def test_reduction_matches_reference(self, inputs):
+        for f in inputs:
+            assert hermite_reduction(f) == ref_hermite_reduction(f), f
+
+    def test_inputs_cover_the_cases(self, inputs):
+        shapes = [squarefree_decomposition(f.den).factors for f in inputs]
+        assert any(max(m for _, m in s) == 10 for s in shapes)
+        assert any([m for _, m in s] == [1, 4] for s in shapes)
+        assert any(q.degree == 3 and m > 1 for s in shapes for q, m in s)
+        assert any(c.denominator != 1 for f in inputs for c in f.num.coeffs)
+
+
+class TestOneDecomposition:
+    def test_one_squarefree_decomposition_per_call(self, monkeypatch, golden):
+        calls = []
+        original = polys.squarefree_decomposition
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(polys, "squarefree_decomposition", counted)
+        inputs = [golden["f"], RatFun(ONE, x**10), RatFun(ONE, x), RatFun(x, (x**2 + 1) ** 3 * (x - 1))]
+        for f in inputs:
+            hermite_list(f)
+        assert len(calls) == len(inputs)
+        calls.clear()
+        for f in inputs:
+            hermite_reduction(f)
+        assert len(calls) == len(inputs)
+
+
+class TestExactOrException:
+    """Each consistency check of `hermite_list` fires when the core misbehaves."""
+
+    def test_layer_count_below_pole_order(self, monkeypatch):
+        original = hermite._reduce
+
+        def drops_g(q, e, n, dq, s):
+            return ZERO, original(q, e, n, dq, s)[1]
+
+        monkeypatch.setattr(hermite, "_reduce", drops_g)
+        with pytest.raises(InternalError, match="layers for a pole of order 3"):
+            hermite_list(RatFun(ONE, x**3 * (x + 1)))
+
+    def test_last_layer_zero(self, monkeypatch):
+        original = hermite._reduce
+
+        def loses_last(q, e, n, dq, s):
+            g, r = original(q, e, n, dq, s)
+            return g, (ZERO if e == 1 else r)
+
+        monkeypatch.setattr(hermite, "_reduce", loses_last)
+        with pytest.raises(InternalError, match="last Hermite layer is zero"):
+            hermite_list(RatFun(ONE, x**2))
