@@ -1,6 +1,7 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from dresidues.polys import ONE, Poly, X
 from dresidues.ratfun import RatFun
 
 x = X
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CORPUS = json.loads((REPO_ROOT / "tests" / "data" / "cli_corpus.json").read_text(encoding="utf-8"))
 
 
 class TestParse:
@@ -207,3 +211,25 @@ class TestMain:
 
         expected = simple_reduction(parse("1/(x*(x+3))")).reduced
         assert reparsed == expected
+
+
+class TestGoldenCorpus:
+    """Exit code and exact stdout of every subcommand on a fixed corpus
+    (`tests/data/cli_corpus.json`, spec files beside it).  Refactors must
+    leave it byte for byte unchanged."""
+
+    @pytest.mark.parametrize(
+        "case", CORPUS, ids=[f"{i:02d}-{c['argv'][0] if c['argv'] else 'none'}" for i, c in enumerate(CORPUS)]
+    )
+    def test_case(self, case, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        code = main(list(case["argv"]))
+        assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+    def test_covers_every_subcommand_and_exit_code(self):
+        commands = {c["argv"][0] for c in CORPUS if c["argv"]}
+        assert commands >= {
+            "dres", "dres-multi", "reduce", "hermite", "shift-set", "summable",
+            "vspace", "galois", "mult-relations", "oracle",
+        }
+        assert {c["exit"] for c in CORPUS} == {0, 1, 2}
