@@ -10,7 +10,9 @@ So are an integer literal longer than Python's integer string conversion
 limit (sys.get_int_max_str_digits) and a power whose coefficients would be
 estimated longer than it: |exponent| times the largest coefficient bit-length
 of the base.
-Exit codes: 0 ok, 1 usage or parse error, 2 precondition violation, 3 internal assertion.
+Exit codes: 0 ok, 1 usage or parse error or an output number longer than
+Python's integer string conversion limit, 2 precondition violation,
+3 internal assertion.
 """
 
 from __future__ import annotations
@@ -435,6 +437,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         lines, payload = args.handler(args)
+        if args.json:
+            lines = [json.dumps(payload)]
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -447,11 +451,14 @@ def main(argv=None) -> int:
     except (InternalError, InexactDivisionError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if args.quiet:
-        return 0
-    if args.json:
-        print(json.dumps(payload))
-    else:
+    except ValueError as exc:
+        # str() of an integer longer than Python's conversion limit, raised
+        # while the output is rendered.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: the output has a number longer than the limit of {_max_digits()} digits", file=sys.stderr)
+        return 1
+    if not args.quiet:
         for line in lines:
             print(line)
     return 0

@@ -83,31 +83,12 @@ def exp_log_derivative(g: RatFun) -> RatFun:
 
 
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the lattice {e in Z^ncols : M e = 0}, by unimodular column
-    reduction of M tracked on an identity block."""
-    wcols = [[row[j] for row in rows] for j in range(ncols)]
-    ucols = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    start = 0
-    for r in range(len(rows)):
-        while True:
-            active = [j for j in range(start, ncols) if wcols[j][r] != 0]
-            if len(active) <= 1:
-                break
-            piv = min(active, key=lambda j: abs(wcols[j][r]))
-            for j in active:
-                if j == piv:
-                    continue
-                q = wcols[j][r] // wcols[piv][r]
-                if q:
-                    wcols[j] = [a - q * b for a, b in zip(wcols[j], wcols[piv])]
-                    ucols[j] = [a - q * b for a, b in zip(ucols[j], ucols[piv])]
-        active = [j for j in range(start, ncols) if wcols[j][r] != 0]
-        if active:
-            j = active[0]
-            wcols[start], wcols[j] = wcols[j], wcols[start]
-            ucols[start], ucols[j] = ucols[j], ucols[start]
-            start += 1
-    return [ucols[j] for j in range(start, ncols)]
+    """Basis of the lattice {e in Z^ncols : M e = 0}: the rows of the Hermite
+    normal form of [M^T | I] whose M^T part is zero, restricted to the I part
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
+    m = len(rows)
+    aug = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return [row[m:] for row in hermite_normal_form(aug) if not any(row[:m])]
 
 
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:

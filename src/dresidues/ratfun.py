@@ -199,6 +199,10 @@ def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
     Returns the unique numerators a_i with deg(a_i) < deg(b_i) and
     f = sum(a_i / b_i).  Entries equal to 1 are permitted and receive the
     numerator 0, so callers can keep a uniform index set.
+
+    Coprimality needs no check of its own: parts whose product is the
+    denominator, once that is known to be squarefree, are pairwise coprime,
+    since a common factor of two parts would divide it squared.
     """
     if not f.is_proper:
         raise DomainError("parfrac requires a proper rational function")
@@ -211,12 +215,6 @@ def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
         prod = prod * b
     if prod != f.den:
         raise DomainError("parfrac parts do not multiply to the denominator")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if parts[i].is_constant or parts[j].is_constant:
-                continue
-            if not polys.gcd(parts[i], parts[j]).is_constant:
-                raise DomainError("parfrac parts are not pairwise coprime")
     out: list[Poly] = []
     for b in parts:
         if b.is_constant:

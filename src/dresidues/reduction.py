@@ -51,6 +51,42 @@ def _validate_simple(f: RatFun, who: str) -> None:
         raise DomainError(f"{who} requires squarefree denominators")
 
 
+def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
+    """Reduce each of fs against the divisor of initial roots of the lcm b of
+    their denominators.  For one input, gcd(initial, f.den) = initial."""
+    b = polys.lcm_all(f.den for f in fs)
+    shifts = shiftset.shift_set(b).shifts
+    cert0 = RF_ZERO if want_certificate else None
+    if not shifts:
+        return [
+            ReductionOutput(f, cert0, ReductionParts(f.den, (0,), {0: f.den}, {0: f.num}, {}, ONE))
+            for f in fs
+        ]
+    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
+    overlap = polys.lcm_all(shift_gcds.values())
+    initial = b.exact_div(overlap)
+    out: list[ReductionOutput] = []
+    for f in fs:
+        factors = {0: polys.gcd(initial, f.den)}
+        for ell in shifts:
+            bl = polys.gcd(initial.shift(-ell), f.den)
+            if not bl.is_constant:
+                factors[ell] = bl
+        indices = tuple(sorted(factors))
+        numerators = dict(zip(indices, parfrac(f, [factors[ell] for ell in indices])))
+        reduced = RF_ZERO
+        certificate = cert0
+        for ell in indices:
+            piece = RatFun(numerators[ell], factors[ell])
+            reduced = reduced + piece.sigma(ell)
+            if want_certificate:
+                for i in range(ell):
+                    certificate = certificate - piece.sigma(i)
+        parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
+        out.append(ReductionOutput(reduced, certificate, parts))
+    return out
+
+
 def simple_reduction(f: RatFun, want_certificate: bool = False) -> ReductionOutput:
     """Reduced form of a proper simple-pole f, optionally with a certificate
     g satisfying f = reduced + (g(x+1) - g(x)) exactly.
@@ -59,33 +95,7 @@ def simple_reduction(f: RatFun, want_certificate: bool = False) -> ReductionOutp
     RatFun('(-1)/(x)')
     """
     _validate_simple(f, "simple_reduction")
-    b = f.den
-    shifts = shiftset.shift_set(b).shifts
-    if not shifts:
-        parts = ReductionParts(b, (0,), {0: b}, {0: f.num}, {}, ONE)
-        cert = RF_ZERO if want_certificate else None
-        return ReductionOutput(f, cert, parts)
-    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
-    overlap = polys.lcm_all(shift_gcds.values())
-    initial = b.exact_div(overlap)
-    factors = {0: initial}
-    for ell in shifts:
-        bl = polys.gcd(initial.shift(-ell), b)
-        if not bl.is_constant:
-            factors[ell] = bl
-    indices = tuple(sorted(factors))
-    nums = parfrac(f, [factors[ell] for ell in indices])
-    numerators = dict(zip(indices, nums))
-    reduced = RF_ZERO
-    certificate = RF_ZERO if want_certificate else None
-    for ell in indices:
-        piece = RatFun(numerators[ell], factors[ell])
-        reduced = reduced + piece.sigma(ell)
-        if want_certificate:
-            for i in range(ell):
-                certificate = certificate - piece.sigma(i)
-    parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
-    return ReductionOutput(reduced, certificate, parts)
+    return _reduce([f], want_certificate)[0]
 
 
 def simple_reduction_multi(fs: list[RatFun]) -> list[RatFun]:
@@ -99,24 +109,4 @@ def simple_reduction_multi(fs: list[RatFun]) -> list[RatFun]:
         raise DomainError("simple_reduction_multi requires at least one function")
     for f in fs:
         _validate_simple(f, "simple_reduction_multi")
-    b = polys.lcm_all(f.den for f in fs)
-    shifts = shiftset.shift_set(b).shifts
-    if not shifts:
-        return list(fs)
-    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
-    overlap = polys.lcm_all(shift_gcds.values())
-    initial = b.exact_div(overlap)
-    out: list[RatFun] = []
-    for f in fs:
-        factors = {0: polys.gcd(initial, f.den)}
-        for ell in shifts:
-            bl = polys.gcd(initial.shift(-ell), f.den)
-            if not bl.is_constant:
-                factors[ell] = bl
-        indices = tuple(sorted(factors))
-        nums = parfrac(f, [factors[ell] for ell in indices])
-        reduced = RF_ZERO
-        for ell, a in zip(indices, nums):
-            reduced = reduced + RatFun(a, factors[ell]).sigma(ell)
-        out.append(reduced)
-    return out
+    return [out.reduced for out in _reduce(fs, False)]

@@ -7,6 +7,7 @@ without factoring b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import polys
@@ -50,38 +51,18 @@ def shift_set(b: Poly, bound: int = 10**6) -> ShiftSetResult:
         raise InternalError("z still divides the squarefree shift resultant")
     descended = Poly(core.coeffs[::2])
     # A positive root l of descended(z^2) has l^2 dividing the constant term
-    # of the primitive integer form (rational root theorem on squares), and
-    # l is a difference of two roots of b, so l is at most twice the root
-    # bound of b itself.
+    # of the primitive integer form (rational root theorem on squares), that
+    # is, l divides its square part s = prod p^(e // 2); and l is a difference
+    # of two roots of b, so l is at most twice the root bound of b itself.
     prim = polys._to_int_primitive(descended)
     prim_mod = [c % polys._FILTER_PRIME for c in prim]
     diff_limit = 2 * polys._cauchy_root_bound(polys._to_int_primitive(b))
+    square_part = math.prod(p ** (e // 2) for p, e in polys.factor_int(abs(prim[0]), bound).items())
     shifts = []
-    for ell in _square_divisor_roots(abs(prim[0]), diff_limit * diff_limit, bound):
+    for ell in polys.divisors_upto(square_part, diff_limit, bound):
         if polys._is_int_root(prim, prim_mod, ell * ell):
             shifts.append(ell)
     return ShiftSetResult(tuple(sorted(shifts)), r, core, descended)
-
-
-def _square_divisor_roots(constant: int, square_limit: int, bound: int) -> list[int]:
-    """Positive l with l^2 dividing `constant` and l^2 <= square_limit."""
-    halves = {p: e // 2 for p, e in polys.factor_int(constant, bound).items() if e >= 2}
-    out: list[int] = []
-    items = sorted(halves.items())
-
-    def rec(i: int, acc: int) -> None:
-        if i == len(items):
-            out.append(acc)
-            return
-        p, e = items[i]
-        for _ in range(e + 1):
-            rec(i + 1, acc)
-            if acc * acc > square_limit // (p * p):
-                break
-            acc *= p
-
-    rec(0, 1)
-    return sorted(set(out))
 
 
 def dispersion(b: Poly) -> int:

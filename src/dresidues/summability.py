@@ -4,7 +4,7 @@ A rational function is summable (a first difference g(x+1) - g(x) of another
 rational function) exactly when all its discrete residues vanish.  For a
 tuple of functions, the coefficient vectors v making v . f summable form a
 vector space cut out by linear conditions on the residue-value polynomials,
-solved here with exact fraction-free elimination.
+solved here with exact integer elimination.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import residues
 from .errors import DomainError
+from .galois import hermite_normal_form
 from .hermite import hermite_list
 from .polys import Poly
 from .ratfun import RF_ZERO, RatFun
@@ -69,10 +70,11 @@ def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
     """Exact basis of the right nullspace of a rational matrix.
 
-    Fraction-free (Bareiss) elimination over the integers after clearing
-    denominators row by row; pivoting is deterministic (first nonzero column,
-    smallest row index).  Basis vectors are normalized with 1 in their free
-    coordinate.
+    Rows are cleared of denominators and brought to echelon form by
+    `galois.hermite_normal_form`; every echelon form of the same row space has
+    the same pivot columns, so back-substitution gives one vector per free
+    column, zero in the other free columns.  Basis vectors are then scaled to
+    have leading entry 1.
     """
     if ncols is None:
         if not rows:
@@ -86,33 +88,18 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
         scale = 1
         for c in fr:
             scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        ints = [int(c * scale) for c in fr]
-        if any(ints):
-            mat.append(ints)
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        for i in range(rank + 1, len(mat)):
-            for j in range(col + 1, ncols):
-                mat[i][j] = (mat[rank][col] * mat[i][j] - mat[i][col] * mat[rank][j]) // prev
-            mat[i][col] = 0
-        prev = mat[rank][col]
-        pivots.append((rank, col))
-        rank += 1
+        mat.append([int(c * scale) for c in fr])
+    echelon = hermite_normal_form(mat)
+    pivots = [(row, next(c for c, a in enumerate(row) if a)) for row in echelon]
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis: list[list[Fraction]] = []
     for free in free_cols:
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((Fraction(mat[r][j]) * vec[j] for j in range(c + 1, ncols)), Fraction(0))
-            vec[c] = -s / mat[r][c]
+        for row, c in reversed(pivots):
+            s = sum((Fraction(row[j]) * vec[j] for j in range(c + 1, ncols)), Fraction(0))
+            vec[c] = -s / row[c]
         lead = next(c for c in vec if c != 0)
         basis.append([c / lead for c in vec])
     return basis

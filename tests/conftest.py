@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked golden example and the oracle alignment check."""
+"""Shared fixtures: the worked golden example, the oracle alignment check and
+seeded random matrices."""
 
 from __future__ import annotations
 
@@ -99,3 +100,31 @@ def assert_multi_matches_oracle(places, value_rows, specs: list[OrbitSpec]) -> N
                 want = oracle[hits[0]] if hits else Fraction(0)
                 assert d(root) == want
     assert covered == set(roots), "places has a root representing no residue orbit"
+
+
+def random_matrices(rng, count, rational):
+    """Seeded matrices with zero rows, duplicate rows and rank deficiency,
+    shared by the nullspace and integer-kernel differential tests."""
+    out = [([], n) for n in range(4)]
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+
+        def entry():
+            num = rng.randint(-9, 9)
+            return Fraction(num, rng.randint(1, 5)) if rational else num
+
+        rank = rng.randint(0, min(m, n))
+        base = [[entry() for _ in range(n)] for _ in range(rank)]
+        rows = []
+        for _ in range(m):
+            kind = rng.random()
+            if kind < 0.15 or not base:
+                rows.append([0] * n)
+            elif kind < 0.3:
+                rows.append(list(rng.choice(base)))
+            else:
+                coef = [rng.randint(-3, 3) for _ in base]
+                rows.append([sum(c * r[j] for c, r in zip(coef, base)) for j in range(n)])
+        rng.shuffle(rows)
+        out.append((rows, n))
+    return out

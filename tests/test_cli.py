@@ -120,6 +120,18 @@ class TestInputCaps:
     def test_power_below_coefficient_limit_accepted(self):
         assert parse("(9^1000)^4") == RatFun(Poly([9**4000]))
 
+    def test_output_above_digit_limit_is_exit_1(self, capsys):
+        # Each literal passes the parser; their product has 2 * digits > limit
+        # digits and only fails when the output is rendered.
+        n = "9" * (sys.get_int_max_str_digits() // 2 + 1)
+        for argv in (["dres", "--json", f"1/(x-{n}*{n})"], ["dres", f"1/(x-{n}*{n})"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: the output has a number longer than the limit of {sys.get_int_max_str_digits()} digits"
+            ]
+
 
 class TestMain:
     def test_summable_text(self, capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_matrices
+
 from dresidues.errors import DomainError, FactorLimitError
 from dresidues.galois import (
     exp_log_derivative,
@@ -82,6 +84,34 @@ class TestExpLogDerivative:
         assert exp_log_derivative(RatFun(Poly())) == RatFun(ONE)
 
 
+def ref_integer_kernel(rows, ncols):
+    """Integer kernel by unimodular column reduction of M tracked on an
+    identity block; a test-only reference."""
+    wcols = [[row[j] for row in rows] for j in range(ncols)]
+    ucols = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    start = 0
+    for r in range(len(rows)):
+        while True:
+            active = [j for j in range(start, ncols) if wcols[j][r] != 0]
+            if len(active) <= 1:
+                break
+            piv = min(active, key=lambda j: abs(wcols[j][r]))
+            for j in active:
+                if j == piv:
+                    continue
+                q = wcols[j][r] // wcols[piv][r]
+                if q:
+                    wcols[j] = [a - q * b for a, b in zip(wcols[j], wcols[piv])]
+                    ucols[j] = [a - q * b for a, b in zip(ucols[j], ucols[piv])]
+        active = [j for j in range(start, ncols) if wcols[j][r] != 0]
+        if active:
+            j = active[0]
+            wcols[start], wcols[j] = wcols[j], wcols[start]
+            ucols[start], ucols[j] = ucols[j], ucols[start]
+            start += 1
+    return [ucols[j] for j in range(start, ncols)]
+
+
 class TestIntegerLinearAlgebra:
     def test_kernel_simple(self):
         assert hermite_normal_form(integer_kernel([[1, 1]], 2)) == [[1, -1]]
@@ -90,6 +120,14 @@ class TestIntegerLinearAlgebra:
     def test_kernel_is_saturated(self):
         # kernel of [[2, 4]] over Z is spanned by (2, -1), not (4, -2)
         assert hermite_normal_form(integer_kernel([[2, 4]], 2)) == [[2, -1]]
+
+    def test_kernel_matches_reference(self):
+        cases = random_matrices(random.Random(6160), 400, rational=False)
+        for rows, n in cases:
+            got, ref = integer_kernel(rows, n), ref_integer_kernel(rows, n)
+            assert len(got) == len(ref), rows
+            assert hermite_normal_form(got) == hermite_normal_form(ref), rows
+        assert any(len(ref_integer_kernel(rows, n)) not in (0, n) for rows, n in cases)
 
     def test_kernel_of_empty(self):
         assert integer_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -3,15 +3,101 @@ from fractions import Fraction
 
 import pytest
 
+from dresidues import polys, shiftset
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, Poly, X, gcd, is_squarefree
-from dresidues.ratfun import RatFun
-from dresidues.reduction import simple_reduction, simple_reduction_multi
+from dresidues.ratfun import RF_ZERO, RatFun, parfrac
+from dresidues.reduction import ReductionOutput, ReductionParts, simple_reduction, simple_reduction_multi
 from dresidues.shiftset import dispersion
 from dresidues.summability import is_summable
 from dresidues.testkit import build_from_spec, orbit_spec, random_orbit_spec
 
 x = X
+
+
+def ref_simple_reduction(f, want_certificate=False):
+    """Single-input shift reduction with its own prelude (the b = f.den case
+    written out); a test-only reference."""
+    b = f.den
+    shifts = shiftset.shift_set(b).shifts
+    if not shifts:
+        parts = ReductionParts(b, (0,), {0: b}, {0: f.num}, {}, ONE)
+        return ReductionOutput(f, RF_ZERO if want_certificate else None, parts)
+    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
+    overlap = polys.lcm_all(shift_gcds.values())
+    initial = b.exact_div(overlap)
+    factors = {0: initial}
+    for ell in shifts:
+        bl = polys.gcd(initial.shift(-ell), b)
+        if not bl.is_constant:
+            factors[ell] = bl
+    indices = tuple(sorted(factors))
+    numerators = dict(zip(indices, parfrac(f, [factors[ell] for ell in indices])))
+    reduced = RF_ZERO
+    certificate = RF_ZERO if want_certificate else None
+    for ell in indices:
+        piece = RatFun(numerators[ell], factors[ell])
+        reduced = reduced + piece.sigma(ell)
+        if want_certificate:
+            for i in range(ell):
+                certificate = certificate - piece.sigma(i)
+    parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
+    return ReductionOutput(reduced, certificate, parts)
+
+
+def _differential_inputs():
+    rng = random.Random(4041)
+    fs = []
+    # rational poles in up to four orbits, integer and rational offsets
+    for _ in range(15):
+        f = build_from_spec(random_orbit_spec(rng, max_orbits=4, max_order=1))
+        if not f.is_zero:
+            fs.append(f)
+    # algebraic poles: integer shifts of irreducible quadratics and a cubic,
+    # plus a rational pole, with rational non-primitive numerators
+    irreducible = [x**2 + 1, x**2 - 2, x**2 + x + 1, x**3 - 2]
+    for _ in range(12):
+        q = rng.choice(irreducible)
+        den = ONE
+        for s in rng.sample(range(-4, 5), rng.randint(1, 3)):
+            den = den * q.shift(s)
+        den = den * (x - Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(den.degree)])
+        f = RatFun(num, den)
+        if not f.is_zero:
+            fs.append(f)
+    # empty shift sets: the early return
+    fs += [RatFun(ONE, x), RatFun(x, x**2 + 1), RatFun(ONE, (x - Fraction(1, 2)) * (x + Fraction(1, 3)))]
+    return fs
+
+
+class TestDifferential:
+    """The shared reduction core against the single-input reference."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _differential_inputs()
+
+    def test_matches_reference(self, inputs):
+        for f in inputs:
+            for want in (False, True):
+                got = simple_reduction(f, want)
+                ref = ref_simple_reduction(f, want)
+                assert got.reduced == ref.reduced, f
+                assert got.certificate == ref.certificate, f
+                for field in ("initial", "indices", "factors", "numerators", "shift_gcds", "overlap"):
+                    assert getattr(got.parts, field) == getattr(ref.parts, field), (f, field)
+
+    def test_single_matches_multi(self, inputs):
+        for f in inputs:
+            assert simple_reduction(f).reduced == simple_reduction_multi([f])[0], f
+
+    def test_inputs_cover_the_cases(self, inputs):
+        parts = [ref_simple_reduction(f).parts for f in inputs]
+        assert any(p.indices == (0,) and not p.shift_gcds for p in parts)
+        assert any(len(p.indices) >= 3 for p in parts)
+        assert any(p.initial.degree >= 2 and p.overlap.degree >= 2 for p in parts)
+        assert any(c.denominator != 1 for f in inputs for c in f.den.coeffs)
 
 
 def simple_instance(rng):

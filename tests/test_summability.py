@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+
+from conftest import random_matrices
 
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, ZERO, Poly, X
@@ -16,6 +19,45 @@ from dresidues.testkit import (
 )
 
 x = X
+
+
+def ref_nullspace(rows, ncols):
+    """Right nullspace by fraction-free (Bareiss) elimination and
+    back-substitution, leading entry 1; a test-only reference."""
+    mat = []
+    for row in rows:
+        scale = 1
+        for c in row:
+            scale = scale * Fraction(c).denominator // math.gcd(scale, Fraction(c).denominator)
+        ints = [int(Fraction(c) * scale) for c in row]
+        if any(ints):
+            mat.append(ints)
+    pivots = []
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            for j in range(col + 1, ncols):
+                mat[i][j] = (mat[rank][col] * mat[i][j] - mat[i][col] * mat[rank][j]) // prev
+            mat[i][col] = 0
+        prev = mat[rank][col]
+        pivots.append((rank, col))
+        rank += 1
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in reversed(pivots):
+            t = sum((Fraction(mat[r][j]) * vec[j] for j in range(c + 1, ncols)), Fraction(0))
+            vec[c] = -t / mat[r][c]
+        lead = next(c for c in vec if c != 0)
+        basis.append([c / lead for c in vec])
+    return basis
 
 
 class TestPolyAntidifference:
@@ -121,6 +163,13 @@ class TestNullspace:
             # basis vectors are linearly independent
             if basis:
                 assert rank_bruteforce(basis) == len(basis)
+
+    def test_matches_reference(self):
+        cases = random_matrices(random.Random(5150), 400, rational=True)
+        for rows, n in cases:
+            assert nullspace(rows, ncols=n) == ref_nullspace(rows, n), rows
+        assert any(len(ref_nullspace(rows, n)) not in (0, n) for rows, n in cases)
+        assert any(any(c.denominator != 1 for row in rows for c in row) for rows, n in cases)
 
     def test_empty_matrix_needs_ncols(self):
         with pytest.raises(DomainError):
