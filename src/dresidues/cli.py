@@ -288,10 +288,11 @@ def _cmd_dres(args) -> tuple[list[str], dict]:
 def _cmd_dres_multi(args) -> tuple[list[str], dict]:
     fs = [parse(e).proper_part()[1] for e in args.exprs]
     md = residues.discrete_residues_multi(fs)
-    lines = [f"B{_fmt_poly(md.places, args.pretty)}"]
+    eq, colon = (" = ", ":") if args.pretty else ("", "")
+    lines = [f"B{eq}{_fmt_poly(md.places, args.pretty)}"]
     for i, row in enumerate(md.values, 1):
         for k, d in enumerate(row, 1):
-            lines.append(f"i={i} k={k} D{_fmt_poly(d, args.pretty)}")
+            lines.append(f"i={i} k={k}{colon} D{eq}{_fmt_poly(d, args.pretty)}")
     payload = {
         "B": _poly_coeffs(md.places),
         "D": [[_poly_coeffs(d) for d in row] for row in md.values],

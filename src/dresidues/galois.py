@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from . import polys, residues
 from .errors import DomainError, InternalError
 from .polys import ONE, Poly, interpolate
-from .ratfun import RatFun
-from .reduction import simple_reduction, simple_reduction_multi
+from .ratfun import RF_ZERO, RatFun
+from .reduction import _reduce
 
 
 def log_derivative(r: RatFun) -> RatFun:
@@ -89,6 +89,13 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     m = len(rows)
     aug = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
     return [row[m:] for row in hermite_normal_form(aug) if not any(row[:m])]
+
+
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """A rational row scaled by the lcm of its denominators."""
+    fr = [Fraction(c) for c in row]
+    scale = math.lcm(*(c.denominator for c in fr))
+    return [c.numerator * (scale // c.denominator) for c in fr]
 
 
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
@@ -168,19 +175,15 @@ def integer_lattice_solutions(fs: list[RatFun]) -> list[list[int]]:
     for f in fs:
         if not f.is_proper or not polys.is_squarefree(f.den):
             raise DomainError("inputs must be proper with simple poles")
-    reduced = simple_reduction_multi(fs)
+    return _solution_lattice([out.reduced for out in _reduce(fs, False)])
+
+
+def _solution_lattice(reduced: list[RatFun]) -> list[list[int]]:
+    """`integer_lattice_solutions` read off compatible reduced forms: one
+    integer row per power of x in their first-residue polynomials."""
     big, ps = residues.first_residues_multi(reduced)
-    n = len(fs)
-    rows: list[list[int]] = []
-    for power in range(max(len(big.coeffs) - 1, 0)):
-        frow = [ps[i].coeff(power) for i in range(n)]
-        scale = 1
-        for c in frow:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        row = [int(c * scale) for c in frow]
-        if any(row):
-            rows.append(row)
-    return hermite_normal_form(integer_kernel(rows, n))
+    rows = [_integer_row([p.coeff(power) for p in ps]) for power in range(len(big.coeffs) - 1)]
+    return hermite_normal_form(integer_kernel([row for row in rows if any(row)], len(reduced)))
 
 
 @dataclass(frozen=True)
@@ -211,19 +214,20 @@ def multiplicative_relations(rs: list[RatFun], bound: int = 10**6) -> RelationLa
     if any(r.is_zero for r in rs):
         raise DomainError("multiplicative_relations requires nonzero functions")
     fs = [log_derivative(r) for r in rs]
-    candidates = integer_lattice_solutions(fs)
+    outs = _reduce(fs, True)
+    candidates = _solution_lattice([out.reduced for out in outs])
     gammas: list[Fraction] = []
     witnesses: list[RatFun] = []
     for e in candidates:
-        combo = RatFun(Poly())
+        reduced = certificate = RF_ZERO
         power = RatFun(ONE)
-        for ei, fi, ri in zip(e, fs, rs):
-            combo = combo + fi * ei
+        for ei, out, ri in zip(e, outs, rs):
+            reduced = reduced + out.reduced * ei
+            certificate = certificate + out.certificate * ei
             power = power * ri**ei
-        out = simple_reduction(combo, want_certificate=True)
-        if not out.reduced.is_zero:
+        if not reduced.is_zero:
             raise InternalError("candidate relation is not summable")
-        p = exp_log_derivative(out.certificate)
+        p = exp_log_derivative(certificate)
         gamma_fun = power * p / p.sigma()
         if not (gamma_fun.num.is_constant and gamma_fun.den.is_constant):
             raise InternalError("relation constant is not constant")

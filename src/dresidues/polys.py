@@ -629,11 +629,12 @@ def factor_int(n: int, bound: int = 10**6) -> dict[int, int]:
     return factors
 
 
-def divisors_upto(n: int, limit: int, bound: int = 10**6) -> list[int]:
-    """All positive divisors of n that are <= limit, in increasing order."""
+def divisors_upto(factorization: dict[int, int], limit: int) -> list[int]:
+    """All positive divisors that are <= limit, in increasing order, of the
+    integer with prime factorization {p: e} (as from `factor_int`)."""
     if limit < 1:
         return []
-    factors = sorted(factor_int(n, bound).items())
+    factors = sorted(factorization.items())
     out: list[int] = []
 
     def rec(i: int, acc: int) -> None:
@@ -695,7 +696,7 @@ def integer_roots(p: Poly, bound: int = 10**6) -> set[int]:
         return roots
     limit = _cauchy_root_bound(cs)
     cs_mod = [c % _FILTER_PRIME for c in cs]
-    for d in divisors_upto(abs(cs[0]), limit, bound):
+    for d in divisors_upto(factor_int(abs(cs[0]), bound), limit):
         for cand in (d, -d):
             if _is_int_root(cs, cs_mod, cand):
                 roots.add(cand)

@@ -63,46 +63,36 @@ def first_residues(f: RatFun) -> ResiduePair:
 
     Returns (b, r) with b the denominator and r the unique polynomial of
     smaller degree with r * db/dx = numerator (mod b), so that the residue of
-    f at each root a of b is r(a).  By convention the zero function gives
-    (1, 0).
+    f at each root a of b is r(a): the one-function case of
+    `first_residues_multi`.  By convention the zero function gives (1, 0).
 
     >>> first_residues(RatFun(ONE, Poly([0, 1])))
     ResiduePair(places=Poly('x'), values=Poly('1'))
     """
-    if f.is_zero:
-        return TRIVIAL_PAIR
-    if not f.is_proper:
-        raise DomainError("first_residues requires a proper rational function")
-    b = f.den
-    if not polys.is_squarefree(b):
-        raise DomainError("first_residues requires a squarefree denominator")
-    r = (f.num * polys.inverse_mod(b.derivative(), b)) % b
-    return ResiduePair(b, r)
+    big, (r,) = first_residues_multi([f])
+    return ResiduePair(big, r)
 
 
 def first_residues_multi(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
     """First residues of several simple-pole functions over one common
     denominator B = lcm of the individual ones.
 
-    Each returned p_i has degree < deg(B), agrees with the Trager polynomial
-    of f_i modulo its own denominator, and vanishes modulo the complementary
-    factor B/b_i, so p_i evaluates to the residue of f_i at *every* root of B.
+    One inverse w = 1/B' mod B serves every input: with c_i = B/b_i,
+    B' = b_i' * c_i (mod b_i), so p_i = num_i * c_i * w mod B agrees with the
+    Trager polynomial num_i / b_i' modulo b_i and vanishes modulo c_i.  Each
+    p_i has degree < deg(B) and evaluates to the residue of f_i at *every*
+    root of B.  B is squarefree exactly when B' is invertible modulo B.
     """
-    pairs = [first_residues(f) for f in fs]
-    big = polys.lcm_all(pair.places for pair in pairs)
-    ps: list[Poly] = []
-    for pair in pairs:
-        if pair.is_trivial:
-            ps.append(ZERO)
-            continue
-        cof = big.exact_div(pair.places)
-        if cof == ONE:
-            ps.append(pair.values)
-            continue
-        # Chinese remainder: p = r (mod b), p = 0 (mod B/b).
-        lift = polys.inverse_mod(cof, pair.places)
-        ps.append((pair.values * lift) % pair.places * cof)
-    return big, ps
+    if not all(f.is_proper for f in fs):
+        raise DomainError("first residues require proper rational functions")
+    big = polys.lcm_all(f.den for f in fs)
+    if big.is_constant:
+        return big, [ZERO] * len(fs)
+    try:
+        w = polys.inverse_mod(big.derivative(), big)
+    except DomainError:
+        raise DomainError("first residues require squarefree denominators") from None
+    return big, [(f.num * big.exact_div(f.den) * w) % big for f in fs]
 
 
 def discrete_residues(f: RatFun) -> list[ResiduePair]:
@@ -141,7 +131,8 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     polynomial, compatible across both functions and orders.
 
     Hermite layers of all inputs are padded to a common order count, reduced
-    together, and recombined by the CRT-based multi first-residues.
+    together, and read through one Trager inverse modulo the lcm of the
+    reduced denominators (`first_residues_multi`).
     """
     if not fs:
         raise DomainError("discrete_residues_multi requires at least one function")

@@ -7,7 +7,6 @@ without factoring b.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import polys
@@ -57,9 +56,9 @@ def shift_set(b: Poly, bound: int = 10**6) -> ShiftSetResult:
     prim = polys._to_int_primitive(descended)
     prim_mod = [c % polys._FILTER_PRIME for c in prim]
     diff_limit = 2 * polys._cauchy_root_bound(polys._to_int_primitive(b))
-    square_part = math.prod(p ** (e // 2) for p, e in polys.factor_int(abs(prim[0]), bound).items())
+    square_part = {p: e // 2 for p, e in polys.factor_int(abs(prim[0]), bound).items()}
     shifts = []
-    for ell in polys.divisors_upto(square_part, diff_limit, bound):
+    for ell in polys.divisors_upto(square_part, diff_limit):
         if polys._is_int_root(prim, prim_mod, ell * ell):
             shifts.append(ell)
     return ShiftSetResult(tuple(sorted(shifts)), r, core, descended)

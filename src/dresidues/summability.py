@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from . import residues
 from .errors import DomainError
-from .galois import hermite_normal_form
+from .galois import _integer_row, hermite_normal_form
 from .hermite import hermite_list
 from .polys import Poly
-from .ratfun import RF_ZERO, RatFun
-from .reduction import simple_reduction
+from .ratfun import RatFun
+from .reduction import _reduce
 
 
 def poly_antidifference(p: Poly) -> Poly:
@@ -46,16 +46,19 @@ def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun
     """Decide whether f = g(x+1) - g(x) for some rational g.
 
     Polynomial parts never block a yes: they always admit a polynomial
-    antidifference.  With `want_certificate` a witness g is assembled from the
-    per-layer reduction certificates through the layer reconstruction
-    identity and returned; otherwise the second component is None.
+    antidifference.  All Hermite layers are shift-reduced together, against
+    one divisor of initial roots; a reduced form is zero exactly when its
+    layer is summable, whichever divisor is used.  With `want_certificate` a
+    witness g is assembled from the layer certificates through the layer
+    reconstruction identity and returned; each layer's proper antidifference
+    is unique, as Delta(h) = 0 forces h constant, so the shared divisor does
+    not change g.  Otherwise the second component is None.
     """
     poly_part, fp = f.proper_part()
     cert = RatFun(poly_antidifference(poly_part)) if want_certificate else None
     if fp.is_zero:
         return True, cert
-    layers = hermite_list(fp)
-    outs = [simple_reduction(layer, want_certificate) for layer in layers]
+    outs = _reduce(hermite_list(fp), want_certificate)
     if any(not out.reduced.is_zero for out in outs):
         return False, None
     if want_certificate:
@@ -80,16 +83,9 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
         if not rows:
             raise DomainError("nullspace of an empty matrix needs an explicit column count")
         ncols = len(rows[0])
-    mat: list[list[int]] = []
-    for row in rows:
-        if len(row) != ncols:
-            raise DomainError("ragged matrix")
-        fr = [Fraction(c) for c in row]
-        scale = 1
-        for c in fr:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        mat.append([int(c * scale) for c in fr])
-    echelon = hermite_normal_form(mat)
+    if any(len(row) != ncols for row in rows):
+        raise DomainError("ragged matrix")
+    echelon = hermite_normal_form([_integer_row(row) for row in rows])
     pivots = [(row, next(c for c, a in enumerate(row) if a)) for row in echelon]
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]

@@ -114,8 +114,8 @@ def rational_roots(p: Poly, bound: int = 10**6) -> list[Fraction]:
     if len(cs) == 1:
         return roots
     limit = polys._cauchy_root_bound(cs)
-    nums = polys.divisors_upto(abs(cs[0]), abs(cs[0]), bound)
-    dens = polys.divisors_upto(abs(cs[-1]), abs(cs[-1]), bound)
+    nums = polys.divisors_upto(polys.factor_int(abs(cs[0]), bound), abs(cs[0]))
+    dens = polys.divisors_upto(polys.factor_int(abs(cs[-1]), bound), abs(cs[-1]))
     seen = set()
     for den in dens:
         for num in nums:

@@ -1,5 +1,5 @@
-"""Shared fixtures: the worked golden example, the oracle alignment check and
-seeded random matrices."""
+"""Shared fixtures: the worked golden example, the oracle alignment check,
+seeded random matrices and the per-function first-residues reference."""
 
 from __future__ import annotations
 
@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from dresidues.polys import ONE, Poly, X
+from dresidues import polys
+from dresidues.polys import ONE, ZERO, Poly, X
 from dresidues.ratfun import RatFun
-from dresidues.residues import ResiduePair
+from dresidues.residues import TRIVIAL_PAIR, ResiduePair
 from dresidues.testkit import OrbitSpec, dres_by_definition, rational_roots
 
 x = X
@@ -128,3 +129,31 @@ def random_matrices(rng, count, rational):
         rng.shuffle(rows)
         out.append((rows, n))
     return out
+
+
+def ref_first_residues(f):
+    """One Trager inverse modulo f's own denominator; a test-only reference."""
+    if f.is_zero:
+        return TRIVIAL_PAIR
+    b = f.den
+    return ResiduePair(b, (f.num * polys.inverse_mod(b.derivative(), b)) % b)
+
+
+def ref_first_residues_multi(fs):
+    """One Trager inverse per function, then one Chinese-remainder lift per
+    function onto the lcm of the denominators; a test-only reference shared
+    by the residue and relation-lattice differential tests."""
+    pairs = [ref_first_residues(f) for f in fs]
+    big = polys.lcm_all(pair.places for pair in pairs)
+    ps = []
+    for pair in pairs:
+        if pair.is_trivial:
+            ps.append(ZERO)
+            continue
+        cof = big.exact_div(pair.places)
+        if cof == ONE:
+            ps.append(pair.values)
+            continue
+        lift = polys.inverse_mod(cof, pair.places)
+        ps.append((pair.values * lift) % pair.places * cof)
+    return big, ps

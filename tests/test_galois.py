@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrices
+from conftest import random_matrices, ref_first_residues_multi
 
-from dresidues.errors import DomainError, FactorLimitError
+from dresidues import galois, shiftset
+from dresidues.errors import DomainError, FactorLimitError, InternalError
 from dresidues.galois import (
+    RelationLattice,
     exp_log_derivative,
     factor_rational,
     hermite_normal_form,
@@ -18,7 +21,7 @@ from dresidues.galois import (
 )
 from dresidues.polys import ONE, Poly, X
 from dresidues.ratfun import RatFun
-from dresidues.reduction import simple_reduction
+from dresidues.reduction import simple_reduction, simple_reduction_multi
 from dresidues.testkit import random_poly
 
 x = X
@@ -258,3 +261,102 @@ class TestMultiplicativeRelations:
     def test_rejects_zero_input(self):
         with pytest.raises(DomainError):
             multiplicative_relations([RatFun(Poly())])
+
+
+def ref_multiplicative_relations(rs, bound=10**6):
+    """The candidate lattice from per-function first residues and CRT, then
+    one `simple_reduction` of the summed log-derivatives per candidate; a
+    test-only reference."""
+    fs = [log_derivative(r) for r in rs]
+    big, ps = ref_first_residues_multi(simple_reduction_multi(fs))
+    rows = []
+    for power in range(len(big.coeffs) - 1):
+        frow = [p.coeff(power) for p in ps]
+        scale = 1
+        for c in frow:
+            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        row = [int(c * scale) for c in frow]
+        if any(row):
+            rows.append(row)
+    candidates = hermite_normal_form(integer_kernel(rows, len(fs)))
+    gammas, witnesses = [], []
+    for e in candidates:
+        combo = RatFun(Poly())
+        power = RatFun(ONE)
+        for ei, fi, ri in zip(e, fs, rs):
+            combo = combo + fi * ei
+            power = power * ri**ei
+        out = simple_reduction(combo, want_certificate=True)
+        assert out.reduced.is_zero
+        p = exp_log_derivative(out.certificate)
+        gamma_fun = power * p / p.sigma()
+        gammas.append(gamma_fun.num.coeff(0))
+        witnesses.append(p)
+    basis = [galois._combine(m, candidates) for m in galois._unit_product_kernel(gammas, bound)]
+    return RelationLattice(candidates, gammas, witnesses, hermite_normal_form(basis))
+
+
+def _relation_inputs():
+    """Seeded tuples of nonzero rational functions built from shifted powers
+    of a few linear and irreducible quadratic factors, times rational
+    constants; constant functions included."""
+    rng = random.Random(2027)
+    pool = [x, x - Fraction(1, 2), x**2 + 1, x**2 + x + 1]
+    consts = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-4, 9), Fraction(6)]
+    tuples = [[RatFun(x), RatFun(2 * x), RatFun(4 * x)], [RatFun(Poly([2])), RatFun(Poly([4]))]]
+    for _ in range(14):
+        rs = []
+        for _ in range(rng.randint(2, 3)):
+            r = RatFun(Poly([rng.choice(consts)]))
+            for q in rng.sample(pool, rng.randint(0, 2)):
+                r = r * RatFun(q.shift(rng.randint(-2, 2))) ** rng.choice((-2, -1, 1, 2))
+            rs.append(r)
+        tuples.append(rs)
+    return tuples
+
+
+class TestOneRelationReduction:
+    """Certificates as sums of the shared reduction's certificates, against
+    the per-candidate reference."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _relation_inputs()
+
+    def test_matches_reference(self, inputs):
+        for rs in inputs:
+            got, ref = multiplicative_relations(rs), ref_multiplicative_relations(rs)
+            assert got.candidate_basis == ref.candidate_basis, rs
+            assert got.gammas == ref.gammas, rs
+            assert [(p.num.coeffs, p.den.coeffs) for p in got.witnesses] == [
+                (p.num.coeffs, p.den.coeffs) for p in ref.witnesses
+            ], rs
+            assert got.basis == ref.basis, rs
+
+    def test_inputs_cover_the_cases(self, inputs):
+        refs = [ref_multiplicative_relations(rs) for rs in inputs]
+        assert any(len(ref.candidate_basis) >= 2 for ref in refs)
+        assert any(ref.basis != [] for ref in refs)
+        assert any(any(g != 1 for g in ref.gammas) for ref in refs)
+        assert any(not ref.candidate_basis for ref in refs)
+        assert any(r.num.is_constant and r.den.is_constant for rs in inputs for r in rs)
+        assert any(any(q.degree == 2 for q in (r.num, r.den)) for rs in inputs for r in rs)
+
+    def test_one_shift_set_per_call(self, monkeypatch, inputs):
+        calls = []
+        original = shiftset.shift_set
+
+        def counted(b, *args):
+            calls.append(b)
+            return original(b, *args)
+
+        monkeypatch.setattr(shiftset, "shift_set", counted)
+        for rs in inputs:
+            calls.clear()
+            multiplicative_relations(rs)
+            assert len(calls) == 1, rs
+
+    def test_candidate_that_does_not_reduce_to_zero_raises(self, monkeypatch):
+        monkeypatch.setattr(galois, "_solution_lattice", lambda reduced: [[1, 0]])
+        with pytest.raises(InternalError, match="not summable"):
+            multiplicative_relations([RatFun(x), RatFun(x + Fraction(1, 2))])

@@ -11,7 +11,9 @@ from dresidues.polys import (
     X,
     _int_resultant,
     _to_int_primitive,
+    divisors_upto,
     ext_gcd,
+    factor_int,
     gcd,
     integer_roots,
     interpolate,
@@ -314,6 +316,19 @@ class TestIntegerRoots:
                 p = p * Poly([-r, 1])
             p = p * (x**2 + x + 1)  # irreducible cofactor
             assert integer_roots(p) == roots
+
+
+class TestDivisorsUpto:
+    def test_from_factorization(self):
+        assert divisors_upto(factor_int(360), 20) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20]
+        assert divisors_upto({2: 0, 7: 2}, 100) == [1, 7, 49]
+        assert divisors_upto({}, 5) == [1]
+        assert divisors_upto({3: 1}, 0) == []
+
+    def test_matches_trial_division(self):
+        for n in range(1, 200):
+            for limit in (1, 7, n):
+                assert divisors_upto(factor_int(n), limit) == [d for d in range(1, limit + 1) if n % d == 0]
 
 
 class TestPrimitive:

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_multi_matches_oracle, assert_pairs_match_oracle
+from conftest import (
+    assert_multi_matches_oracle,
+    assert_pairs_match_oracle,
+    ref_first_residues,
+    ref_first_residues_multi,
+)
+from dresidues import polys
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
@@ -17,7 +23,7 @@ from dresidues.residues import (
 )
 from dresidues.shiftset import dispersion
 from dresidues.summability import nullspace
-from dresidues.testkit import build_from_spec, orbit_spec, random_orbit_spec
+from dresidues.testkit import build_from_spec, orbit_spec, random_orbit_spec, rational_roots
 
 x = X
 
@@ -90,6 +96,95 @@ class TestFirstResiduesMulti:
                 cof = big.exact_div(f.den)
                 if cof != ONE:
                     assert p % cof == ZERO
+
+
+def _rational_numerator(rng, den):
+    """A random nonzero numerator of degree below deg(den), with
+    non-integral rational coefficients."""
+    num = ZERO
+    while num.is_zero:
+        num = Poly([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(1, den.degree))])
+    return num
+
+
+def _simple_pole_tuples():
+    """Seeded tuples of proper simple-pole functions: rational poles,
+    integer shifts of irreducible quadratics, shared and disjoint factors,
+    rational numerators and zero functions."""
+    rng = random.Random(2025)
+    quadratics = [x**2 + 1, x**2 + 2, x**2 + x + 1, x**2 - 3]
+    linears = [x, x - Fraction(1, 2), x + Fraction(1, 3)]
+    tuples = []
+    for _ in range(25):
+        fs = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.15:
+                fs.append(RF_ZERO)
+            elif kind < 0.4:
+                fs.append(build_from_spec(random_orbit_spec(rng, max_orbits=3, max_order=1)))
+            else:
+                pool = rng.sample(quadratics, 2) + rng.sample(linears, 2)
+                den = ONE
+                for q in rng.sample(pool, rng.randint(1, 3)):
+                    den = den * q.shift(rng.randint(-2, 2))
+                if not is_squarefree(den):
+                    continue
+                fs.append(RatFun(_rational_numerator(rng, den), den))
+        if fs:
+            tuples.append(fs)
+    tuples.append([RF_ZERO])
+    tuples.append([RF_ZERO, RF_ZERO, RF_ZERO])
+    tuples.append([RatFun(ONE, x**2 + 1), RatFun(x, (x**2 + 1) * (x - 2)), RF_ZERO])
+    return tuples
+
+
+class TestOneTragerInverse:
+    """The one-inverse map against per-function Trager inverses plus CRT."""
+
+    @pytest.fixture(scope="class")
+    def tuples(self):
+        return _simple_pole_tuples()
+
+    def test_multi_matches_reference(self, tuples):
+        for fs in tuples:
+            big, ps = first_residues_multi(fs)
+            ref_big, ref_ps = ref_first_residues_multi(fs)
+            assert big.coeffs == ref_big.coeffs, fs
+            assert [p.coeffs for p in ps] == [p.coeffs for p in ref_ps], fs
+
+    def test_single_matches_reference(self, tuples):
+        for f in (f for fs in tuples for f in fs):
+            pair, ref = first_residues(f), ref_first_residues(f)
+            assert (pair.places.coeffs, pair.values.coeffs) == (ref.places.coeffs, ref.values.coeffs), f
+
+    def test_inputs_cover_the_cases(self, tuples):
+        fs = [f for t in tuples for f in t]
+        assert any(f.is_zero for f in fs)
+        assert any(len(rational_roots(f.den)) < f.den.degree for f in fs)
+        assert any(c.denominator != 1 for f in fs for c in f.num.coeffs)
+        assert any(len(t) > 1 and polys.lcm_all(f.den for f in t).degree < sum(f.den.degree for f in t) for t in tuples)
+
+    def test_one_inverse_per_call(self, monkeypatch, tuples):
+        calls = []
+        original = polys.inverse_mod
+
+        def counted(a, m):
+            calls.append(m)
+            return original(a, m)
+
+        monkeypatch.setattr(polys, "inverse_mod", counted)
+        for fs in tuples:
+            calls.clear()
+            big, _ = first_residues_multi(fs)
+            assert len(calls) == (0 if big.is_constant else 1), fs
+        assert any(sum(not f.is_zero for f in fs) > 1 for fs in tuples)
+
+    def test_rejects_non_proper_and_non_squarefree(self):
+        with pytest.raises(DomainError):
+            first_residues_multi([RatFun(ONE, x), RatFun(x**2, x + 1)])
+        with pytest.raises(DomainError):
+            first_residues_multi([RatFun(ONE, x + 1), RatFun(ONE, x**2)])
 
 
 class TestDiscreteResidues:

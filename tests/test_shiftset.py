@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dresidues import polys
 from dresidues.errors import DomainError
 from dresidues.polys import Poly, X, gcd
 from dresidues.shiftset import dispersion, shift_set
@@ -51,6 +52,27 @@ class TestShiftSet:
             for ell in range(1, top + 6):
                 if ell not in s:
                     assert gcd(b, b.shift(ell)).is_constant
+
+    def test_one_factorization_per_call(self, monkeypatch, golden):
+        calls = []
+        original = polys.factor_int
+
+        def counted(n, *args):
+            calls.append(n)
+            return original(n, *args)
+
+        monkeypatch.setattr(polys, "factor_int", counted)
+        cases = [
+            (golden["layers"][0].den, (1, 2, 3)),
+            (x * (x + 1), (1,)),
+            (x * (x + 3) * (x + 7), (3, 4, 7)),
+            ((x**2 + 1) * (x**2 + 2 * x + 2), (1,)),
+            (x**2 + 1, ()),
+        ]
+        for b, shifts in cases:
+            calls.clear()
+            assert shift_set(b).shifts == shifts
+            assert len(calls) == 1, b
 
 
 class TestDispersion:

@@ -6,9 +6,12 @@ import pytest
 
 from conftest import random_matrices
 
+from dresidues import shiftset
 from dresidues.errors import DomainError
+from dresidues.hermite import hermite_list
 from dresidues.polys import ONE, ZERO, Poly, X
 from dresidues.ratfun import RF_ZERO, RatFun
+from dresidues.reduction import simple_reduction
 from dresidues.summability import is_summable, nullspace, poly_antidifference, vspace
 from dresidues.testkit import (
     build_from_spec,
@@ -115,6 +118,91 @@ class TestIsSummable:
             f = random_summable(rng) + RatFun(random_poly(rng, rng.randint(0, 3)))
             ok, cert = is_summable(f, want_certificate=True)
             assert ok and cert.delta() == f
+
+
+def ref_is_summable(f, want_certificate=False):
+    """One `simple_reduction` per Hermite layer, each against its own shift
+    set; a test-only reference."""
+    poly_part, fp = f.proper_part()
+    cert = RatFun(poly_antidifference(poly_part)) if want_certificate else None
+    if fp.is_zero:
+        return True, cert
+    outs = [simple_reduction(layer, want_certificate) for layer in hermite_list(fp)]
+    if any(not out.reduced.is_zero for out in outs):
+        return False, None
+    if want_certificate:
+        for k, out in enumerate(outs, 1):
+            piece = out.certificate
+            for _ in range(k - 1):
+                piece = piece.derivative()
+            cert = cert + piece * (Fraction(-1) ** (k - 1) / math.factorial(k - 1))
+    return True, cert
+
+
+def _summability_inputs():
+    """Seeded summable and blocked inputs: delta images with rational and
+    irreducible-quadratic poles, polynomial parts, rational numerators, and
+    summable parts spoiled at one pole order."""
+    rng = random.Random(2026)
+    quadratics = [x**2 + 1, x**2 + x + 1, x**2 - 3]
+    fs = [RF_ZERO, RatFun(x**2 - 1), RatFun(ONE, x**2), RatFun(ONE, x**3).delta()]
+    for _ in range(6):
+        fs.append(random_summable(rng, max_order=4))
+        fs.append(random_summable(rng) + RatFun(random_poly(rng, rng.randint(0, 2))))
+        fs.append(random_dispersion_zero(rng))
+    for _ in range(5):
+        den = ONE
+        for q in rng.sample(quadratics, 2):
+            den = den * q.shift(rng.randint(-2, 2)) ** rng.randint(1, 2)
+        num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(den.degree)])
+        g = RatFun(num, den)
+        if g.is_zero:
+            continue
+        fs.append(g.delta())
+        fs.append(g.delta() + RatFun(ONE, quadratics[0].shift(rng.randint(-2, 2)) ** rng.randint(1, 3)))
+    return fs
+
+
+class TestOneReduction:
+    """All layers reduced together against the per-layer reference."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _summability_inputs()
+
+    def test_matches_reference(self, inputs):
+        for f in inputs:
+            assert is_summable(f) == ref_is_summable(f), f
+            ok, cert = is_summable(f, want_certificate=True)
+            ref_ok, ref_cert = ref_is_summable(f, want_certificate=True)
+            assert ok == ref_ok, f
+            if ok:
+                assert (cert.num.coeffs, cert.den.coeffs) == (ref_cert.num.coeffs, ref_cert.den.coeffs), f
+                assert cert.delta() == f
+            else:
+                assert cert is None and ref_cert is None
+
+    def test_inputs_cover_the_cases(self, inputs):
+        decided = [ref_is_summable(f)[0] for f in inputs]
+        proper = [f.proper_part()[1] for f in inputs]
+        assert any(decided) and not all(decided)
+        assert any(ok and len(hermite_list(p)) >= 3 for ok, p in zip(decided, proper) if not p.is_zero)
+        assert any(not ok and len(hermite_list(p)) >= 2 for ok, p in zip(decided, proper) if not p.is_zero)
+        assert any(not f.proper_part()[0].is_zero and not p.is_zero for f, p in zip(inputs, proper))
+
+    def test_one_shift_set_per_call(self, monkeypatch, inputs):
+        calls = []
+        original = shiftset.shift_set
+
+        def counted(b, *args):
+            calls.append(b)
+            return original(b, *args)
+
+        monkeypatch.setattr(shiftset, "shift_set", counted)
+        for i, f in enumerate(inputs[:16]):
+            calls.clear()
+            is_summable(f, want_certificate=i % 2 == 1)
+            assert len(calls) == (0 if f.proper_part()[1].is_zero else 1), f
 
 
 class TestNullspace:
