@@ -4,12 +4,18 @@ emit exact text or JSON.
 Grammar (everything exact, no floats): integer literals, the variable x,
 binary + - * /, integer ^, parentheses, unary minus.  Precedence is
 ^ before unary - before * / before + -, with left associativity for the
-binary operators; implicit multiplication is rejected.  A power whose exponent
-or degree exceeds MAX_DEGREE is a parse error, raised before it is computed.
-So are an integer literal longer than Python's integer string conversion
-limit (sys.get_int_max_str_digits) and a power whose coefficients would be
-estimated longer than it: |exponent| times the largest coefficient bit-length
-of the base.
+binary operators; implicit multiplication is rejected.  The parser is one
+recursive descent whose rules return the exact RatFun of the text they
+consumed.  Each guard is a parse error raised before its value is computed:
+an exponent literal above MAX_DEGREE (at the literal); a power of degree
+above MAX_DEGREE, a negative power of zero, or a power whose coefficients
+are estimated longer than Python's integer string conversion limit
+(sys.get_int_max_str_digits; |exponent| times the largest coefficient
+bit-length of the base), at the ^; a + - * / whose numerator or denominator
+before cancellation would exceed MAX_DEGREE, or a division by zero, at the
+operator.  Unknown characters and literals longer than that limit are found
+before anything is computed; other errors come in the order the parser
+meets them, so in "1/0 )" the division by zero is reported, not the ")".
 Exit codes: 0 ok, 1 usage or parse error or an output number longer than
 Python's integer string conversion limit, 2 precondition violation,
 3 internal assertion.
@@ -20,8 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, galois, residues, shiftset, summability, testkit
@@ -42,40 +48,6 @@ def _max_digits() -> int:
     (interpreters before 3.10.7 have no limit)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class Var:
-    offset: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-    offset: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    offset: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    offset: int
-
-
-Expr = object  # Num | Var | Neg | BinOp | Pow
 
 _TOKEN_OPS = set("+-*/^()")
 
@@ -110,6 +82,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent that evaluates as it goes: every rule returns the
+    exact RatFun of the text it consumed, and every guard fires at the token
+    where its value is formed."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -124,100 +100,96 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Expr:
-        node = self.expr()
+    def parse(self) -> RatFun:
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return node
+        return value
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> RatFun:
+        value = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, off = self.take()
-            node = BinOp(op, node, self.term(), off)
-        return node
+            value = _apply(op, value, self.term(), off)
+        return value
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> RatFun:
+        value = self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, off = self.take()
-            node = BinOp(op, node, self.unary(), off)
-        return node
+            value = _apply(op, value, self.unary(), off)
+        return value
 
-    def unary(self) -> Expr:
+    def unary(self) -> RatFun:
         tok = self.peek()
         if tok[0] == "-":
             self.take()
-            return Neg(self.unary(), tok[2])
+            return -self.unary()
         if tok[0] == "+":
             self.take()
             return self.unary()
         return self.power()
 
-    def power(self) -> Expr:
+    def power(self) -> RatFun:
         base = self.atom()
-        if self.peek()[0] == "^":
-            _, _, off = self.take()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.take()
-                sign = -1
-            tok = self.take("int")
-            exponent = int(tok[1])
-            if exponent > MAX_DEGREE:
-                raise ParseError(f"exponent {exponent} exceeds the cap {MAX_DEGREE}", tok[2])
-            return Pow(base, sign * exponent, off)
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.take()
-        if tok[0] == "int":
-            return Num(int(tok[1]), tok[2])
-        if tok[0] == "var":
-            return Var(tok[2])
-        if tok[0] == "(":
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}", tok[2])
-
-
-def _evaluate(node: Expr) -> RatFun:
-    if isinstance(node, Num):
-        return RatFun(Poly([node.value]))
-    if isinstance(node, Var):
-        return RatFun(Poly([0, 1]))
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg)
-    if isinstance(node, Pow):
-        base = _evaluate(node.base)
-        if base.is_zero and node.exponent < 0:
-            raise ParseError("negative power of zero", node.offset)
-        if max(base.num.degree or 0, base.den.degree) * abs(node.exponent) > MAX_DEGREE:
-            raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", node.offset)
+        if self.peek()[0] != "^":
+            return base
+        _, _, off = self.take()
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        tok = self.take("int")
+        exponent = int(tok[1])
+        if exponent > MAX_DEGREE:
+            raise ParseError(f"exponent {exponent} exceeds the cap {MAX_DEGREE}", tok[2])
+        if base.is_zero and sign * exponent < 0:
+            raise ParseError("negative power of zero", off)
+        if max(_deg(base.num), base.den.degree) * exponent > MAX_DEGREE:
+            raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", off)
         limit = _max_digits()
-        if limit and abs(node.exponent) > 1:
+        if limit and exponent > 1:
             bits = max(
                 max(c.numerator.bit_length(), c.denominator.bit_length())
                 for c in base.num.coeffs + base.den.coeffs
             )
-            if abs(node.exponent) * bits * math.log10(2) > limit:
-                raise ParseError(f"power exceeds the coefficient size limit of {limit} digits", node.offset)
-        return base**node.exponent
-    if isinstance(node, BinOp):
-        left = _evaluate(node.left)
-        right = _evaluate(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
+            if exponent * bits * math.log10(2) > limit:
+                raise ParseError(f"power exceeds the coefficient size limit of {limit} digits", off)
+        return base ** (sign * exponent)
+
+    def atom(self) -> RatFun:
+        tok = self.take()
+        if tok[0] == "int":
+            return RatFun(Poly([int(tok[1])]))
+        if tok[0] == "var":
+            return RatFun(Poly([0, 1]))
+        if tok[0] == "(":
+            value = self.expr()
+            self.take(")")
+            return value
+        raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}", tok[2])
+
+
+def _deg(p: Poly) -> int:
+    return p.degree or 0
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _apply(op: str, left: RatFun, right: RatFun, offset: int) -> RatFun:
+    """left op right, after checking that neither the numerator nor the
+    denominator RatFun forms before cancelling exceeds MAX_DEGREE."""
+    ln, ld, rn, rd = _deg(left.num), _deg(left.den), _deg(right.num), _deg(right.den)
+    if op == "/":
         if right.is_zero:
-            raise ParseError("division by zero", node.offset)
-        return left / right
-    raise InternalError(f"unknown node {node!r}")
+            raise ParseError("division by zero", offset)
+        rn, rd = rd, rn
+    num = ln + rn if op in "*/" else max(ln + rd, rn + ld)
+    if max(num, ld + rd) > MAX_DEGREE:
+        raise ParseError(f"result of {op!r} exceeds the degree cap {MAX_DEGREE}", offset)
+    return _OPS[op](left, right)
 
 
 def parse(text: str) -> RatFun:
@@ -226,7 +198,7 @@ def parse(text: str) -> RatFun:
     >>> parse("1/x + 1/x")
     RatFun('(2)/(x)')
     """
-    return _evaluate(_Parser(text).parse())
+    return _Parser(text).parse()
 
 
 def parse_poly(text: str) -> Poly:

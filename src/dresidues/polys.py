@@ -346,6 +346,19 @@ def lcm_all(ps: Iterable[Poly]) -> Poly:
     return acc
 
 
+def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Monic g = gcd(a, b) and s with s*a = g mod b: the extended Euclid loop
+    carrying only the cofactor of a."""
+    r0, r1 = a, b
+    s0, s1 = ONE, ZERO
+    while not r1.is_zero:
+        q, r = r0.divrem(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    scale = 1 / r0.lc
+    return r0 * scale, s0 * scale
+
+
 def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Monic g = gcd(a, b) together with s, t such that s*a + t*b = g.
 
@@ -354,21 +367,13 @@ def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """
     if a.is_zero and b.is_zero:
         raise DomainError("ext_gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    scale = 1 / r0.lc
-    return r0 * scale, s0 * scale, t0 * scale
+    g, s = _gcd_cofactor(a, b)
+    return g, s, ZERO if b.is_zero else (g - s * a).exact_div(b)
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
     """The inverse of a modulo m; requires gcd(a, m) = 1."""
-    g, s, _ = ext_gcd(a % m, m)
+    g, s = _gcd_cofactor(a % m, m)
     if g != ONE:
         raise DomainError(f"{a} is not invertible modulo {m}")
     return s % m

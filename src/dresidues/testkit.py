@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import polys
 from .errors import DomainError
-from .polys import ONE, Poly
+from .polys import Poly
 from .ratfun import RatFun
 
 Term = tuple[Fraction, int, Fraction]  # (pole, order, coefficient)
@@ -98,35 +98,18 @@ def parse_spec_text(text: str) -> OrbitSpec:
 # -- rational root extraction (for aligning symbolic output with the oracle) --
 
 
-def rational_roots(p: Poly, bound: int = 10**6) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, with multiplicity ignored
-    (callers here apply it to squarefree polynomials)."""
+def rational_roots(p: Poly) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial, with multiplicity ignored.
+
+    With c the primitive integer coefficients of p, n its degree and
+    l = c_n, the rational roots are y/l for the integer roots y of the monic
+    sum(c_k l^(n-1-k) y^k) (y = l*x)."""
     if p.is_zero:
         raise DomainError("the zero polynomial has every rational as a root")
     cs = polys._to_int_primitive(p)
-    roots: list[Fraction] = []
-    low = 0
-    while cs[low] == 0:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-        cs = cs[low:]
-    if len(cs) == 1:
-        return roots
-    limit = polys._cauchy_root_bound(cs)
-    nums = polys.divisors_upto(polys.factor_int(abs(cs[0]), bound), abs(cs[0]))
-    dens = polys.divisors_upto(polys.factor_int(abs(cs[-1]), bound), abs(cs[-1]))
-    seen = set()
-    for den in dens:
-        for num in nums:
-            cand = Fraction(num, den)
-            if cand > limit:
-                break
-            for signed in (cand, -cand):
-                if signed not in seen and p(signed) == 0:
-                    seen.add(signed)
-                    roots.append(signed)
-    return sorted(roots)
+    n, lead = len(cs) - 1, cs[-1]
+    monic = Poly([c * lead ** (n - 1 - k) for k, c in enumerate(cs[:-1])] + [1])
+    return sorted(Fraction(y, lead) for y in polys.integer_roots(monic))
 
 
 # -- seeded random instance generators ----------------------------------------

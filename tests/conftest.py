@@ -1,13 +1,16 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
-seeded random matrices and the per-function first-residues reference."""
+seeded random matrices, the per-function first-residues reference and the
+expression-tree parser reference."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from dresidues import polys
+from dresidues import cli, polys
+from dresidues.errors import ParseError
 from dresidues.polys import ONE, ZERO, Poly, X
 from dresidues.ratfun import RatFun
 from dresidues.residues import TRIVIAL_PAIR, ResiduePair
@@ -157,3 +160,112 @@ def ref_first_residues_multi(fs):
         lift = polys.inverse_mod(cof, pair.places)
         ps.append((pair.values * lift) % pair.places * cof)
     return big, ps
+
+
+def ref_parse(text):
+    """The expression tree parser with a separate evaluator that the one-pass
+    `cli.parse` replaced; a test-only reference.  It shares the tokenizer.
+    Nodes are tuples: ("num", n), ("var",), ("neg", arg),
+    ("bin", op, left, right, offset), ("pow", base, exponent, offset)."""
+    tokens, pos = cli._tokenize(text), 0
+
+    def peek():
+        return tokens[pos]
+
+    def take(kind=None):
+        nonlocal pos
+        tok = tokens[pos]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        pos += 1
+        return tok
+
+    def expr():
+        node = term()
+        while peek()[0] in ("+", "-"):
+            op, _, off = take()
+            node = ("bin", op, node, term(), off)
+        return node
+
+    def term():
+        node = unary()
+        while peek()[0] in ("*", "/"):
+            op, _, off = take()
+            node = ("bin", op, node, unary(), off)
+        return node
+
+    def unary():
+        tok = peek()
+        if tok[0] == "-":
+            take()
+            return ("neg", unary())
+        if tok[0] == "+":
+            take()
+            return unary()
+        return power()
+
+    def power():
+        base = atom()
+        if peek()[0] != "^":
+            return base
+        _, _, off = take()
+        sign = 1
+        if peek()[0] == "-":
+            take()
+            sign = -1
+        tok = take("int")
+        if int(tok[1]) > cli.MAX_DEGREE:
+            raise ParseError(f"exponent {tok[1]} exceeds the cap {cli.MAX_DEGREE}", tok[2])
+        return ("pow", base, sign * int(tok[1]), off)
+
+    def atom():
+        tok = take()
+        if tok[0] == "int":
+            return ("num", int(tok[1]))
+        if tok[0] == "var":
+            return ("var",)
+        if tok[0] == "(":
+            node = expr()
+            take(")")
+            return node
+        raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}", tok[2])
+
+    def evaluate(node):
+        if node[0] == "num":
+            return RatFun(Poly([node[1]]))
+        if node[0] == "var":
+            return RatFun(X)
+        if node[0] == "neg":
+            return -evaluate(node[1])
+        if node[0] == "pow":
+            _, base_node, exponent, off = node
+            base = evaluate(base_node)
+            if base.is_zero and exponent < 0:
+                raise ParseError("negative power of zero", off)
+            if max(base.num.degree or 0, base.den.degree) * abs(exponent) > cli.MAX_DEGREE:
+                raise ParseError("power exceeds the degree cap", off)
+            limit = cli._max_digits()
+            if limit and abs(exponent) > 1:
+                bits = max(
+                    max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in base.num.coeffs + base.den.coeffs
+                )
+                if abs(exponent) * bits * math.log10(2) > limit:
+                    raise ParseError("power exceeds the coefficient size limit", off)
+            return base**exponent
+        _, op, left, right, off = node
+        left, right = evaluate(left), evaluate(right)
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if right.is_zero:
+            raise ParseError("division by zero", off)
+        return left / right
+
+    tree = expr()
+    if peek()[0] != "end":
+        raise ParseError(f"unexpected {peek()[1]!r}", peek()[2])
+    return evaluate(tree)

@@ -1,11 +1,13 @@
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import ref_parse
 
-from dresidues.cli import MAX_DEGREE, main, parse, parse_poly
+from dresidues.cli import MAX_DEGREE, _tokenize, main, parse, parse_poly
 from dresidues.errors import ParseError
 from dresidues.polys import ONE, Poly, X
 from dresidues.ratfun import RatFun
@@ -131,6 +133,132 @@ class TestInputCaps:
             assert captured.err.splitlines() == [
                 f"error: the output has a number longer than the limit of {sys.get_int_max_str_digits()} digits"
             ]
+
+    def test_operation_degree_above_cap_rejected(self):
+        # Estimated before cancelling: numerator and denominator degrees add
+        # under * and /, and a sum's denominator is the product of both.
+        for text, offset in (
+            ("x^1000*x", 6),
+            ("x^600*x^600", 5),
+            ("1/x^600 + 1/(x+1)^600", 8),
+            ("1/x^600 + 1/x^600", 8),
+            ("x/(1/x^1000)", 1),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.offset == offset
+            assert "degree cap" in str(info.value)
+
+    def test_operation_degree_at_cap_accepted(self):
+        assert parse("x^600 + x^600") == RatFun(2 * x**600)
+        assert parse("x^999*x") == RatFun(x**1000)
+        assert parse("x^1000") == RatFun(x**1000)
+        assert parse("x^1000/x^1000") == RatFun(ONE)
+
+    def test_operation_cap_exit_code(self, capsys):
+        assert main(["dres", "x^600*x^600"]) == 1
+        assert "degree cap" in capsys.readouterr().err
+
+
+def _gen_expr(rng, depth):
+    """A random expression over the whole grammar: nested parentheses,
+    unary - and +, powers with negative exponents, - and / chains, rational
+    literals as quotients and x.  Degrees stay far below MAX_DEGREE; zero
+    literals and x - x make some evaluations fail."""
+
+    def atom():
+        roll = rng.random()
+        if depth > 0 and roll < 0.3:
+            return "(" + _gen_expr(rng, depth - 1) + ")"
+        if roll < 0.55:
+            return "x"
+        if roll < 0.6:
+            return "(x - x)"
+        return str(rng.choice([0, 1, 2, 3, 7, 12, 45, 99]))
+
+    def unary():
+        text = atom()
+        if rng.random() < 0.3:
+            text += f"^{rng.choice(['', '-'])}{rng.randint(0, 3)}"
+        return rng.choice(["", "", "", "-", "+", "- -"]) + text
+
+    def chain(item, ops, longest):
+        text = item()
+        for _ in range(rng.randint(0, longest)):
+            text += rng.choice([" ", ""]) + rng.choice(ops) + rng.choice([" ", ""]) + item()
+        return text
+
+    return chain(lambda: chain(unary, "*//", 2), "+--", 2)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return (type(exc), exc.offset)
+
+
+def _one_syntax_error(rng, text):
+    """text, which evaluates without error, with one syntax error put where
+    nothing that text does not compute gets computed before it."""
+    tokens = _tokenize(text)[:-1]
+    roll = rng.random()
+    if roll < 0.3:
+        return text + " " + rng.choice([")", "x", "7", "(x)", "+", "*", "/", "^", "^-"])
+    if roll < 0.6:
+        # Right after an operator or "(" the parser is expecting a value.
+        spots = [off + 1 for kind, _, off in tokens if kind in "+-*/(^"]
+        if spots:
+            at = rng.choice(spots)
+            return text[:at] + rng.choice("*/)^") + text[at:]
+    if roll < 0.8:
+        exponents = [
+            tok
+            for i, tok in enumerate(tokens)
+            if i >= 2 and tok[0] == "int" and "^" in (tokens[i - 1][0], tokens[i - 2][0])
+        ]
+        if exponents:
+            _, lit, off = rng.choice(exponents)
+            return text[:off] + str(MAX_DEGREE + 1) + text[off + len(lit):]
+    at = rng.randint(0, len(text))
+    return text[:at] + rng.choice("?.y") + text[at:]
+
+
+class TestParserDifferential:
+    """The one-pass parser against the expression tree parser it replaced."""
+
+    def test_valid_syntax_same_value_or_error(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(400):
+            text = _gen_expr(rng, 3)
+            got, want = _outcome(parse, text), _outcome(ref_parse, text)
+            assert got == want, text
+            kinds.add(type(want))
+        assert kinds == {RatFun, tuple}
+
+    def test_one_syntax_error_same_type_and_offset(self):
+        rng = random.Random(20261019)
+        checked = 0
+        while checked < 400:
+            text = _gen_expr(rng, 3)
+            if not isinstance(_outcome(ref_parse, text), RatFun):
+                continue
+            bad = _one_syntax_error(rng, text)
+            want = _outcome(ref_parse, bad)
+            assert isinstance(want, tuple), bad
+            assert _outcome(parse, bad) == want, bad
+            checked += 1
+
+    def test_error_order(self):
+        # The one behaviour that moved: an evaluation error left of a syntax
+        # error is reported first.
+        with pytest.raises(ParseError) as info:
+            ref_parse("1/0 )")
+        assert info.value.offset == 4
+        with pytest.raises(ParseError) as info:
+            parse("1/0 )")
+        assert info.value.offset == 1
 
 
 class TestMain:

@@ -17,6 +17,7 @@ from dresidues.polys import (
     gcd,
     integer_roots,
     interpolate,
+    inverse_mod,
     is_squarefree,
     lcm,
     resultant,
@@ -117,6 +118,22 @@ class TestExtGcd:
             if g != b.monic() and not s.is_zero:
                 assert s.degree < b.degree - g.degree
 
+
+    def test_zero_argument(self):
+        assert ext_gcd(2 * x, ZERO) == (x, Poly([Fraction(1, 2)]), ZERO)
+        assert ext_gcd(ZERO, 2 * x) == (x, ZERO, Poly([Fraction(1, 2)]))
+
+    def test_inverse_mod_matches_cofactor(self):
+        with pytest.raises(DomainError):
+            inverse_mod(x**2 - 1, x - 1)
+        rng = random.Random(17)
+        for _ in range(30):
+            a, m = random_poly(rng, rng.randint(0, 8)), random_poly(rng, rng.randint(1, 8))
+            g, s, _ = ext_gcd(a % m, m)
+            if g == ONE:
+                inv = inverse_mod(a, m)
+                assert inv == s % m
+                assert (a * inv) % m == ONE
 
 class TestShiftEvalDerivative:
     def test_shift_one(self):

@@ -88,6 +88,12 @@ class TestRationalRoots:
             assert set(rational_roots(p)) == roots
 
 
+    def test_zero_root_and_large_leading_coefficient(self):
+        p = x * (12 * x - 5) * (35 * x + 18) * (x**2 - 2)
+        assert rational_roots(p) == [Fraction(-18, 35), Fraction(0), Fraction(5, 12)]
+        assert rational_roots(Poly([7])) == []
+        assert rational_roots(Poly([-3, 9])) == [Fraction(1, 3)]
+
 class TestGenerators:
     def test_orbit_spec_shape(self):
         rng = random.Random(233)
