@@ -24,6 +24,7 @@ Python's integer string conversion limit, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -338,7 +339,9 @@ def _cmd_oracle(args) -> tuple[list[str], dict]:
     return lines, payload
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dresidues",
         description="Exact discrete residues and rational summability over Q(x).",

@@ -1,18 +1,29 @@
 """Exact dense univariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` throughout: every operation is exact,
-there is no floating point anywhere.  A polynomial is a dense tuple of
-coefficients in ascending degree order with no trailing zeros; the zero
-polynomial is the empty tuple and its degree is the sentinel ``None``,
-never an integer that arithmetic could silently consume.
-"""
+A `Poly` is integers over one common denominator: ``_c`` is a tuple of ints
+(c_0, ..., c_n) in ascending degree order with no trailing zero, ``_d`` is an
+int > 0, and the polynomial is (c_0 + c_1 x + ... + c_n x^n) / d.  The
+invariant gcd(d, c_0, ..., c_n) = 1 makes the pair canonical, so equality and
+hashing compare it as it is (the content / primitive-part form of von zur
+Gathen & Gerhard, *Modern Computer Algebra*, §6.2).  The zero polynomial is
+((), 1) and its degree is the sentinel ``None``, never an integer that
+arithmetic could silently consume.
 
+Every kernel runs on Python ints and normalises its result once, in `_new`,
+where a tuple of `Fraction`s pays a gcd on every coefficient operation.
+Division is fraction-free, and it scales the remainder (by lc / gcd(top, lc))
+only at a step where the divisor's leading integer lc does not divide the
+top coefficient: dividing by an integer-monic divisor, the common case, never
+scales, and no case grows like the pseudo-remainder's lc^(deg a - deg b + 1).
+At the API coefficients are exact rationals (``.coeffs``, ``.lc`` and
+``.coeff(k)`` are `Fraction` views); there is no floating point anywhere.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, FactorLimitError, InexactDivisionError
 
@@ -38,15 +49,15 @@ class Poly:
     Poly('2*x + 1')
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_c", "_d")
 
-    coeffs: tuple[Fraction, ...]
+    _c: tuple[int, ...]
+    _d: int
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable = ()):
+        rats = [_as_rat(c) for c in coeffs]
+        d = math.lcm(*(r.denominator for r in rats))
+        return _new([r.numerator * (d // r.denominator) for r in rats], d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -54,95 +65,110 @@ class Poly:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as exact rationals, in ascending degree order."""
+        d = self._d
+        return tuple(Fraction(c, d) for c in self._c)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     @property
     def degree(self) -> int | None:
         """Degree, or ``None`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._c) - 1 if self._c else None
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient."""
-        if not self.coeffs:
+        if not self._c:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._c[-1], self._d)
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._c) <= 1
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._c) and self._c[-1] == self._d
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x^k (zero beyond the degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self._c[k], self._d) if 0 <= k < len(self._c) else Fraction(0)
 
     # -- ring operations ---------------------------------------------------
 
+    # Operands are tested against Poly first: an isinstance test against
+    # Fraction goes through the numbers ABCs and is slow when it fails.
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, _COEF_TYPES):
-            other = Poly([other])
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            if not isinstance(other, _COEF_TYPES):
+                return NotImplemented
+            other = Poly([other])
+        return self._c == other._c and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._c, self._d))
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return _new([-c for c in self._c], self._d)
+
+    def _add(self, other, sign: int) -> Poly:
+        """self + sign * other, over the lcm of the two denominators."""
+        if not isinstance(other, Poly):
+            if not isinstance(other, _COEF_TYPES):
+                return NotImplemented
+            other = Poly([other])
+        a, b, d = list(self._c), other._c, self._d
+        if d != other._d:
+            g = math.gcd(d, other._d)
+            ma, mb = other._d // g, d // g
+            a, b, d = [c * ma for c in a], [c * mb for c in b], d * ma
+        if sign < 0:
+            b = [-c for c in b]
+        a.extend([0] * (len(b) - len(a)))
+        for i, c in enumerate(b):
+            a[i] += c
+        return _new(a, d)
 
     def __add__(self, other) -> Poly:
-        if isinstance(other, _COEF_TYPES):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Poly:
-        if isinstance(other, _COEF_TYPES):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> Poly:
         return (-self) + other
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, _COEF_TYPES):
-            s = _as_rat(other)
-            return Poly([c * s for c in self.coeffs])
         if not isinstance(other, Poly):
+            if isinstance(other, int):
+                return _new([c * other for c in self._c], self._d)
+            if isinstance(other, Fraction):
+                u = other.numerator
+                return _new([c * u for c in self._c], self._d * other.denominator)
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return ZERO
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+                for k, cb in enumerate(b, i):
+                    out[k] += ca * cb
+        return _new(out, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise DomainError("negative power of a polynomial")
-        result = Poly([1])
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -155,24 +181,38 @@ class Poly:
     # -- division ----------------------------------------------------------
 
     def divrem(self, other: Poly) -> tuple[Poly, Poly]:
-        """Euclidean division: self = q * other + r with r = 0 or deg r < deg other."""
+        """Euclidean division: self = q * other + r with r = 0 or deg r < deg other.
+
+        Fraction-free on the integer parts A of self and B of other: it finds
+        Q, R and s > 0 with s*A = Q*B + R, scaling only at the steps where
+        lc(B) does not divide the top coefficient (see the module docstring).
+        """
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
-        if self.is_zero or len(self.coeffs) < len(other.coeffs):
-            return Poly(), self
-        r = list(self.coeffs)
-        b = other.coeffs
+        if len(self._c) < len(other._c):
+            return ZERO, self
+        b = other._c
         db = len(b) - 1
-        inv_lc = 1 / b[-1]
-        q = [Fraction(0)] * (len(r) - db)
+        low, lc = b[:-1], b[-1]
+        r = list(self._c)
+        q = [0] * (len(r) - db)
+        s = 1
         for i in range(len(r) - 1, db - 1, -1):
-            c = r[i]
-            if c:
-                c *= inv_lc
-                q[i - db] = c
-                for j in range(db + 1):
-                    r[i - db + j] -= c * b[j]
-        return Poly(q), Poly(r[:db])
+            top = r[i]
+            if not top:
+                continue
+            if top % lc:
+                m = abs(lc) // math.gcd(top, lc)
+                s *= m
+                top *= m
+                r[:i] = [c * m for c in r[:i]]
+                q[i - db + 1 :] = [c * m for c in q[i - db + 1 :]]
+            c = top // lc
+            q[i - db] = c
+            for k, bc in enumerate(low, i - db):
+                r[k] -= c * bc
+        den = s * self._d
+        return _new([c * other._d for c in q], den), _new(r[:db], den)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return self.divrem(other)[0]
@@ -192,33 +232,38 @@ class Poly:
             raise DomainError("cannot normalize the zero polynomial")
         if self.is_monic:
             return self
-        return self * (1 / self.lc)
+        return _new(list(self._c), self._c[-1])
 
     # -- calculus-flavoured operations --------------------------------------
 
     def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _new([k * c for k, c in enumerate(self._c[1:], 1)], self._d)
 
     def shift(self, c) -> Poly:
-        """The composition p(x + c).  With c = u/v and D the common denominator,
-        Q(y) = v^n D p(y/v) has integer coefficients and Q(vx + u) = v^n D p(x + c),
-        so only Q is shifted, by the integer u."""
+        """The composition p(x + c).  With c = u/v and p = P/d for an integer
+        P of degree n, Q(y) = v^n P(y/v) has integer coefficients and
+        Q(vx + u) = v^n P(x + c), so only Q is shifted, by the integer u."""
         c = _as_rat(c)
         if c == 0 or self.is_zero:
             return self
-        n = len(self.coeffs) - 1
+        n = len(self._c) - 1
         u, v = c.numerator, c.denominator
-        den = math.lcm(*(a.denominator for a in self.coeffs))
-        cs = [a.numerator * (den // a.denominator) * v ** (n - k) for k, a in enumerate(self.coeffs)]
+        cs = [a * v ** (n - k) for k, a in enumerate(self._c)]
         _taylor_shift(cs, u)
-        return Poly([Fraction(q, den * v ** (n - k)) for k, q in enumerate(cs)])
+        return _new([a * v**k for k, a in enumerate(cs)], self._d * v**n)
 
     def __call__(self, point) -> Fraction:
+        """The value at a rational point u/v: Horner on the homogenised
+        integer form, sum c_k u^k v^(n-k), over d v^n."""
         point = _as_rat(point)
-        acc = Fraction(0)
-        for coef in reversed(self.coeffs):
-            acc = acc * point + coef
-        return acc
+        if self.is_zero:
+            return Fraction(0)
+        u, v = point.numerator, point.denominator
+        acc, vk = 0, 1
+        for c in reversed(self._c):
+            acc = acc * u + c * vk
+            vk *= v
+        return Fraction(acc, self._d * (vk // v))
 
     # -- presentation --------------------------------------------------------
 
@@ -227,6 +272,32 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({poly_str(self)!r})"
+
+
+def _new(cs: list[int], d: int) -> Poly:
+    """The canonical Poly (cs[0] + cs[1] x + ...) / d, for ints cs (the list
+    is consumed) and an int d != 0.  `math.gcd` with many arguments stops
+    computing once the gcd reaches 1, so an integer polynomial (d = 1) costs
+    no gcd at all."""
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs:
+        d = 1
+    elif d < 0:
+        d, cs = -d, [-c for c in cs]
+    g = math.gcd(d, *cs)
+    if g != 1:
+        d //= g
+        cs = [c // g for c in cs]
+    p = object.__new__(Poly)
+    _set_c(p, tuple(cs))
+    _set_d(p, d)
+    return p
+
+
+# The slot setters, which bypass Poly.__setattr__.
+_set_c = Poly._c.__set__
+_set_d = Poly._d.__set__
 
 
 ZERO = Poly()
@@ -238,9 +309,10 @@ def poly_str(p: Poly, var: str = "x") -> str:
     """Render a polynomial in the expression syntax the CLI parser accepts."""
     if p.is_zero:
         return "0"
+    coeffs = p.coeffs
     parts: list[str] = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
@@ -260,28 +332,21 @@ def poly_str(p: Poly, var: str = "x") -> str:
 # -- gcd family ---------------------------------------------------------------
 
 
-def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _int_primitive(cs: list[int]) -> list[int]:
+    """cs over its content, with a positive leading coefficient (cs itself
+    when it already is)."""
     if not cs:
         return cs
-    g = _int_content(cs)
+    g = math.gcd(*cs)
     if cs[-1] < 0:
         g = -g
-    return [c // g for c in cs]
+    return cs if g == 1 else [c // g for c in cs]
 
 
 def _to_int_primitive(p: Poly) -> list[int]:
-    """Primitive integer coefficient list with positive leading coefficient."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _int_primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    """Primitive integer coefficient list with positive leading coefficient:
+    the integer part of p without its content."""
+    return _int_primitive(list(p._c))
 
 
 def _taylor_shift(cs: list, c) -> None:
@@ -330,7 +395,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     while bb:
         rr = _int_primitive(_int_prem(aa, bb))
         aa, bb = bb, rr
-    return Poly(aa).monic()
+    return _new(aa, aa[-1])
 
 
 def lcm(a: Poly, b: Poly) -> Poly:
@@ -534,8 +599,7 @@ def resultant_shift(b: Poly) -> Poly:
     out = [coef.pop()]
     for k in range(n * n - 1, -1, -1):
         out = [coef[k] - k * out[0]] + [out[i - 1] - k * out[i] for i in range(1, len(out))] + [out[-1]]
-    scale = (b.lc / big[-1]) ** (2 * n)
-    return Poly([c * scale for c in out])
+    return _new(out, 1) * (b.lc / big[-1]) ** (2 * n)
 
 
 # A polynomial in K[z][x] is a list of Poly (in z) indexed by the power of x.
@@ -573,12 +637,13 @@ def resultant_shift_prs(b: Poly) -> Poly:
     Kept as an independent oracle for `resultant_shift`."""
     if b.is_zero or b.degree < 2:
         raise DomainError("resultant_shift requires degree >= 2")
-    fa: list[Poly] = [Poly([c]) for c in b.coeffs]
+    bc = b.coeffs
+    fa: list[Poly] = [Poly([c]) for c in bc]
     # b(x+z) = sum_k b_k (x+z)^k; the x^i coefficient is sum_k b_k C(k,i) z^(k-i).
     n = b.degree
     fb: list[Poly] = []
     for i in range(n + 1):
-        fb.append(Poly([b.coeffs[k] * math.comb(k, i) for k in range(i, n + 1)]))
+        fb.append(Poly([bc[k] * math.comb(k, i) for k in range(i, n + 1)]))
     sign = 1
     a_, b_ = fa, fb
     g = h = ONE

@@ -137,14 +137,9 @@ class RatFun:
             if self.is_zero:
                 raise DomainError("negative power of zero")
             return RatFun(self.den, self.num) ** (-n)
-        result = RatFun(ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # Powers of coprime polynomials are coprime, and a power of a monic
+        # polynomial is monic: the result is already in lowest terms.
+        return RatFun.from_lowest_terms(self.num**n, self.den**n)
 
     # -- operators from the difference-field structure ---------------------------
 

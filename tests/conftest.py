@@ -1,6 +1,7 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
-seeded random matrices, the per-function first-residues reference and the
-expression-tree parser reference."""
+seeded random matrices, the per-function first-residues reference, the
+expression-tree parser reference and the Fraction-tuple polynomial
+reference."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from dresidues import cli, polys
-from dresidues.errors import ParseError
-from dresidues.polys import ONE, ZERO, Poly, X
+from dresidues.errors import DomainError, InexactDivisionError, ParseError
+from dresidues.polys import _COEF_TYPES, ONE, ZERO, Poly, X, _as_rat, _taylor_shift, poly_str
 from dresidues.ratfun import RatFun
 from dresidues.residues import TRIVIAL_PAIR, ResiduePair
 from dresidues.testkit import OrbitSpec, dres_by_definition, rational_roots
@@ -269,3 +270,199 @@ def ref_parse(text):
     if peek()[0] != "end":
         raise ParseError(f"unexpected {peek()[1]!r}", peek()[2])
     return evaluate(tree)
+
+
+class RefPoly:
+    """The tuple-of-`Fraction` polynomial that the integer-content `Poly`
+    replaced, kept verbatim apart from its name; a test-only reference for
+    the kernel differential tests."""
+
+    __slots__ = ("coeffs",)
+
+    coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [_as_rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefPoly is immutable")
+
+    # -- basic queries ----------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int | None:
+        """Degree, or ``None`` for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    @property
+    def lc(self) -> Fraction:
+        """Leading coefficient."""
+        if not self.coeffs:
+            raise DomainError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def coeff(self, k: int) -> Fraction:
+        """Coefficient of x^k (zero beyond the degree)."""
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    # -- ring operations ---------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _COEF_TYPES):
+            other = RefPoly([other])
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __neg__(self) -> RefPoly:
+        return RefPoly([-c for c in self.coeffs])
+
+    def __add__(self, other) -> RefPoly:
+        if isinstance(other, _COEF_TYPES):
+            other = RefPoly([other])
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPoly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> RefPoly:
+        if isinstance(other, _COEF_TYPES):
+            other = RefPoly([other])
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> RefPoly:
+        return (-self) + other
+
+    def __mul__(self, other) -> RefPoly:
+        if isinstance(other, _COEF_TYPES):
+            s = _as_rat(other)
+            return RefPoly([c * s for c in self.coeffs])
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return RefPoly()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return RefPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> RefPoly:
+        if n < 0:
+            raise DomainError("negative power of a polynomial")
+        result = RefPoly([1])
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    # -- division ----------------------------------------------------------
+
+    def divrem(self, other: RefPoly) -> tuple[RefPoly, RefPoly]:
+        """Euclidean division: self = q * other + r with r = 0 or deg r < deg other."""
+        if other.is_zero:
+            raise DomainError("division by the zero polynomial")
+        if self.is_zero or len(self.coeffs) < len(other.coeffs):
+            return RefPoly(), self
+        r = list(self.coeffs)
+        b = other.coeffs
+        db = len(b) - 1
+        inv_lc = 1 / b[-1]
+        q = [Fraction(0)] * (len(r) - db)
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r[i]
+            if c:
+                c *= inv_lc
+                q[i - db] = c
+                for j in range(db + 1):
+                    r[i - db + j] -= c * b[j]
+        return RefPoly(q), RefPoly(r[:db])
+
+    def __floordiv__(self, other: RefPoly) -> RefPoly:
+        return self.divrem(other)[0]
+
+    def __mod__(self, other: RefPoly) -> RefPoly:
+        return self.divrem(other)[1]
+
+    def exact_div(self, other: RefPoly) -> RefPoly:
+        """Division known to be exact; a nonzero remainder is an internal error."""
+        q, r = self.divrem(other)
+        if not r.is_zero:
+            raise InexactDivisionError(f"inexact division: {self} by {other}")
+        return q
+
+    def monic(self) -> RefPoly:
+        if self.is_zero:
+            raise DomainError("cannot normalize the zero polynomial")
+        if self.is_monic:
+            return self
+        return self * (1 / self.lc)
+
+    # -- calculus-flavoured operations --------------------------------------
+
+    def derivative(self) -> RefPoly:
+        return RefPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def shift(self, c) -> RefPoly:
+        """The composition p(x + c).  With c = u/v and D the common denominator,
+        Q(y) = v^n D p(y/v) has integer coefficients and Q(vx + u) = v^n D p(x + c),
+        so only Q is shifted, by the integer u."""
+        c = _as_rat(c)
+        if c == 0 or self.is_zero:
+            return self
+        n = len(self.coeffs) - 1
+        u, v = c.numerator, c.denominator
+        den = math.lcm(*(a.denominator for a in self.coeffs))
+        cs = [a.numerator * (den // a.denominator) * v ** (n - k) for k, a in enumerate(self.coeffs)]
+        _taylor_shift(cs, u)
+        return RefPoly([Fraction(q, den * v ** (n - k)) for k, q in enumerate(cs)])
+
+    def __call__(self, point) -> Fraction:
+        point = _as_rat(point)
+        acc = Fraction(0)
+        for coef in reversed(self.coeffs):
+            acc = acc * point + coef
+        return acc
+
+    # -- presentation --------------------------------------------------------
+
+    def __str__(self) -> str:
+        return poly_str(self)
+
+    def __repr__(self) -> str:
+        return f"RefPoly({poly_str(self)!r})"

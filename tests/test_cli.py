@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import ref_parse
 
+from dresidues import cli
 from dresidues.cli import MAX_DEGREE, _tokenize, main, parse, parse_poly
 from dresidues.errors import ParseError
 from dresidues.polys import ONE, Poly, X
@@ -351,6 +352,38 @@ class TestMain:
 
         expected = simple_reduction(parse("1/(x*(x+3))")).reduced
         assert reparsed == expected
+
+
+class TestParserReuse:
+    """`main` parses with one argparse tree per process; a call that fails
+    in argparse must leave nothing behind for the next call."""
+
+    CALLS = (
+        ["dres", "--bogus", "1/x"],
+        ["dres", "--json", "1/x^2"],
+        ["summable"],
+        ["nonsense", "1/x"],
+        ["summable", "--certificate", "1/(x*(x+1))"],
+        ["--version"],
+        ["vspace", "--pretty", "1/x", "1/(x+1)"],
+    )
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reuse_matches_fresh_parsers(self, capsys, monkeypatch):
+        def run():
+            out = []
+            for argv in self.CALLS:
+                code = main(list(argv))
+                out.append((code, capsys.readouterr()))
+            return out
+
+        reused = run()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = run()
+        assert [code for code, _ in reused] == [1, 0, 1, 1, 0, 0, 0]
+        assert reused == fresh
 
 
 class TestGoldenCorpus:

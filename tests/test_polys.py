@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import RefPoly
 
-from dresidues.errors import DomainError
+from dresidues.errors import DomainError, InexactDivisionError
 from dresidues.polys import (
     ONE,
     ZERO,
@@ -355,3 +357,136 @@ class TestPrimitive:
 
     def test_lcm(self):
         assert lcm(x * (x + 1), (x + 1) * (x + 2)) == x * (x + 1) * (x + 2)
+
+
+def _kernel_coeffs(rng):
+    """Seeded rational coefficients: the zero polynomial, degrees 0 to 20,
+    numerators up to 2^80, denominators 1 to 10^6 (sometimes shared), sparse
+    entries, and leading coefficients that are 1, -1, integral or rational."""
+    if rng.random() < 0.08:
+        return []
+    bits = rng.choice((3, 20, 80))
+    den_max = rng.choice((1, 12, 10**6))
+    common = rng.randint(1, den_max) if rng.random() < 0.3 else None
+    out = []
+    for _ in range(rng.randint(0, 20) + 1):
+        num = rng.randint(-(2**bits), 2**bits) if rng.random() < 0.8 else 0
+        out.append(Fraction(num, common or rng.randint(1, den_max)))
+    kind = rng.random()
+    if kind < 0.2:
+        out[-1] = Fraction(1)
+    elif kind < 0.3:
+        out[-1] = Fraction(-1)
+    elif kind < 0.5:
+        out[-1] = Fraction(rng.choice((-1, 1)) * rng.randint(2, 2**bits))
+    else:
+        out[-1] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**bits), rng.randint(2, 10**6))
+    return out
+
+
+def _kernel_pairs(count=320, seed=20261018):
+    rng = random.Random(seed)
+    return [(_kernel_coeffs(rng), _kernel_coeffs(rng)) for _ in range(count)]
+
+
+def _assert_same(p, ref):
+    """p has the reference's value and satisfies the representation invariant."""
+    assert isinstance(p, Poly)
+    assert p.coeffs == ref.coeffs
+    assert isinstance(p._c, tuple) and all(type(c) is int for c in p._c)
+    assert type(p._d) is int and p._d > 0
+    assert math.gcd(p._d, *p._c) == 1
+    assert not p._c or p._c[-1] != 0
+
+
+class TestIntegerKernel:
+    """Every `Poly` operation against `conftest.RefPoly`, the Fraction-tuple
+    polynomial it replaced, on seeded inputs."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return _kernel_pairs()
+
+    def test_queries(self, pairs):
+        for a, _ in pairs:
+            p, ref = Poly(a), RefPoly(a)
+            _assert_same(p, ref)
+            assert p.degree == ref.degree
+            assert p.is_zero == ref.is_zero
+            assert p.is_monic == ref.is_monic
+            assert p.is_constant == ref.is_constant
+            for k in range(-1, len(a) + 2):
+                assert p.coeff(k) == ref.coeff(k)
+            if not p.is_zero:
+                assert p.lc == ref.lc and type(p.lc) is Fraction
+            assert str(p) == str(ref)
+
+    def test_ring_operations(self, pairs):
+        rng = random.Random(1)
+        for a, b in pairs:
+            p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+            _assert_same(p + q, rp + rq)
+            _assert_same(p - q, rp - rq)
+            _assert_same(p * q, rp * rq)
+            _assert_same(-p, -rp)
+            n = rng.randint(-(2**70), 2**70)
+            s = Fraction(rng.randint(-(2**40), 2**40), rng.randint(1, 10**6))
+            for c in (n, s, 0, 1, -1):
+                _assert_same(p * c, rp * c)
+                _assert_same(c * p, c * rp)
+                _assert_same(p + c, rp + c)
+                _assert_same(c + p, c + rp)
+                _assert_same(p - c, rp - c)
+                _assert_same(c - p, c - rp)
+                assert (p == c) == (rp == c)
+
+    def test_powers(self, pairs):
+        for i, (a, _) in enumerate(pairs):
+            e = i % 7
+            _assert_same(Poly(a) ** e, RefPoly(a) ** e)
+
+    def test_division(self, pairs):
+        for a, b in pairs:
+            if not b:
+                with pytest.raises(DomainError):
+                    Poly(a).divrem(Poly(b))
+                continue
+            p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+            quo, rem = p.divrem(q)
+            rquo, rrem = rp.divrem(rq)
+            _assert_same(quo, rquo)
+            _assert_same(rem, rrem)
+            _assert_same(p // q, rquo)
+            _assert_same(p % q, rrem)
+            _assert_same((p * q).exact_div(q), (rp * rq).exact_div(rq))
+            if not rrem.is_zero:
+                with pytest.raises(InexactDivisionError):
+                    p.exact_div(q)
+
+    def test_normal_forms_and_calculus(self, pairs):
+        rng = random.Random(2)
+        for a, _ in pairs:
+            p, ref = Poly(a), RefPoly(a)
+            if a:
+                _assert_same(p.monic(), ref.monic())
+            _assert_same(p.derivative(), ref.derivative())
+            for c in (1, -3, Fraction(rng.randint(-50, 50), rng.randint(1, 40)), Fraction(-7, 2**40)):
+                _assert_same(p.shift(c), ref.shift(c))
+            for point in (0, -1, Fraction(rng.randint(-(2**30), 2**30), rng.randint(1, 10**6))):
+                value = p(point)
+                assert type(value) is Fraction and value == ref(point)
+
+    def test_canonical_equality_and_hash(self, pairs):
+        for a, b in pairs:
+            p, q = Poly(a), Poly(b)
+            if b:
+                same = (p * q).exact_div(q)
+                assert same == p and hash(same) == hash(p)
+            for same in ((p + q) - q, Poly(p.coeffs), Poly(str(c) for c in p.coeffs), -(-p)):
+                assert same == p and hash(same) == hash(p)
+            assert (p == q) == (RefPoly(a) == RefPoly(b))
+            if a:
+                assert p * Fraction(1, 3) != p and p * 3 != p and p + 1 != p
+        assert Poly([Fraction(1, 2), Fraction(3, 2)]) * 2 == Poly([1, 3])
+        assert hash(Poly(["1/2", 0])) == hash(Poly([Fraction(2, 4)]))
+        assert (Poly([]) == 0) and Poly([0, 0])._c == () and Poly([0])._d == 1

@@ -181,6 +181,32 @@ class TestArithmetic:
         assert (f / g) == RatFun(x + 1, x)
         assert f**-2 == RatFun(x**2)
 
+    def test_power_matches_repeated_product(self):
+        rng = random.Random(20261018)
+        fs = [
+            RatFun(Poly([-3]), x**2 + 1),
+            RatFun(Poly([Fraction(2, 3)]), 2 * x**2 - 1),
+            RatFun(Poly([-5])),
+            RatFun(x - 2),
+            RF_ZERO,
+        ]
+        for _ in range(12):
+            fs.append(RatFun(random_poly(rng, rng.randint(0, 3)), random_poly(rng, rng.randint(0, 3))))
+        for f in fs:
+            assert f**0 == 1
+            for n in range(-5, 10):
+                if n < 0 and f.is_zero:
+                    with pytest.raises(DomainError):
+                        f**n
+                    continue
+                base = f if n >= 0 else RatFun(ONE) / f
+                expected = RatFun(ONE)
+                for _ in range(abs(n)):
+                    expected = expected * base
+                got = f**n
+                assert got == expected
+                assert got == RatFun(got.num, got.den)  # canonical without a gcd
+
     def test_sigma_is_automorphism(self):
         rng = random.Random(41)
         for _ in range(10):
