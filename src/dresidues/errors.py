@@ -16,7 +16,7 @@ class InternalError(AssertionError):
 
 
 class FactorLimitError(DomainError):
-    """An integer exceeded the configured trial-division bound, so a
+    """An integer exceeded the fixed trial-division limit, so a
     complete factorization (and hence an exact answer) cannot be
     certified.  This is the documented scalability boundary of the
     divisor-enumeration root finders."""

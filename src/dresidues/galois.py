@@ -148,13 +148,13 @@ def lattice_contains(basis: list[list[int]], vec: list[int]) -> bool:
     return not any(v)
 
 
-def factor_rational(q: Fraction, bound: int = 10**6) -> tuple[int, dict[int, int]]:
+def factor_rational(q: Fraction) -> tuple[int, dict[int, int]]:
     """Sign and prime exponent vector of a nonzero rational number."""
     if q == 0:
         raise DomainError("cannot factor zero")
     sign = -1 if q < 0 else 1
-    exps = dict(polys.factor_int(q.numerator * sign, bound))
-    for p, e in polys.factor_int(q.denominator, bound).items():
+    exps = dict(polys.factor_int(q.numerator * sign))
+    for p, e in polys.factor_int(q.denominator).items():
         exps[p] = exps.get(p, 0) - e
     return sign, {p: e for p, e in exps.items() if e}
 
@@ -202,7 +202,7 @@ class RelationLattice:
     basis: list[list[int]]
 
 
-def multiplicative_relations(rs: list[RatFun], bound: int = 10**6) -> RelationLattice:
+def multiplicative_relations(rs: list[RatFun]) -> RelationLattice:
     """The lattice of integer e with r^e a shift-quotient sigma(p)/p.
 
     >>> x = Poly([0, 1])
@@ -233,9 +233,7 @@ def multiplicative_relations(rs: list[RatFun], bound: int = 10**6) -> RelationLa
             raise InternalError("relation constant is not constant")
         gammas.append(gamma_fun.num.coeff(0))
         witnesses.append(p)
-    basis = [
-        _combine(m, candidates) for m in _unit_product_kernel(gammas, bound)
-    ]
+    basis = [_combine(m, candidates) for m in _unit_product_kernel(gammas)]
     return RelationLattice(candidates, gammas, witnesses, hermite_normal_form(basis))
 
 
@@ -247,35 +245,22 @@ def _combine(m: list[int], basis: list[list[int]]) -> list[int]:
     return out
 
 
-def _unit_product_kernel(gammas: list[Fraction], bound: int) -> list[list[int]]:
-    """Basis of {m in Z^s : prod gammas[j]^m[j] = 1}: the integer kernel of
-    the prime-exponent matrix, intersected with the even-parity condition of
-    the sign coordinate."""
+def _unit_product_kernel(gammas: list[Fraction]) -> list[list[int]]:
+    """Basis of {m in Z^s : prod gammas[j]^m[j] = 1}.
+
+    The prime-exponent rows E and the sign row S (1 for a negative gamma)
+    take a slack column: the kernel of [[E, 0], [S, 2]] maps one-to-one onto
+    {m : E m = 0, S m even} by dropping the slack coordinate, so a basis maps
+    to a basis (Cohen, 2.4)."""
     s = len(gammas)
-    if s == 0:
-        return []
     signs: list[int] = []
     exps: list[dict[int, int]] = []
     primes: set[int] = set()
     for q in gammas:
-        sign, e = factor_rational(q, bound)
+        sign, e = factor_rational(q)
         signs.append(0 if sign > 0 else 1)
         exps.append(e)
         primes.update(e)
-    rows = [[e.get(p, 0) for e in exps] for p in sorted(primes)]
-    kernel = integer_kernel(rows, s)
-    # Impose the mod-2 sign condition as an index-2 (or 1) sublattice.
-    parities = [sum(si * mi for si, mi in zip(signs, m)) % 2 for m in kernel]
-    odd = [i for i, par in enumerate(parities) if par]
-    if not odd:
-        return kernel
-    head = odd[0]
-    out: list[list[int]] = []
-    for i, m in enumerate(kernel):
-        if i == head:
-            out.append([2 * a for a in m])
-        elif parities[i]:
-            out.append([a - b for a, b in zip(m, kernel[head])])
-        else:
-            out.append(m)
-    return out
+    rows = [[e.get(p, 0) for e in exps] + [0] for p in sorted(primes)]
+    rows.append(signs + [2])
+    return [m[:s] for m in integer_kernel(rows, s + 1)]

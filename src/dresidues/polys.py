@@ -30,6 +30,7 @@ from .errors import DomainError, FactorLimitError, InexactDivisionError
 Rat = Fraction
 
 _COEF_TYPES = (int, Fraction)
+_TRIAL_LIMIT = 10**6  # the trial-division limit of factor_int
 
 
 def _as_rat(value) -> Fraction:
@@ -392,6 +393,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     aa, bb = _to_int_primitive(a), _to_int_primitive(b)
     if len(aa) < len(bb):
         aa, bb = bb, aa
+    # The exact pseudo-remainder: scaling lazily, as divrem does, measured no faster here.
     while bb:
         rr = _int_primitive(_int_prem(aa, bb))
         aa, bb = bb, rr
@@ -671,12 +673,12 @@ def resultant_shift_prs(b: Poly) -> Poly:
 # -- integer factorization and root finding ------------------------------------
 
 
-def factor_int(n: int, bound: int = 10**6) -> dict[int, int]:
-    """Prime factorization of n > 0 by trial division.
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of n > 0 by trial division up to _TRIAL_LIMIT.
 
-    Primes up to `bound` are found directly; a leftover cofactor is accepted
-    as prime only when it is at most bound^2, otherwise FactorLimitError is
-    raised (the honest scalability boundary of this method)."""
+    A leftover cofactor is accepted as prime only when it is at most
+    _TRIAL_LIMIT^2; otherwise FactorLimitError is raised (the honest
+    scalability boundary of this method)."""
     if n <= 0:
         raise DomainError("factor_int requires a positive integer")
     factors: dict[int, int] = {}
@@ -685,17 +687,17 @@ def factor_int(n: int, bound: int = 10**6) -> dict[int, int]:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     p = 5
-    while p * p <= n and p <= bound:
+    while p * p <= n and p <= _TRIAL_LIMIT:
         for q in (p, p + 2):
             while n % q == 0:
                 factors[q] = factors.get(q, 0) + 1
                 n //= q
         p += 6
     if n > 1:
-        if p * p > n or n <= bound * bound:
+        if p * p > n or n <= _TRIAL_LIMIT * _TRIAL_LIMIT:
             factors[n] = factors.get(n, 0) + 1
         else:
-            raise FactorLimitError(f"cannot certify a factorization of {n} with trial division up to {bound}")
+            raise FactorLimitError(f"cannot certify a factorization of {n} with trial division up to {_TRIAL_LIMIT}")
     return factors
 
 
@@ -746,7 +748,7 @@ def _is_int_root(cs: Sequence[int], cs_mod: Sequence[int], point: int) -> bool:
     return acc == 0
 
 
-def integer_roots(p: Poly, bound: int = 10**6) -> set[int]:
+def integer_roots(p: Poly) -> set[int]:
     """The exact set of integer roots of a nonzero polynomial.
 
     Candidates are the signed divisors of the trailing coefficient of the
@@ -766,7 +768,7 @@ def integer_roots(p: Poly, bound: int = 10**6) -> set[int]:
         return roots
     limit = _cauchy_root_bound(cs)
     cs_mod = [c % _FILTER_PRIME for c in cs]
-    for d in divisors_upto(factor_int(abs(cs[0]), bound), limit):
+    for d in divisors_upto(factor_int(abs(cs[0])), limit):
         for cand in (d, -d):
             if _is_int_root(cs, cs_mod, cand):
                 roots.add(cand)

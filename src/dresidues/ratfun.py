@@ -95,7 +95,7 @@ class RatFun:
     # -- field arithmetic ------------------------------------------------------
 
     def __neg__(self) -> RatFun:
-        return RatFun(-self.num, self.den)
+        return RatFun.from_lowest_terms(-self.num, self.den)
 
     def __add__(self, other) -> RatFun:
         if isinstance(other, (Poly,) + _SCALARS):
@@ -144,8 +144,8 @@ class RatFun:
     # -- operators from the difference-field structure ---------------------------
 
     def shift(self, c) -> RatFun:
-        """The substitution x -> x + c."""
-        return RatFun(self.num.shift(c), self.den.shift(c))
+        """The substitution x -> x + c; it keeps lowest terms and a monic den."""
+        return RatFun.from_lowest_terms(self.num.shift(c), self.den.shift(c))
 
     def sigma(self, steps: int = 1) -> RatFun:
         """The shift automorphism f(x) -> f(x + steps)."""
@@ -179,7 +179,6 @@ class RatFun:
 
 
 RF_ZERO = RatFun(ZERO)
-RF_ONE = RatFun(ONE)
 
 
 def normalize(num: Poly, den: Poly) -> RatFun:
@@ -195,14 +194,17 @@ def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
     f = sum(a_i / b_i).  Entries equal to 1 are permitted and receive the
     numerator 0, so callers can keep a uniform index set.
 
-    Coprimality needs no check of its own: parts whose product is the
-    denominator, once that is known to be squarefree, are pairwise coprime,
-    since a common factor of two parts would divide it squared.
+    One inverse w = 1/D' mod D, which exists exactly when D is squarefree,
+    serves every part b: D' = b' * (D/b) mod b, so a = num * w * b' mod b.
+    Parts whose product is a squarefree D are pairwise coprime, since a
+    common factor of two would divide D squared.
     """
     if not f.is_proper:
         raise DomainError("parfrac requires a proper rational function")
-    if not polys.is_squarefree(f.den):
-        raise DomainError("parfrac requires a squarefree denominator")
+    try:
+        w = polys.inverse_mod(f.den.derivative(), f.den)
+    except DomainError:
+        raise DomainError("parfrac requires a squarefree denominator") from None
     prod = ONE
     for b in parts:
         if b.is_zero or not b.is_monic:
@@ -210,12 +212,5 @@ def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
         prod = prod * b
     if prod != f.den:
         raise DomainError("parfrac parts do not multiply to the denominator")
-    out: list[Poly] = []
-    for b in parts:
-        if b.is_constant:
-            out.append(ZERO)
-            continue
-        cofactor = f.den.exact_div(b)
-        a = (f.num * polys.inverse_mod(cofactor, b)) % b
-        out.append(a)
-    return out
+    nw = f.num * w
+    return [(nw * b.derivative()) % b for b in parts]

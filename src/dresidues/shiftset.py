@@ -32,7 +32,7 @@ class ShiftSetResult:
         return set(self.shifts)
 
 
-def shift_set(b: Poly, bound: int = 10**6) -> ShiftSetResult:
+def shift_set(b: Poly) -> ShiftSetResult:
     """All positive integers l with gcd(b(x), b(x+l)) nonconstant.
 
     >>> shift_set(Poly([0, 1, 1])).shifts
@@ -56,7 +56,7 @@ def shift_set(b: Poly, bound: int = 10**6) -> ShiftSetResult:
     prim = polys._to_int_primitive(descended)
     prim_mod = [c % polys._FILTER_PRIME for c in prim]
     diff_limit = 2 * polys._cauchy_root_bound(polys._to_int_primitive(b))
-    square_part = {p: e // 2 for p, e in polys.factor_int(abs(prim[0]), bound).items()}
+    square_part = {p: e // 2 for p, e in polys.factor_int(abs(prim[0])).items()}
     shifts = []
     for ell in polys.divisors_upto(square_part, diff_limit):
         if polys._is_int_root(prim, prim_mod, ell * ell):

@@ -1,7 +1,7 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
 seeded random matrices, the per-function first-residues reference, the
-expression-tree parser reference and the Fraction-tuple polynomial
-reference."""
+per-part-inverse partial-fraction reference, the expression-tree parser
+reference and the Fraction-tuple polynomial reference."""
 
 from __future__ import annotations
 
@@ -161,6 +161,43 @@ def ref_first_residues_multi(fs):
         lift = polys.inverse_mod(cof, pair.places)
         ps.append((pair.values * lift) % pair.places * cof)
     return big, ps
+
+
+def ref_parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
+    """The per-part-inverse `parfrac` that the single-inverse one replaced,
+    kept verbatim apart from its name; a test-only reference.
+
+    Partial fractions of a proper f over a pairwise coprime monic
+    factorization of its squarefree denominator.
+
+    Returns the unique numerators a_i with deg(a_i) < deg(b_i) and
+    f = sum(a_i / b_i).  Entries equal to 1 are permitted and receive the
+    numerator 0, so callers can keep a uniform index set.
+
+    Coprimality needs no check of its own: parts whose product is the
+    denominator, once that is known to be squarefree, are pairwise coprime,
+    since a common factor of two parts would divide it squared.
+    """
+    if not f.is_proper:
+        raise DomainError("parfrac requires a proper rational function")
+    if not polys.is_squarefree(f.den):
+        raise DomainError("parfrac requires a squarefree denominator")
+    prod = ONE
+    for b in parts:
+        if b.is_zero or not b.is_monic:
+            raise DomainError("parfrac parts must be monic")
+        prod = prod * b
+    if prod != f.den:
+        raise DomainError("parfrac parts do not multiply to the denominator")
+    out: list[Poly] = []
+    for b in parts:
+        if b.is_constant:
+            out.append(ZERO)
+            continue
+        cofactor = f.den.exact_div(b)
+        a = (f.num * polys.inverse_mod(cofactor, b)) % b
+        out.append(a)
+    return out
 
 
 def ref_parse(text):

@@ -177,9 +177,9 @@ class TestFactorRational:
         assert factor_rational(Fraction(1)) == (1, {})
 
     def test_bound(self):
-        # product of two primes beyond the bound cannot be certified
+        # a product of two primes beyond the trial-division limit cannot be certified
         with pytest.raises(FactorLimitError):
-            factor_rational(Fraction(1000003 * 1000033), bound=10)
+            factor_rational(Fraction(1000003 * 1000033))
 
 
 class TestIntegerLatticeSolutions:
@@ -263,7 +263,85 @@ class TestMultiplicativeRelations:
             multiplicative_relations([RatFun(Poly())])
 
 
-def ref_multiplicative_relations(rs, bound=10**6):
+def ref_combine(m: list[int], basis: list[list[int]]) -> list[int]:
+    """`galois._combine`, copied; a test-only reference."""
+    n = len(basis[0])
+    out = [0] * n
+    for mj, ej in zip(m, basis):
+        out = [a + mj * b for a, b in zip(out, ej)]
+    return out
+
+
+def ref_unit_product_kernel(gammas: list[Fraction]) -> list[list[int]]:
+    """The parity-sublattice `_unit_product_kernel` that the slack-column one
+    replaced, kept verbatim apart from its name and the retired trial-division
+    bound; a test-only reference.
+
+    Basis of {m in Z^s : prod gammas[j]^m[j] = 1}: the integer kernel of
+    the prime-exponent matrix, intersected with the even-parity condition of
+    the sign coordinate."""
+    s = len(gammas)
+    if s == 0:
+        return []
+    signs: list[int] = []
+    exps: list[dict[int, int]] = []
+    primes: set[int] = set()
+    for q in gammas:
+        sign, e = factor_rational(q)
+        signs.append(0 if sign > 0 else 1)
+        exps.append(e)
+        primes.update(e)
+    rows = [[e.get(p, 0) for e in exps] for p in sorted(primes)]
+    kernel = integer_kernel(rows, s)
+    # Impose the mod-2 sign condition as an index-2 (or 1) sublattice.
+    parities = [sum(si * mi for si, mi in zip(signs, m)) % 2 for m in kernel]
+    odd = [i for i, par in enumerate(parities) if par]
+    if not odd:
+        return kernel
+    head = odd[0]
+    out: list[list[int]] = []
+    for i, m in enumerate(kernel):
+        if i == head:
+            out.append([2 * a for a in m])
+        elif parities[i]:
+            out.append([a - b for a, b in zip(m, kernel[head])])
+        else:
+            out.append(m)
+    return out
+
+
+class TestUnitProductKernel:
+    def test_one_kernel_call(self, monkeypatch):
+        calls = []
+        original = galois.integer_kernel
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return original(rows, ncols)
+
+        monkeypatch.setattr(galois, "integer_kernel", counted)
+        gammas = [Fraction(-1), Fraction(2), Fraction(-4)]
+        assert hermite_normal_form(galois._unit_product_kernel(gammas)) == [[1, 2, -1], [0, 4, -2]]
+        assert calls == [4]
+
+    def test_matches_parity_sublattice_reference(self):
+        rng = random.Random(3571)
+        lists = [[], [Fraction(-1), Fraction(-2), Fraction(-1, 3)], [Fraction(-1)] * 3]
+        for _ in range(300):
+            gammas = []
+            for _ in range(rng.randint(0, 6)):
+                q = Fraction(rng.choice((-1, 1)))
+                for p in rng.sample((2, 3, 5, 7), rng.randint(0, 2)):
+                    q *= Fraction(p) ** rng.randint(-3, 3)
+                gammas.append(q)
+            lists.append(gammas)
+        for gammas in lists:
+            got = galois._unit_product_kernel(gammas)
+            assert all(len(m) == len(gammas) for m in got)
+            assert hermite_normal_form(got) == hermite_normal_form(ref_unit_product_kernel(gammas)), gammas
+
+
+def ref_multiplicative_relations(rs):
     """The candidate lattice from per-function first residues and CRT, then
     one `simple_reduction` of the summed log-derivatives per candidate; a
     test-only reference."""
@@ -292,7 +370,7 @@ def ref_multiplicative_relations(rs, bound=10**6):
         gamma_fun = power * p / p.sigma()
         gammas.append(gamma_fun.num.coeff(0))
         witnesses.append(p)
-    basis = [galois._combine(m, candidates) for m in galois._unit_product_kernel(gammas, bound)]
+    basis = [ref_combine(m, candidates) for m in ref_unit_product_kernel(gammas)]
     return RelationLattice(candidates, gammas, witnesses, hermite_normal_form(basis))
 
 

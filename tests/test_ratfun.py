@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ref_parfrac
+
+from dresidues import polys
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, ZERO, Poly, X
 from dresidues.ratfun import RF_ZERO, RatFun, normalize, parfrac
@@ -158,6 +161,63 @@ class TestParfrac:
                 acc = acc + RatFun(a, b)
             assert acc == f
 
+    def test_one_inverse_per_call(self, monkeypatch, golden):
+        calls = []
+        original = polys.inverse_mod
+
+        def counted(a, m):
+            calls.append(m)
+            return original(a, m)
+
+        def forbidden(p):
+            raise AssertionError("parfrac must not test squarefreeness separately")
+
+        monkeypatch.setattr(polys, "inverse_mod", counted)
+        monkeypatch.setattr(polys, "is_squarefree", forbidden)
+        f1 = golden["layers"][0]
+        parfrac(f1, [golden["b0"], golden["b1"], golden["b2"], golden["b3"]])
+        assert calls == [f1.den]
+
+    def test_matches_per_part_inverse_reference(self):
+        rng = random.Random(808)
+        cases = [(RF_ZERO, []), (RF_ZERO, [ONE]), (RF_ZERO, [ONE, ONE, ONE])]
+        while len(cases) < 60:
+            parts = []
+            for _ in range(rng.randint(1, 5)):
+                deg = rng.choice((0, 1, 1, 2, 3))
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg)]
+                parts.append(Poly(coeffs + [1]))
+            den = ONE
+            for b in parts:
+                den = den * b
+            if not polys.is_squarefree(den):
+                continue
+            if den.is_constant:
+                cases.append((RF_ZERO, parts))
+                continue
+            num = random_poly(rng, rng.randint(0, den.degree - 1)) * Fraction(1, rng.randint(1, 5))
+            f = RatFun(num, den)
+            if f.den == den:  # no accidental cancellation
+                cases.append((f, parts))
+        for f, parts in cases:
+            assert parfrac(f, parts) == ref_parfrac(f, parts)
+
+    def test_rejections_match_reference(self):
+        bad = [
+            (RatFun(x**2, x), [x]),
+            (RatFun(ONE, x**2), [x, x]),
+            (RatFun(ONE, x**2), [2 * x, x * Fraction(1, 2)]),
+            (RatFun(ONE, x * (x + 1)), [x, x + 2]),
+            (RatFun(ONE, x * (x + 1)), [2 * x, (x + 1) * Fraction(1, 2)]),
+            (RatFun(ONE, x * (x + 1)), [ZERO, x]),
+        ]
+        for f, parts in bad:
+            with pytest.raises(DomainError) as got:
+                parfrac(f, parts)
+            with pytest.raises(DomainError) as ref:
+                ref_parfrac(f, parts)
+            assert str(got.value) == str(ref.value)
+
     def test_rejects_non_coprime(self):
         with pytest.raises(DomainError):
             parfrac(RatFun(ONE, x * (x + 1)), [x * (x + 1), x + 1])
@@ -171,6 +231,22 @@ class TestParfrac:
             parfrac(RatFun(ONE, x**2), [x, x])
 
 
+def _arithmetic_inputs():
+    """Seeded rational functions: zero, polynomials, negative and non-monic
+    constant numerators, and random quotients."""
+    rng = random.Random(20261018)
+    fs = [
+        RatFun(Poly([-3]), x**2 + 1),
+        RatFun(Poly([Fraction(2, 3)]), 2 * x**2 - 1),
+        RatFun(Poly([-5])),
+        RatFun(x - 2),
+        RF_ZERO,
+    ]
+    for _ in range(12):
+        fs.append(RatFun(random_poly(rng, rng.randint(0, 3)), random_poly(rng, rng.randint(0, 3))))
+    return fs
+
+
 class TestArithmetic:
     def test_field_ops(self):
         f = RatFun(ONE, x)
@@ -182,17 +258,7 @@ class TestArithmetic:
         assert f**-2 == RatFun(x**2)
 
     def test_power_matches_repeated_product(self):
-        rng = random.Random(20261018)
-        fs = [
-            RatFun(Poly([-3]), x**2 + 1),
-            RatFun(Poly([Fraction(2, 3)]), 2 * x**2 - 1),
-            RatFun(Poly([-5])),
-            RatFun(x - 2),
-            RF_ZERO,
-        ]
-        for _ in range(12):
-            fs.append(RatFun(random_poly(rng, rng.randint(0, 3)), random_poly(rng, rng.randint(0, 3))))
-        for f in fs:
+        for f in _arithmetic_inputs():
             assert f**0 == 1
             for n in range(-5, 10):
                 if n < 0 and f.is_zero:
@@ -206,6 +272,13 @@ class TestArithmetic:
                 got = f**n
                 assert got == expected
                 assert got == RatFun(got.num, got.den)  # canonical without a gcd
+
+    def test_negation_and_shift_match_normalised(self):
+        # Both skip the gcd; the gcd-normalised quotient is the reference.
+        for f in _arithmetic_inputs():
+            assert -f == RatFun(-f.num, f.den)
+            for c in (1, -3, Fraction(1, 2), Fraction(-7, 3)):
+                assert f.shift(c) == RatFun(f.num.shift(c), f.den.shift(c))
 
     def test_sigma_is_automorphism(self):
         rng = random.Random(41)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ref_parfrac
+
 from dresidues import polys, shiftset
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, Poly, X, gcd, is_squarefree
-from dresidues.ratfun import RF_ZERO, RatFun, parfrac
+from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.reduction import ReductionOutput, ReductionParts, simple_reduction, simple_reduction_multi
 from dresidues.shiftset import dispersion
 from dresidues.summability import is_summable
@@ -32,7 +34,7 @@ def ref_simple_reduction(f, want_certificate=False):
         if not bl.is_constant:
             factors[ell] = bl
     indices = tuple(sorted(factors))
-    numerators = dict(zip(indices, parfrac(f, [factors[ell] for ell in indices])))
+    numerators = dict(zip(indices, ref_parfrac(f, [factors[ell] for ell in indices])))
     reduced = RF_ZERO
     certificate = RF_ZERO if want_certificate else None
     for ell in indices:
