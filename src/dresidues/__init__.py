@@ -26,7 +26,6 @@ from .polys import (
     ext_gcd,
     gcd,
     integer_roots,
-    interpolate,
     is_squarefree,
     lcm,
     resultant,
@@ -75,7 +74,6 @@ __all__ = [
     "ext_gcd",
     "gcd",
     "integer_roots",
-    "interpolate",
     "is_squarefree",
     "lcm",
     "resultant",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import polys, residues
 from .errors import DomainError, InternalError
-from .polys import ONE, Poly, interpolate
+from .polys import ONE, Poly
 from .ratfun import RF_ZERO, RatFun
 from .reduction import _reduce
 
@@ -41,31 +41,25 @@ def log_derivative(r: RatFun) -> RatFun:
 def exp_log_derivative(g: RatFun) -> RatFun:
     """The monic rational function p with d/dx(p) / p = g, without factoring.
 
-    The candidate residue values are the integer roots of the Rothstein-
-    Trager-style resultant Res_x(b(x), z - r(x)) built from the first-residue
-    data (b, r) of g; the multiplicity-c part of p is then gcd(b, r - c).
-    Raises DomainError when g is not the log derivative of a rational
-    function (non-integer residues)."""
+    For g = a/b the candidate residues are the integer roots of the
+    Rothstein-Trager resultant Res_x(b, a - z*b') (Bronstein, *Symbolic
+    Integration I*, 2.5), one subresultant PRS over Q[z]: at a simple root t
+    of b, a(t) - z*b'(t) = b'(t) * (c - z) for the residue c there, and the
+    multiplicity-c part of p is gcd(b, a - c*b').  Raises DomainError when g
+    is not a log derivative (non-integer residues or a repeated pole)."""
     if not g.is_proper:
         raise DomainError("exp_log_derivative requires a proper input")
     if g.is_zero:
         return RatFun(ONE)
-    pair = residues.first_residues(g)
-    b, r = pair.places, pair.values
-    # Res_x(b(x), z - r(x)) as a polynomial in z of degree deg(b), by
-    # evaluation at z = 0..deg(b) and exact interpolation; its roots are the
-    # residue values of g.
-    pts = [
-        (Fraction(j), polys.resultant(b, Poly([j]) - r)) for j in range(b.degree + 1)
-    ]
-    res_poly = interpolate(pts)
-    cands = sorted(polys.integer_roots(res_poly) - {0})
-    num, den = ONE, ONE
-    cover = ONE
+    a, b = g.num, g.den
+    db = b.derivative()
+    norm = polys._subresultant(
+        [Poly([c]) for c in b.coeffs], [Poly([a.coeff(k), -db.coeff(k)]) for k in range(b.degree)]
+    )
+    cands = sorted(polys.integer_roots(norm) - {0})
+    num = den = cover = ONE
     for c in cands:
-        part = polys.gcd(b, r - c)
-        if part.is_constant:
-            continue
+        part = polys.gcd(b, a - db * c)
         cover = cover * part
         if c > 0:
             num = num * part**c

@@ -358,7 +358,7 @@ def _taylor_shift(cs: list, c) -> None:
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over the integers."""
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over Z or Q[z]."""
     da, db = len(a) - 1, len(b) - 1
     lead = b[-1]
     r = list(a)
@@ -504,24 +504,25 @@ def squarefree_decomposition(p: Poly) -> SquarefreeDecomposition:
 # -- resultants ----------------------------------------------------------------
 
 
-def _int_resultant(a: list[int], b: list[int]) -> int:
-    """Resultant of two nonzero integer polynomials by the subresultant PRS."""
+def _subresultant(a: list, b: list):
+    """Res_x of two nonzero polynomials with coefficients in Z or in Q[z]
+    (lists of ints or of `Poly` in z) by the subresultant PRS."""
     sign = 1
     if len(a) < len(b):
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
             sign = -sign
         a, b = b, a
-    g = h = 1
+    g = h = one = a[-1] ** 0  # int ** 0 is 1 and Poly ** 0 is ONE
     while len(b) - 1 > 0:
         delta = len(a) - len(b)
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
             sign = -sign
         r = _int_prem(a, b)
         if not r:
-            return 0
+            return one * 0
         a = b
         factor = g * h**delta
-        b = [c // factor for c in r]
+        b = [c // factor for c in r]  # exact, in Z and in Q[z]
         g = a[-1]
         if delta == 1:
             h = g
@@ -530,7 +531,7 @@ def _int_resultant(a: list[int], b: list[int]) -> int:
     # b is now a nonzero constant
     da = len(a) - 1
     if da == 0:
-        return sign
+        return one * sign
     return sign * b[0] ** da // h ** (da - 1)
 
 
@@ -554,22 +555,7 @@ def resultant(a: Poly, b: Poly) -> Fraction:
     # Res(a, b) = sa^deg(b) * sb^deg(a) * Res(A, B).
     sa = a.lc / ai[-1]
     sb = b.lc / bi[-1]
-    return sa**b.degree * sb**a.degree * _int_resultant(ai, bi)
-
-
-def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """The unique polynomial of degree < len(points) through the given points
-    (Newton divided differences, exact)."""
-    xs = [_as_rat(x) for x, _ in points]
-    coef = [_as_rat(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    result = Poly()
-    for i in range(n - 1, -1, -1):
-        result = result * Poly([-xs[i], 1]) + coef[i]
-    return result
+    return sa**b.degree * sb**a.degree * _subresultant(ai, bi)
 
 
 def resultant_shift(b: Poly) -> Poly:
@@ -590,7 +576,7 @@ def resultant_shift(b: Poly) -> Poly:
     shifted = list(big)
     coef = []
     for _ in range(n * n + 1):
-        coef.append(_int_resultant(big, shifted))
+        coef.append(_subresultant(big, shifted))
         _taylor_shift(shifted, 1)
     for k in range(1, n * n + 1):
         for i in range(n * n, k - 1, -1):
@@ -673,21 +659,24 @@ def resultant_shift_prs(b: Poly) -> Poly:
 # -- integer factorization and root finding ------------------------------------
 
 
-def factor_int(n: int) -> dict[int, int]:
+def factor_int(n: int, upto: int | None = None) -> dict[int, int]:
     """Prime factorization of n > 0 by trial division up to _TRIAL_LIMIT.
 
     A leftover cofactor is accepted as prime only when it is at most
     _TRIAL_LIMIT^2; otherwise FactorLimitError is raised (the honest
-    scalability boundary of this method)."""
+    scalability boundary of this method).  With upto <= _TRIAL_LIMIT only
+    the exponents of the primes p <= upto are sought, and nothing raises."""
     if n <= 0:
         raise DomainError("factor_int requires a positive integer")
+    partial = upto is not None and upto <= _TRIAL_LIMIT
+    limit = upto if partial else _TRIAL_LIMIT
     factors: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     p = 5
-    while p * p <= n and p <= _TRIAL_LIMIT:
+    while p * p <= n and p <= limit:
         for q in (p, p + 2):
             while n % q == 0:
                 factors[q] = factors.get(q, 0) + 1
@@ -696,9 +685,9 @@ def factor_int(n: int) -> dict[int, int]:
     if n > 1:
         if p * p > n or n <= _TRIAL_LIMIT * _TRIAL_LIMIT:
             factors[n] = factors.get(n, 0) + 1
-        else:
+        elif not partial:
             raise FactorLimitError(f"cannot certify a factorization of {n} with trial division up to {_TRIAL_LIMIT}")
-    return factors
+    return {q: e for q, e in factors.items() if q <= upto} if partial else factors
 
 
 def divisors_upto(factorization: dict[int, int], limit: int) -> list[int]:
@@ -724,11 +713,14 @@ def divisors_upto(factorization: dict[int, int], limit: int) -> list[int]:
     return sorted(set(out))
 
 
-def _cauchy_root_bound(cs: Sequence[int]) -> int:
-    """Every (real or complex) root has absolute value below this integer."""
-    lead = abs(cs[-1])
-    top = max(abs(c) for c in cs[:-1]) if len(cs) > 1 else 0
-    return 1 + (top + lead - 1) // lead
+def _root_bound(cs: Sequence[int]) -> int:
+    """Every (real or complex) root has absolute value below this integer:
+    Fujiwara's 2 max_k |c_(n-k) / c_n|^(1/k), in dyadic form since |c_(n-k) /
+    c_n| < 2^(bitlen c_(n-k) - bitlen c_n + 1).  Unlike Cauchy's bound it
+    stays small when large coefficients come from many small roots."""
+    top = abs(cs[-1]).bit_length()
+    terms = (-((top - abs(c).bit_length() - 1) // k) for k, c in enumerate(reversed(cs[:-1]), 1) if c)
+    return 2 << max([0, *terms])
 
 
 _FILTER_PRIME = (1 << 61) - 1
@@ -752,7 +744,7 @@ def integer_roots(p: Poly) -> set[int]:
     """The exact set of integer roots of a nonzero polynomial.
 
     Candidates are the signed divisors of the trailing coefficient of the
-    primitive integer form, pruned by the Cauchy root bound, each verified by
+    primitive integer form, pruned by Fujiwara's root bound, each verified by
     exact evaluation."""
     if p.is_zero:
         raise DomainError("the zero polynomial has every integer as a root")
@@ -766,9 +758,9 @@ def integer_roots(p: Poly) -> set[int]:
         cs = cs[low:]
     if len(cs) == 1:
         return roots
-    limit = _cauchy_root_bound(cs)
+    limit = _root_bound(cs)
     cs_mod = [c % _FILTER_PRIME for c in cs]
-    for d in divisors_upto(factor_int(abs(cs[0])), limit):
+    for d in divisors_upto(factor_int(abs(cs[0]), limit), limit):
         for cand in (d, -d):
             if _is_int_root(cs, cs_mod, cand):
                 roots.add(cand)

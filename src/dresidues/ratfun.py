@@ -163,9 +163,9 @@ class RatFun:
 
     def proper_part(self) -> tuple[Poly, RatFun]:
         """Split f = p + fp with p a polynomial and fp proper; fp keeps the
-        denominator of f."""
+        denominator of f, to which num mod den stays coprime (no gcd)."""
         q, r = self.num.divrem(self.den)
-        return q, RatFun(r, self.den)
+        return q, RF_ZERO if r.is_zero else RatFun.from_lowest_terms(r, self.den)
 
     # -- presentation -------------------------------------------------------------
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import polys, reduction
+from . import polys
 from .errors import DomainError
 from .hermite import hermite_list
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
+from .reduction import _reduce
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,13 @@ def _residues_of_layers(f: RatFun, coordinated: bool) -> list[ResiduePair]:
         raise DomainError("discrete_residues requires a proper rational function")
     if f.is_zero:
         return []
+    # Hermite layers are squarefree by construction: no public input checks.
     layers = hermite_list(f)
     if coordinated:
-        reduceds = reduction.simple_reduction_multi(layers)
+        outs = _reduce(layers, False)
     else:
-        reduceds = [reduction.simple_reduction(layer).reduced for layer in layers]
-    return [first_residues(r) for r in reduceds]
+        outs = [_reduce([layer], False)[0] for layer in layers]
+    return [first_residues(out.reduced) for out in outs]
 
 
 def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
@@ -146,7 +148,6 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     flat: list[RatFun] = []
     for layers in all_layers:
         flat.extend(layers + [zero] * (m - len(layers)))
-    reduced = reduction.simple_reduction_multi(flat)
-    places, ps = first_residues_multi(reduced)
+    places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
     values = [ps[i * m : (i + 1) * m] for i in range(len(fs))]
     return MultiResidues(places, values)

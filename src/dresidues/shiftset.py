@@ -51,12 +51,12 @@ def shift_set(b: Poly) -> ShiftSetResult:
     descended = Poly(core.coeffs[::2])
     # A positive root l of descended(z^2) has l^2 dividing the constant term
     # of the primitive integer form (rational root theorem on squares), that
-    # is, l divides its square part s = prod p^(e // 2); and l is a difference
-    # of two roots of b, so l is at most twice the root bound of b itself.
+    # is, l divides its square part s = prod p^(e // 2); and l, a difference of
+    # two roots of b, and its primes are at most twice the root bound of b.
     prim = polys._to_int_primitive(descended)
     prim_mod = [c % polys._FILTER_PRIME for c in prim]
-    diff_limit = 2 * polys._cauchy_root_bound(polys._to_int_primitive(b))
-    square_part = {p: e // 2 for p, e in polys.factor_int(abs(prim[0])).items()}
+    diff_limit = 2 * polys._root_bound(polys._to_int_primitive(b))
+    square_part = {p: e // 2 for p, e in polys.factor_int(abs(prim[0]), diff_limit).items()}
     shifts = []
     for ell in polys.divisors_upto(square_part, diff_limit):
         if polys._is_int_root(prim, prim_mod, ell * ell):

@@ -336,6 +336,12 @@ class TestMain:
         assert main(["dres", "--quiet", "1/x"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_denominator_with_uncertifiable_constant_term(self, capsys):
+        # The shift set's constant term has a cofactor above the trial limit.
+        for cmd in ("dres", "summable"):
+            assert main([cmd, "1/(-7*x^6 + 4*x^5 - 8*x^4 + 2*x^2 + 9*x - 6)"]) == 0
+        capsys.readouterr()
+
     def test_exit_codes(self, capsys):
         assert main(["dres", "2x"]) == 1  # parse error
         assert main(["reduce", "1/x^2"]) == 2  # precondition violation

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_matrices, ref_first_residues_multi
 
-from dresidues import galois, shiftset
+from dresidues import galois, polys, shiftset
 from dresidues.errors import DomainError, FactorLimitError, InternalError
 from dresidues.galois import (
     RelationLattice,
@@ -50,7 +50,54 @@ class TestLogDerivative:
             assert log_derivative(a * b) == log_derivative(a) + log_derivative(b)
 
 
+def _factored_products():
+    """Seeded (p, exponents): p is a product of pairwise coprime factors, each
+    raised to an exponent in -3..3, and exponents is the set of distinct
+    nonzero ones.  The factors are linear with rational roots and shifted
+    irreducible quadratics and cubics."""
+    rng = random.Random(2026)
+    irreducible = [x**2 + 1, x**2 + x + 1, x**2 - 2, x**3 - 2, x**3 + x + 1]
+    out = []
+    for _ in range(12):
+        roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))}
+        shifted = {(q, rng.randint(-5, 5)) for q in rng.sample(irreducible, rng.randint(1, 3))}
+        factors = [x - r for r in roots] + [q.shift(c) for q, c in shifted]
+        p = RatFun(Poly([Fraction(rng.randint(1, 9), rng.randint(1, 9))]))
+        exponents = set()
+        for fac in factors:
+            e = rng.randint(-3, 3)
+            p = p * RatFun(fac) ** e
+            exponents.add(e)
+        out.append((p, exponents - {0}))
+    return out
+
+
 class TestExpLogDerivative:
+    def test_norm_roots_are_the_exponents(self, monkeypatch):
+        # The norm Res_x(b, a - z*b') of g = a/b, with b monic, evaluates at
+        # each c to Res_x(b, a - c*b'); its nonzero integer roots are the
+        # distinct nonzero exponents of p.
+        norms = []
+        original = polys.integer_roots
+
+        def captured(q):
+            norms.append(q)
+            return original(q)
+
+        monkeypatch.setattr(polys, "integer_roots", captured)
+        for p, exponents in _factored_products():
+            if not exponents:
+                continue
+            g = log_derivative(p)
+            norms.clear()
+            exp_log_derivative(g)
+            (norm,) = norms
+            a, b = g.num, g.den
+            assert norm.degree == b.degree
+            for c in range(-4, 5):
+                assert norm(c) == polys.resultant(b, a - b.derivative() * c)
+            assert original(norm) - {0} == exponents
+
     def test_simple(self):
         assert exp_log_derivative(RatFun(ONE, x)) == RatFun(x)
         assert exp_log_derivative(RatFun(Poly([2]), x)) == RatFun(x**2)
@@ -63,12 +110,14 @@ class TestExpLogDerivative:
 
     def test_round_trip_random(self):
         rng = random.Random(207)
+        inputs = [p for p, _ in _factored_products()]
         for _ in range(20):
             num = random_poly(rng, rng.randint(1, 3))
             den = random_poly(rng, rng.randint(1, 3))
             if num.is_zero or den.is_zero:
                 continue
-            r = RatFun(num, den)
+            inputs.append(RatFun(num, den))
+        for r in inputs:
             if r.is_zero or r.is_polynomial and r.num.is_constant:
                 continue
             g = log_derivative(r)
@@ -82,6 +131,9 @@ class TestExpLogDerivative:
     def test_rejects_fractional_residue(self):
         with pytest.raises(DomainError):
             exp_log_derivative(RatFun(ONE, 2 * x))  # residue 1/2
+        for g in (RatFun(ONE, x**2), RatFun(ONE, x**2 * (x + 1)) + RatFun(ONE, x)):
+            with pytest.raises(DomainError):
+                exp_log_derivative(g)  # a repeated pole
 
     def test_zero_gives_one(self):
         assert exp_log_derivative(RatFun(Poly())) == RatFun(ONE)

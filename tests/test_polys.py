@@ -5,20 +5,20 @@ from fractions import Fraction
 import pytest
 from conftest import RefPoly
 
-from dresidues.errors import DomainError, InexactDivisionError
+from dresidues.errors import DomainError, FactorLimitError, InexactDivisionError
 from dresidues.polys import (
     ONE,
     ZERO,
     Poly,
     X,
-    _int_resultant,
+    _root_bound,
+    _subresultant,
     _to_int_primitive,
     divisors_upto,
     ext_gcd,
     factor_int,
     gcd,
     integer_roots,
-    interpolate,
     inverse_mod,
     is_squarefree,
     lcm,
@@ -290,7 +290,29 @@ class TestResultantCores:
 
     def test_int_core_known_value(self):
         # Res(x^2 - 1, x - 2) = (2-1)(2+1) = 3
-        assert _int_resultant([-1, 0, 1], [-2, 1]) == 3
+        assert _subresultant([-1, 0, 1], [-2, 1]) == 3
+
+    def test_shared_loop_over_qz_matches_shift_backends(self):
+        # The loop behind `resultant` runs unchanged on lists of Poly in z:
+        # on the operands b(x), b(x+z) it is the shift resultant.
+        rng = random.Random(59)
+        for _ in range(30):
+            deg = rng.randint(2, 6)
+            cs = [frac(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+            b = Poly(cs + [frac(rng.choice([-5, -2, 3, 4]), rng.randint(1, 6))]) * frac(6, 35)
+            bc = b.coeffs
+            shifted = [Poly([bc[k] * math.comb(k, i) for k in range(i, deg + 1)]) for i in range(deg + 1)]
+            got = _subresultant([Poly([c]) for c in bc], shifted)
+            assert got == resultant_shift_prs(b) == resultant_shift(b), f"loop disagrees on {b}"
+
+    def test_loop_returns_in_the_inputs_ring(self):
+        # Res(x^2 - 1, x + 1) = 0 and Res(2, x + 1) = 2, over Z and over Q[z].
+        assert _subresultant([-1, 0, 1], [1, 1]) == 0
+        assert _subresultant([2], [1, 1]) == 2
+        zero = _subresultant([Poly([-1]), ZERO, ONE], [ONE, ONE])
+        two = _subresultant([Poly([2])], [ONE, ONE])
+        assert isinstance(zero, Poly) and zero == ZERO
+        assert isinstance(two, Poly) and two == Poly([2])
 
     def test_root_product(self):
         a = (x - 1) * (x - 2) * (x + 3)
@@ -299,15 +321,6 @@ class TestResultantCores:
         for r in (1, 2, -3):
             want *= b(r)
         assert resultant(a, b) == want
-
-
-class TestInterpolate:
-    def test_recovers_polynomial(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            p = random_poly(rng, rng.randint(0, 6))
-            pts = [(Fraction(i), p(i)) for i in range(p.degree + 1)]
-            assert interpolate(pts) == p
 
 
 class TestIntegerRoots:
@@ -335,6 +348,50 @@ class TestIntegerRoots:
                 p = p * Poly([-r, 1])
             p = p * (x**2 + x + 1)  # irreducible cofactor
             assert integer_roots(p) == roots
+
+    def test_large_trailing_coefficient_below_the_bound(self):
+        # The trailing coefficient 6 * 1000003 * 1000033 cannot be certified by
+        # trial division, but only primes up to the root bound can divide a
+        # root, and the quadratic's roots have absolute value 1.
+        big = 1000003 * 1000033
+        p = (x - 2) * (x + 3) * (big * x**2 + x + big)
+        assert integer_roots(p) == {2, -3}
+
+
+class TestRootBound:
+    def test_above_every_root(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            roots = [frac(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(rng.randint(1, 12))]
+            p = Poly([rng.choice([-1, 1]) * rng.randint(1, 10**6)])
+            for r in roots:
+                p = p * Poly([-r, 1])
+            assert _root_bound(_to_int_primitive(p)) > max(abs(r) for r in roots), p
+
+    def test_small_roots_with_large_coefficients(self):
+        # Cauchy's 1 + max |c_i / c_n| for prod (x - k), k = 1..20, exceeds
+        # 10^18; the dyadic Fujiwara bound is 2 * 2^8 from c_19 = -210.
+        p = ONE
+        for k in range(1, 21):
+            p = p * (x - k)
+        assert max(abs(c) for c in p.coeffs) > 10**18
+        assert _root_bound(_to_int_primitive(p)) == 512
+
+
+class TestFactorInt:
+    def test_upto_keeps_small_primes_only(self):
+        n = 2**3 * 3 * 1000003 * 1000033
+        assert factor_int(n, 100) == {2: 3, 3: 1}
+        assert factor_int(n, 2) == {2: 3}
+        assert factor_int(n, 1) == {}
+        with pytest.raises(FactorLimitError):
+            factor_int(n)
+
+    def test_upto_matches_complete_factorization(self):
+        for n in range(1, 400):
+            full = factor_int(n)
+            for upto in (1, 5, 6, 13, 10**6, 10**7):
+                assert factor_int(n, upto) == {p: e for p, e in full.items() if p <= upto}
 
 
 class TestDivisorsUpto:

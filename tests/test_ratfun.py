@@ -102,6 +102,15 @@ class TestProperPart:
         assert fp.den == f.den
 
 
+    def test_matches_gcd_normalised(self):
+        # proper_part skips the gcd; the gcd-normalised remainder is the reference.
+        fs = _arithmetic_inputs() + [RatFun(x**5 - 3, 2 * x**2 + x), RatFun(x**4, (x + 1) ** 3)]
+        for f in fs:
+            q, fp = f.proper_part()
+            assert q == f.num // f.den
+            assert fp == RatFun(f.num % f.den, f.den) and fp.is_proper
+
+
 class TestDelta:
     def test_telescoper(self):
         assert RatFun(Poly([-1]), x).delta() == RatFun(ONE, x * (x + 1))

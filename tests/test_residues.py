@@ -188,6 +188,23 @@ class TestOneTragerInverse:
 
 
 class TestDiscreteResidues:
+    def test_layers_skip_the_squarefree_check(self, monkeypatch, golden):
+        # Hermite layers are squarefree by construction; only the public
+        # reduction functions test it.
+        calls = []
+        original = polys.is_squarefree
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(polys, "is_squarefree", counted)
+        f = golden["f"]
+        assert discrete_residues(f)[0].places == golden["B1"]
+        assert discrete_residues_coordinated(f)[0].places == golden["B1"]
+        assert discrete_residues_multi([f, f.sigma()]).order_count == 3
+        assert calls == []
+
     def test_golden_first_pair(self, golden):
         pairs = discrete_residues(golden["f"])
         assert pairs[0].places == golden["B1"]

@@ -75,6 +75,23 @@ class TestShiftSet:
             assert len(calls) == 1, b
 
 
+    def test_large_constant_term_is_not_factored(self):
+        # The descended constant term has a cofactor that trial division up to
+        # 10^6 cannot certify; only primes up to twice b's root bound can
+        # divide a shift, so the cofactor is never factored.
+        b = Poly([-6, 9, 2, 0, -8, 4, -7])
+        want = {ell for ell in range(1, 41) if not gcd(b, b.shift(ell)).is_constant}
+        assert shift_set(b).as_set() == want
+
+    def test_random_degrees_six_to_eight_match_gcd_scan(self):
+        rng = random.Random(2024)
+        for deg in (6, 7, 8):
+            for _ in range(10):
+                b = random_poly(rng, deg)
+                want = {ell for ell in range(1, 41) if not gcd(b, b.shift(ell)).is_constant}
+                assert shift_set(b).as_set() == want, b
+
+
 class TestDispersion:
     def test_examples(self):
         assert dispersion(x * (x + 3)) == 3
