@@ -134,15 +134,14 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
 
     Hermite layers of all inputs are padded to a common order count, reduced
     together, and read through one Trager inverse modulo the lcm of the
-    reduced denominators (`first_residues_multi`).
+    reduced denominators (`first_residues_multi`).  A zero input has no
+    layers, so its values row is all zero.
     """
     if not fs:
         raise DomainError("discrete_residues_multi requires at least one function")
-    all_layers: list[list[RatFun]] = []
-    for f in fs:
-        if f.is_zero or not f.is_proper:
-            raise DomainError("discrete_residues_multi requires nonzero proper rational functions")
-        all_layers.append(hermite_list(f))
+    if not all(f.is_proper for f in fs):
+        raise DomainError("discrete_residues_multi requires proper rational functions")
+    all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
     m = max(len(layers) for layers in all_layers)
     zero = RatFun(ZERO)
     flat: list[RatFun] = []

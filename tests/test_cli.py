@@ -320,6 +320,16 @@ class TestMain:
         assert main(["galois", "1/x", "1/(x+1)"]) == 0
         assert capsys.readouterr().out.strip() == "1 -1"
 
+    def test_vspace_zero_input(self, capsys):
+        assert main(["vspace", "x", "1/x"]) == 0
+        assert capsys.readouterr().out == "1 0\n"
+
+    def test_leading_minus_expression_after_double_dash(self, capsys):
+        assert main(["dres", "--", "-1/x"]) == 0
+        assert capsys.readouterr().out == "k=1 B[0 1] D[-1]\n"
+        assert main(["dres", "-1/x"]) == 1
+        capsys.readouterr()
+
     def test_mult_relations(self, capsys):
         assert main(["mult-relations", "--json", "x", "2*x"]) == 0
         payload = json.loads(capsys.readouterr().out)

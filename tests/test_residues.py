@@ -304,9 +304,16 @@ class TestDiscreteResiduesMulti:
         assert md.places == ONE
         assert all(d.is_zero for row in md.values for d in row)
 
-    def test_rejects_zero_input(self):
+    def test_zero_input_has_all_zero_values_row(self):
+        md = discrete_residues_multi([RF_ZERO, RatFun(ONE, x**2)])
+        assert md.places == x
+        assert md.values == [[ZERO, ZERO], [ZERO, ONE]]
+        md = discrete_residues_multi([RF_ZERO])
+        assert md.places == ONE and md.values == [[]]
+
+    def test_rejects_improper_input(self):
         with pytest.raises(DomainError):
-            discrete_residues_multi([RF_ZERO])
+            discrete_residues_multi([RatFun(x)])
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):

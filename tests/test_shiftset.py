@@ -19,8 +19,6 @@ class TestShiftSet:
         res = shift_set(x * (x + 1))
         assert res.shifts == (1,)
         assert res.resultant == x**2 * (x**2 - 1)
-        assert res.core == x**2 - 1
-        assert res.descended == x - 1
 
     def test_low_degree_branch(self):
         res = shift_set(x)
@@ -30,14 +28,15 @@ class TestShiftSet:
         with pytest.raises(DomainError):
             shift_set(Poly())
 
-    def test_core_is_even_and_z_free(self):
+    def test_resultant_parity(self):
+        # R(-z) = (-1)^deg(b) R(z): Res_x(b(x), b(x-z)) = Res_x(b(x+z), b(x))
+        # by translation invariance, and swapping the arguments gives (-1)^(n^2).
         rng = random.Random(91)
-        for _ in range(15):
-            b = random_poly(rng, rng.randint(2, 5))
-            res = shift_set(b)
-            core = res.core
-            assert all(core.coeff(k) == 0 for k in range(1, len(core.coeffs), 2))
-            assert core.coeff(0) != 0
+        bs = [random_poly(rng, rng.randint(2, 5)) for _ in range(15)]
+        bs += [x**2 * (x + 1), (x**2 + 1) ** 2 * (x - 3), (2 * x + 1) ** 3]
+        for b in bs:
+            r = shift_set(b).resultant
+            assert Poly([c * (-1) ** k for k, c in enumerate(r.coeffs)]) == (-1) ** b.degree * r, b
 
     def test_soundness_and_local_completeness(self):
         rng = random.Random(97)
@@ -76,12 +75,37 @@ class TestShiftSet:
 
 
     def test_large_constant_term_is_not_factored(self):
-        # The descended constant term has a cofactor that trial division up to
-        # 10^6 cannot certify; only primes up to twice b's root bound can
-        # divide a shift, so the cofactor is never factored.
+        # The trailing coefficient of R(z) / z^deg(b) has a cofactor that trial
+        # division up to 10^6 cannot certify; only primes up to R's root bound
+        # can divide a root, so the cofactor is never factored.
         b = Poly([-6, 9, 2, 0, -8, 4, -7])
         want = {ell for ell in range(1, 41) if not gcd(b, b.shift(ell)).is_constant}
         assert shift_set(b).as_set() == want
+
+    def test_no_gcd_calls(self, monkeypatch, golden):
+        calls = []
+        original = polys.gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(polys, "gcd", counted)
+        assert shift_set(golden["layers"][0].den).shifts == (1, 2, 3)
+        assert shift_set(x * (x + 3) * (x + 7)).shifts == (3, 4, 7)
+        assert calls == []
+
+    def test_degree_twelve_shifted_quadratics_match_gcd_scan(self):
+        # Each product pairs random quadratics q with q(x + s), s in 1..3.
+        for seed in range(3):
+            rng = random.Random(613 + seed)
+            b = Poly([1])
+            for _ in range(3):
+                q = random_poly(rng, 2)
+                b = b * q * q.shift(rng.randint(1, 3))
+            assert b.degree == 12
+            want = {ell for ell in range(1, 41) if not gcd(b, b.shift(ell)).is_constant}
+            assert want and shift_set(b).as_set() == want, b
 
     def test_random_degrees_six_to_eight_match_gcd_scan(self):
         rng = random.Random(2024)

@@ -281,6 +281,10 @@ class TestVspace:
         with pytest.raises(DomainError):
             vspace([])
 
+    def test_zero_input(self):
+        assert vspace([RF_ZERO, RatFun(ONE, x)]) == [[1, 0]]
+        assert vspace([RF_ZERO, RF_ZERO]) == [[1, 0], [0, 1]]
+
     def test_constructed_dimension(self):
         # f_i = sum_j M[i][j] s_j + delta(g_i) with known-rank M: the summable
         # combination space is the nullspace of M^T, of dimension n - rank.
