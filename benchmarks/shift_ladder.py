@@ -1,11 +1,12 @@
-"""Shift-set degree ladder: time `shift_set` and its two stages by degree.
+"""Shift-set degree ladder: time `shift_set` and the interpolation route by degree.
 
-For each degree in 5, 8, 11, 14 the ladder draws three squarefree products
+For each degree in 5, 8, ..., 23 the ladder draws three squarefree products
 from `random.Random(20240601 + degree)`: random quadratics q (`testkit.
 random_poly`), each paired with q(x + s) for a random s in 1..3, plus one
 linear factor when the degree is odd.  For each product it times
-`shift_set(b)`, and separately `polys.resultant_shift(b)` and
-`polys.integer_roots` on that resultant, and records the shift set.
+`shift_set(b)`, and separately the two stages of the interpolation route,
+`polys.resultant_shift(b)` and `polys.integer_roots` on that resultant,
+and records the shift set.
 
 Run from a checkout, with no arguments:
 
@@ -36,7 +37,7 @@ from dresidues.polys import Poly  # noqa: E402
 from dresidues.shiftset import shift_set  # noqa: E402
 from dresidues.testkit import random_poly  # noqa: E402
 
-DEGREES = (5, 8, 11, 14)
+DEGREES = (5, 8, 11, 14, 17, 20, 23)
 CASES = 3
 OUT = ROOT / "BENCH_shiftset.json"
 

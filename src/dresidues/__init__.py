@@ -30,7 +30,6 @@ from .polys import (
     lcm,
     resultant,
     resultant_shift,
-    resultant_shift_prs,
     squarefree_decomposition,
 )
 from .ratfun import RatFun, normalize, parfrac
@@ -78,7 +77,6 @@ __all__ = [
     "lcm",
     "resultant",
     "resultant_shift",
-    "resultant_shift_prs",
     "squarefree_decomposition",
     "RatFun",
     "normalize",

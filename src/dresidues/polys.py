@@ -558,102 +558,53 @@ def resultant(a: Poly, b: Poly) -> Fraction:
     return sa**b.degree * sb**a.degree * _subresultant(ai, bi)
 
 
+def _shift_values(big: list[int], count: int) -> list[int]:
+    """Res_x(B(x), B(x+l)) for l = 0..count-1, for an integer coefficient
+    list B: one subresultant per value, stepping B(x+l) by a Taylor shift."""
+    shifted = list(big)
+    values = []
+    for _ in range(count):
+        values.append(_subresultant(big, shifted))
+        _taylor_shift(shifted, 1)
+    return values
+
+
+def _interpolate_shift_values(values: list[int]) -> Poly:
+    """The integer polynomial of degree < len(values) through (l, values[l]),
+    where the values are Res_x(B(x), B(x+l)) for an integer B of degree n
+    and l = 0..n^2.
+
+    The divided differences of R_B(z) = Res_x(B(x), B(x+z)) over consecutive
+    integer nodes, Delta^k R_B(a) / k!, are the coefficients of R_B(z+a) in
+    the falling-factorial basis z(z-1)...(z-k+1); each z^m is an integer
+    (Stirling) combination of that basis, so k! divides Delta^k R_B(a) and
+    every division below is exact."""
+    coef = list(values)
+    top = len(coef) - 1
+    for k in range(1, top + 1):
+        for i in range(top, k - 1, -1):
+            coef[i], rem = divmod(coef[i] - coef[i - 1], k)
+            if rem:
+                raise InexactDivisionError("divided difference of Res_x(B(x), B(x+z)) not integral")
+    # Newton form to monomials: R = c_0 + z*(c_1 + (z-1)*(c_2 + ...)).
+    out = [coef.pop()]
+    for k in range(top - 1, -1, -1):
+        out = [coef[k] - k * out[0]] + [out[i - 1] - k * out[i] for i in range(1, len(out))] + [out[-1]]
+    return _new(out, 1)
+
+
 def resultant_shift(b: Poly) -> Poly:
     """R(z) = Res_x(b(x), b(x+z)) by evaluation at z = 0..deg(b)^2 followed by
     exact interpolation, all on integers.
 
     For b = s*B with B primitive, R = s^(2n) * R_B with R_B = Res_x(B(x), B(x+z))
     in Z[z].  The leading x-coefficient of B(x+z) does not depend on z, so every
-    integer evaluation point is good.  The divided differences of R_B over
-    consecutive integer nodes, Delta^k R_B(a) / k!, are the coefficients of
-    R_B(z+a) in the falling-factorial basis z(z-1)...(z-k+1); each z^m is an
-    integer (Stirling) combination of that basis, so k! divides Delta^k R_B(a)
-    and every division below is exact."""
+    integer evaluation point is good."""
     if b.is_zero or b.degree < 2:
         raise DomainError("resultant_shift requires degree >= 2")
     n = b.degree
     big = _to_int_primitive(b)
-    shifted = list(big)
-    coef = []
-    for _ in range(n * n + 1):
-        coef.append(_subresultant(big, shifted))
-        _taylor_shift(shifted, 1)
-    for k in range(1, n * n + 1):
-        for i in range(n * n, k - 1, -1):
-            coef[i], rem = divmod(coef[i] - coef[i - 1], k)
-            if rem:
-                raise InexactDivisionError(f"divided difference of Res_x(B(x), B(x+z)) not integral: {b}")
-    # Newton form to monomials: R = c_0 + z*(c_1 + (z-1)*(c_2 + ...)).
-    out = [coef.pop()]
-    for k in range(n * n - 1, -1, -1):
-        out = [coef[k] - k * out[0]] + [out[i - 1] - k * out[i] for i in range(1, len(out))] + [out[-1]]
-    return _new(out, 1) * (b.lc / big[-1]) ** (2 * n)
-
-
-# A polynomial in K[z][x] is a list of Poly (in z) indexed by the power of x.
-
-
-def _zx_trim(f: list[Poly]) -> list[Poly]:
-    while f and f[-1].is_zero:
-        f.pop()
-    return f
-
-
-def _zx_prem(a: list[Poly], b: list[Poly]) -> list[Poly]:
-    """Pseudo-remainder in K[z][x], mirroring the integer version."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    e = da - db + 1
-    while r and len(r) - 1 >= db:
-        top = r[-1]
-        shift = len(r) - 1 - db
-        r = [lead * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] = r[shift + i] - top * bc
-        _zx_trim(r)
-        e -= 1
-    if e > 0:
-        scale = lead**e
-        r = [c * scale for c in r]
-    return r
-
-
-def resultant_shift_prs(b: Poly) -> Poly:
-    """R(z) = Res_x(b(x), b(x+z)) by a direct subresultant PRS over K[z].
-
-    Kept as an independent oracle for `resultant_shift`."""
-    if b.is_zero or b.degree < 2:
-        raise DomainError("resultant_shift requires degree >= 2")
-    bc = b.coeffs
-    fa: list[Poly] = [Poly([c]) for c in bc]
-    # b(x+z) = sum_k b_k (x+z)^k; the x^i coefficient is sum_k b_k C(k,i) z^(k-i).
-    n = b.degree
-    fb: list[Poly] = []
-    for i in range(n + 1):
-        fb.append(Poly([bc[k] * math.comb(k, i) for k in range(i, n + 1)]))
-    sign = 1
-    a_, b_ = fa, fb
-    g = h = ONE
-    while len(b_) - 1 > 0:
-        delta = len(a_) - len(b_)
-        if (len(a_) - 1) % 2 and (len(b_) - 1) % 2:
-            sign = -sign
-        r = _zx_prem(a_, b_)
-        if not r:
-            return ZERO
-        a_ = b_
-        factor = g * h**delta
-        b_ = [c.exact_div(factor) for c in r]
-        g = a_[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g**delta).exact_div(h ** (delta - 1))
-    da = len(a_) - 1
-    if da == 0:
-        return ONE * sign
-    return (b_[0] ** da).exact_div(h ** (da - 1)) * sign
+    return _interpolate_shift_values(_shift_values(big, n * n + 1)) * (b.lc / big[-1]) ** (2 * n)
 
 
 # -- integer factorization and root finding ------------------------------------
@@ -721,6 +672,27 @@ def _root_bound(cs: Sequence[int]) -> int:
     top = abs(cs[-1]).bit_length()
     terms = (-((top - abs(c).bit_length() - 1) // k) for k, c in enumerate(reversed(cs[:-1]), 1) if c)
     return 2 << max([0, *terms])
+
+
+def _cauchy_bound(cs: Sequence[int]) -> int:
+    """The least integer r > 0 with |c_n| r^n > sum_(k<n) |c_k| r^k.  It exceeds
+    Cauchy's radius (the positive root of |c_n| x^n - sum |c_k| x^k), so every
+    root has absolute value below it; found by bisection below `_root_bound`,
+    which exceeds that radius too, it is never larger and often several
+    times smaller."""
+    lead, n = abs(cs[-1]), len(cs) - 1
+    rest = [abs(c) for c in reversed(cs[:-1])]
+    lo, hi = 0, _root_bound(cs)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        acc = 0
+        for c in rest:
+            acc = acc * mid + c
+        if lead * mid**n > acc:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 _FILTER_PRIME = (1 << 61) - 1

@@ -1,8 +1,16 @@
 """Integer-shift structure of denominators: shift sets and dispersion.
 
 The shift set of b collects the positive integers l for which b(x) and
-b(x+l) share a root.  These are exactly the positive integer roots of the
-shift resultant R(z) = Res_x(b(x), b(x+z)), found without factoring b.
+b(x+l) share a root, found without factoring b.  For the primitive integer
+form B of b, v(l) = Res_x(B(x), B(x+l)) vanishes exactly at those l and at
+0, because B(x) and B(x+l) have the same leading coefficient.  Every shift
+is a difference of two roots, so it is below L = 2 * `polys._cauchy_bound`
+of B(x+c), with c an integer near the mean of the roots: translating by c
+moves every root and changes no difference.  When L <= deg(b)^2 + 1 the
+shift set is read off v(1), ..., v(L-1).  Otherwise those deg(b)^2 + 1
+values are interpolated into the shift resultant R(z) = Res_x(B(x), B(x+z)),
+and the shift set is its positive integer roots.  Both routes evaluate v by
+the same loop, and neither evaluates more values than interpolation needs.
 """
 
 from __future__ import annotations
@@ -16,11 +24,9 @@ from .polys import Poly
 
 @dataclass(frozen=True)
 class ShiftSetResult:
-    """Shift set plus the shift resultant R(z) it was read off (None on the
-    trivial degree <= 1 branch)."""
+    """The shift set, in increasing order."""
 
     shifts: tuple[int, ...]
-    resultant: Poly | None = None
 
     def as_set(self) -> set[int]:
         return set(self.shifts)
@@ -36,8 +42,17 @@ def shift_set(b: Poly) -> ShiftSetResult:
         raise DomainError("shift set of the zero polynomial")
     if b.degree <= 1:
         return ShiftSetResult(())
-    r = polys.resultant_shift(b)
-    return ShiftSetResult(tuple(sorted(ell for ell in polys.integer_roots(r) if ell > 0)), r)
+    n = b.degree
+    big = polys._to_int_primitive(b)
+    # B has a positive leading coefficient, so c is the floor of the mean root.
+    centred = list(big)
+    polys._taylor_shift(centred, -big[-2] // (n * big[-1]))
+    bound = 2 * polys._cauchy_bound(centred)
+    if bound <= n * n + 1:
+        values = polys._shift_values(big, bound)
+        return ShiftSetResult(tuple(ell for ell in range(1, bound) if not values[ell]))
+    r = polys._interpolate_shift_values(polys._shift_values(big, n * n + 1))
+    return ShiftSetResult(tuple(sorted(ell for ell in polys.integer_roots(r) if ell > 0)))
 
 
 def dispersion(b: Poly) -> int:

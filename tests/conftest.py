@@ -1,7 +1,8 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
 seeded random matrices, the per-function first-residues reference, the
 per-part-inverse partial-fraction reference, the expression-tree parser
-reference and the Fraction-tuple polynomial reference."""
+reference, the Fraction-tuple polynomial reference and the subresultant-PRS
+shift-resultant reference."""
 
 from __future__ import annotations
 
@@ -503,3 +504,69 @@ class RefPoly:
 
     def __repr__(self) -> str:
         return f"RefPoly({poly_str(self)!r})"
+
+
+# A polynomial in K[z][x] is a list of Poly (in z) indexed by the power of x.
+
+
+def _zx_trim(f: list[Poly]) -> list[Poly]:
+    while f and f[-1].is_zero:
+        f.pop()
+    return f
+
+
+def _zx_prem(a: list[Poly], b: list[Poly]) -> list[Poly]:
+    """Pseudo-remainder in K[z][x], mirroring the integer version."""
+    da, db = len(a) - 1, len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    e = da - db + 1
+    while r and len(r) - 1 >= db:
+        top = r[-1]
+        shift = len(r) - 1 - db
+        r = [lead * c for c in r]
+        for i, bc in enumerate(b):
+            r[shift + i] = r[shift + i] - top * bc
+        _zx_trim(r)
+        e -= 1
+    if e > 0:
+        scale = lead**e
+        r = [c * scale for c in r]
+    return r
+
+
+def resultant_shift_prs(b: Poly) -> Poly:
+    """R(z) = Res_x(b(x), b(x+z)) by a direct subresultant PRS over K[z].
+
+    Kept as an independent oracle for `resultant_shift`."""
+    if b.is_zero or b.degree < 2:
+        raise DomainError("resultant_shift requires degree >= 2")
+    bc = b.coeffs
+    fa: list[Poly] = [Poly([c]) for c in bc]
+    # b(x+z) = sum_k b_k (x+z)^k; the x^i coefficient is sum_k b_k C(k,i) z^(k-i).
+    n = b.degree
+    fb: list[Poly] = []
+    for i in range(n + 1):
+        fb.append(Poly([bc[k] * math.comb(k, i) for k in range(i, n + 1)]))
+    sign = 1
+    a_, b_ = fa, fb
+    g = h = ONE
+    while len(b_) - 1 > 0:
+        delta = len(a_) - len(b_)
+        if (len(a_) - 1) % 2 and (len(b_) - 1) % 2:
+            sign = -sign
+        r = _zx_prem(a_, b_)
+        if not r:
+            return ZERO
+        a_ = b_
+        factor = g * h**delta
+        b_ = [c.exact_div(factor) for c in r]
+        g = a_[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = (g**delta).exact_div(h ** (delta - 1))
+    da = len(a_) - 1
+    if da == 0:
+        return ONE * sign
+    return (b_[0] ** da).exact_div(h ** (da - 1)) * sign

@@ -7,14 +7,14 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import assert_pairs_match_oracle
+from conftest import assert_pairs_match_oracle, resultant_shift_prs
 from dresidues.galois import (
     hermite_normal_form,
     lattice_contains,
     multiplicative_relations,
 )
 from dresidues.hermite import hermite_list
-from dresidues.polys import ONE, Poly, X, is_squarefree, resultant_shift, resultant_shift_prs
+from dresidues.polys import ONE, Poly, X, is_squarefree, resultant_shift
 from dresidues.ratfun import RF_ZERO, RatFun, parfrac
 from dresidues.reduction import simple_reduction
 from dresidues.residues import discrete_residues, first_residues

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import RefPoly
+from conftest import RefPoly, resultant_shift_prs
 
 from dresidues.errors import DomainError, FactorLimitError, InexactDivisionError
 from dresidues.polys import (
@@ -11,6 +11,7 @@ from dresidues.polys import (
     ZERO,
     Poly,
     X,
+    _cauchy_bound,
     _root_bound,
     _subresultant,
     _to_int_primitive,
@@ -24,7 +25,6 @@ from dresidues.polys import (
     lcm,
     resultant,
     resultant_shift,
-    resultant_shift_prs,
     squarefree_decomposition,
 )
 from dresidues.testkit import random_poly
@@ -376,6 +376,28 @@ class TestRootBound:
             p = p * (x - k)
         assert max(abs(c) for c in p.coeffs) > 10**18
         assert _root_bound(_to_int_primitive(p)) == 512
+
+    def test_cauchy_bound_is_the_least_integer_above_cauchys_radius(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            roots = [frac(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(rng.randint(1, 12))]
+            p = Poly([rng.choice([-1, 1]) * rng.randint(1, 10**6)])
+            for r in roots:
+                p = p * Poly([-r, 1])
+            cs = _to_int_primitive(p)
+            bound = _cauchy_bound(cs)
+            assert max(abs(r) for r in roots) < bound <= _root_bound(cs), p
+
+            def above(r):
+                return abs(cs[-1]) * r ** (len(cs) - 1) > sum(abs(c) * r**k for k, c in enumerate(cs[:-1]))
+
+            assert above(bound) and (bound == 1 or not above(bound - 1)), p
+
+    def test_cauchy_bound_of_centred_roots(self):
+        # prod (x - k), k = 1..20, moved by 10: the roots -9..10.
+        cs = _to_int_primitive(math.prod((x - k for k in range(-9, 11)), start=ONE))
+        assert (_cauchy_bound(cs), _root_bound(cs)) == (27, 64)
+        assert _cauchy_bound([5]) == 1 and _cauchy_bound([0, 0, 3]) == 1
 
 
 class TestFactorInt:

@@ -16,13 +16,11 @@ class TestShiftSet:
         assert shift_set(golden["layers"][0].den).shifts == (1, 2, 3)
 
     def test_adjacent_roots(self):
-        res = shift_set(x * (x + 1))
-        assert res.shifts == (1,)
-        assert res.resultant == x**2 * (x**2 - 1)
+        assert shift_set(x * (x + 1)).shifts == (1,)
+        assert polys.resultant_shift(x * (x + 1)) == x**2 * (x**2 - 1)
 
     def test_low_degree_branch(self):
-        res = shift_set(x)
-        assert res.shifts == () and res.resultant is None
+        assert shift_set(x).shifts == ()
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -35,7 +33,7 @@ class TestShiftSet:
         bs = [random_poly(rng, rng.randint(2, 5)) for _ in range(15)]
         bs += [x**2 * (x + 1), (x**2 + 1) ** 2 * (x - 3), (2 * x + 1) ** 3]
         for b in bs:
-            r = shift_set(b).resultant
+            r = polys.resultant_shift(b)
             assert Poly([c * (-1) ** k for k, c in enumerate(r.coeffs)]) == (-1) ** b.degree * r, b
 
     def test_soundness_and_local_completeness(self):
@@ -52,7 +50,10 @@ class TestShiftSet:
                 if ell not in s:
                     assert gcd(b, b.shift(ell)).is_constant
 
-    def test_one_factorization_per_call(self, monkeypatch, golden):
+    def test_factor_int_calls_by_route(self, monkeypatch, golden):
+        # The scan route (centred shift bound L <= deg(b)^2 + 1) factors
+        # nothing; the interpolation route factors R's trailing coefficient
+        # once.  x*(x+5) has L = 8 > 5 and x*(x+4)*(x+9) has L = 12 > 10.
         calls = []
         original = polys.factor_int
 
@@ -62,16 +63,71 @@ class TestShiftSet:
 
         monkeypatch.setattr(polys, "factor_int", counted)
         cases = [
-            (golden["layers"][0].den, (1, 2, 3)),
-            (x * (x + 1), (1,)),
-            (x * (x + 3) * (x + 7), (3, 4, 7)),
-            ((x**2 + 1) * (x**2 + 2 * x + 2), (1,)),
-            (x**2 + 1, ()),
+            (golden["layers"][0].den, (1, 2, 3), 0),
+            ((x**2 + 1) * (x**2 + 2 * x + 2), (1,), 0),
+            (x**30 + x + 1, (), 0),
+            (x * (x + 1), (1,), 0),
+            (x * (x + 3) * (x + 7), (3, 4, 7), 0),
+            (x**2 + 1, (), 0),
+            (x * (x + 5), (5,), 1),
+            (x * (x + 4) * (x + 9), (4, 5, 9), 1),
+            ((x**2 + 1) * (x - 20), (), 1),
         ]
-        for b, shifts in cases:
+        for b, shifts, factorizations in cases:
             calls.clear()
             assert shift_set(b).shifts == shifts
-            assert len(calls) == 1, b
+            assert len(calls) == factorizations, b
+
+    def test_centred_bound_far_from_the_origin(self, monkeypatch):
+        # Roots near 10^9: the root bound of b itself is 2^34, but the
+        # roots of b(x + c), c the floor of their mean, lie within 7 of 0.
+        calls = []
+        original = polys.integer_roots
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(polys, "integer_roots", counted)
+        b = Poly([1])
+        for r in (0, 1, 3, 4, 7, 9, 12, 13):
+            b = b * (x - 10**9 - r)
+        assert shift_set(b).shifts == tuple(range(1, 14))
+        assert calls == []
+
+    def test_differential_against_gcd_scan_below_the_centred_bound(self):
+        # Every shift lies below the centred bound L, so the gcd scan over
+        # 1..L-1 is the whole shift set.  Spread-out linear products make
+        # sure that the interpolation route (L > deg(b)^2 + 1) is taken too.
+        rng = random.Random(1107)
+        bs = [random_poly(rng, deg) for deg in range(2, 11) for _ in range(3)]
+        for _ in range(6):
+            b = Poly([1])
+            for r in rng.sample(range(-40, 41), rng.randint(2, 4)):
+                b = b * (x - r)
+            bs.append(b)
+        for _ in range(6):
+            b = Poly([1])
+            for _ in range(rng.randint(1, 3)):
+                q = random_poly(rng, 2)
+                b = b * q * q.shift(rng.randint(1, 4))
+            bs.append(b)
+        for _ in range(6):
+            centre = rng.choice([-1, 1]) * rng.randint(10**5, 10**12)
+            b = Poly([1])
+            for r in rng.sample(range(-12, 13), rng.randint(2, 6)):
+                b = b * (x - centre - r)
+            bs.append(b)
+        interpolated = 0
+        for b in bs:
+            big = polys._to_int_primitive(b)
+            centred = list(big)
+            polys._taylor_shift(centred, -big[-2] // (b.degree * big[-1]))
+            bound = 2 * polys._cauchy_bound(centred)
+            interpolated += bound > b.degree**2 + 1
+            want = tuple(ell for ell in range(1, bound) if not gcd(b, b.shift(ell)).is_constant)
+            assert shift_set(b).shifts == want, b
+        assert 0 < interpolated < len(bs)
 
 
     def test_large_constant_term_is_not_factored(self):
