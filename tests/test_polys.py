@@ -12,7 +12,6 @@ from dresidues.polys import (
     Poly,
     X,
     _cauchy_bound,
-    _root_bound,
     _subresultant,
     _to_int_primitive,
     divisors_upto,
@@ -287,6 +286,14 @@ class TestResultantCores:
             a = random_poly(rng, rng.randint(1, 5))
             b = random_poly(rng, rng.randint(1, 5))
             assert resultant(a, b) == self._euclid_resultant(a, b)
+        # Constant operands, on one side or both, integer or not.
+        for _ in range(30):
+            c = random_poly(rng, 0) * frac(rng.randint(1, 9), rng.randint(1, 9))
+            d = random_poly(rng, 0) * frac(rng.randint(1, 9), rng.randint(1, 9))
+            b = random_poly(rng, rng.randint(1, 5)) * frac(6, 35)
+            for u, v in ((c, b), (b, c), (c, d)):
+                got = resultant(u, v)
+                assert type(got) is Fraction and got == self._euclid_resultant(u, v), (u, v)
 
     def test_int_core_known_value(self):
         # Res(x^2 - 1, x - 2) = (2-1)(2+1) = 3
@@ -366,16 +373,16 @@ class TestRootBound:
             p = Poly([rng.choice([-1, 1]) * rng.randint(1, 10**6)])
             for r in roots:
                 p = p * Poly([-r, 1])
-            assert _root_bound(_to_int_primitive(p)) > max(abs(r) for r in roots), p
+            assert _cauchy_bound(_to_int_primitive(p)) > max(abs(r) for r in roots), p
 
     def test_small_roots_with_large_coefficients(self):
         # Cauchy's 1 + max |c_i / c_n| for prod (x - k), k = 1..20, exceeds
-        # 10^18; the dyadic Fujiwara bound is 2 * 2^8 from c_19 = -210.
+        # 10^18; the least integer above Cauchy's radius is 297.
         p = ONE
         for k in range(1, 21):
             p = p * (x - k)
         assert max(abs(c) for c in p.coeffs) > 10**18
-        assert _root_bound(_to_int_primitive(p)) == 512
+        assert _cauchy_bound(_to_int_primitive(p)) == 297
 
     def test_cauchy_bound_is_the_least_integer_above_cauchys_radius(self):
         rng = random.Random(73)
@@ -386,7 +393,7 @@ class TestRootBound:
                 p = p * Poly([-r, 1])
             cs = _to_int_primitive(p)
             bound = _cauchy_bound(cs)
-            assert max(abs(r) for r in roots) < bound <= _root_bound(cs), p
+            assert max(abs(r) for r in roots) < bound, p
 
             def above(r):
                 return abs(cs[-1]) * r ** (len(cs) - 1) > sum(abs(c) * r**k for k, c in enumerate(cs[:-1]))
@@ -396,7 +403,7 @@ class TestRootBound:
     def test_cauchy_bound_of_centred_roots(self):
         # prod (x - k), k = 1..20, moved by 10: the roots -9..10.
         cs = _to_int_primitive(math.prod((x - k for k in range(-9, 11)), start=ONE))
-        assert (_cauchy_bound(cs), _root_bound(cs)) == (27, 64)
+        assert _cauchy_bound(cs) == 27
         assert _cauchy_bound([5]) == 1 and _cauchy_bound([0, 0, 3]) == 1
 
 
