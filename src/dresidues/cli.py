@@ -1,21 +1,24 @@
 """Terminal front end: parse expressions over Q(x), run the pipeline stages,
 emit exact text or JSON.
 
-Grammar (everything exact, no floats): integer literals, the variable x,
-binary + - * /, integer ^, parentheses, unary minus.  Precedence is
-^ before unary - before * / before + -, with left associativity for the
-binary operators; implicit multiplication is rejected.  The parser is one
-recursive descent whose rules return the exact RatFun of the text they
-consumed.  Each guard is a parse error raised before its value is computed:
-an exponent literal above MAX_DEGREE (at the literal); a power of degree
-above MAX_DEGREE, a negative power of zero, or a power whose coefficients
-are estimated longer than Python's integer string conversion limit
-(sys.get_int_max_str_digits; |exponent| times the largest coefficient
+Grammar (everything exact, no floats): integer literals (runs of Unicode
+decimal digits, the ones int() reads), the variable x, binary + - * /,
+integer ^, parentheses, unary minus.  Precedence is ^ before unary - before
+* / before + -, with left associativity for the binary operators; implicit
+multiplication is rejected.  The parser is one recursive descent whose rules
+return the exact value of the text they consumed: a Poly while it is a
+polynomial, lifted to a RatFun only by a division by a nonconstant
+polynomial, a negative power or a RatFun operand.  The guards read both
+alike, at the same tokens.  Each guard is a parse error raised before its
+value is computed: an exponent literal above MAX_DEGREE (at the literal); a
+power of degree above MAX_DEGREE, a negative power of zero, or a power whose
+coefficients are estimated longer than Python's integer string conversion
+limit (sys.get_int_max_str_digits; |exponent| times the largest coefficient
 bit-length of the base), at the ^; a + - * / whose numerator or denominator
 before cancellation would exceed MAX_DEGREE, or a division by zero, at the
 operator.  Unknown characters and literals longer than that limit are found
-before anything is computed; other errors come in the order the parser
-meets them, so in "1/0 )" the division by zero is reported, not the ")".
+before anything is computed; other errors come in the order the parser meets
+them, so in "1/0 )" the division by zero is reported, not the ")".
 Exit codes: 0 ok, 1 usage or parse error or an output number longer than
 Python's integer string conversion limit, 2 precondition violation,
 3 internal assertion.
@@ -28,13 +31,13 @@ import functools
 import json
 import math
 import operator
+import re
 import sys
-from fractions import Fraction
 
 from . import __version__, galois, residues, shiftset, summability, testkit
 from .errors import DomainError, InexactDivisionError, InternalError, ParseError
 from .hermite import hermite_list
-from .polys import Poly, poly_str
+from .polys import ONE, X, Poly, _new, poly_str
 from .ratfun import RatFun
 from .reduction import simple_reduction
 
@@ -50,42 +53,35 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-_TOKEN_OPS = set("+-*/^()")
+# One token per match after any whitespace: a literal of the Unicode decimal
+# digits int() accepts, an operator, x, a stray character, or the end.  Some
+# group matches at every position, so finditer never skips text.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()])|(x)|(.)|())", re.S)
+_KINDS = (None, "int", "op", "var", "bad", "end")  # by group number
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     limit = _max_digits()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        kind, lit, at = _KINDS[group], m[group], m.start(group)
+        if kind == "op":
+            tokens.append((lit, lit, at))
             continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if limit and j - i > limit:
-                raise ParseError(f"integer literal of {j - i} digits exceeds the limit of {limit}", i)
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif ch == "x":
-            tokens.append(("var", ch, i))
-            i += 1
-        elif ch in _TOKEN_OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lit!r}", at)
+        if kind == "int" and limit and len(lit) > limit:
+            raise ParseError(f"integer literal of {len(lit)} digits exceeds the limit of {limit}", at)
+        tokens.append((kind, lit, at))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
     """Recursive descent that evaluates as it goes: every rule returns the
-    exact RatFun of the text it consumed, and every guard fires at the token
-    where its value is formed."""
+    exact Poly or RatFun of the text it consumed, and every guard fires at
+    the token where its value is formed."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -101,28 +97,28 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> RatFun:
+    def parse(self) -> Poly | RatFun:
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return value
 
-    def expr(self) -> RatFun:
+    def expr(self) -> Poly | RatFun:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, off = self.take()
             value = _apply(op, value, self.term(), off)
         return value
 
-    def term(self) -> RatFun:
+    def term(self) -> Poly | RatFun:
         value = self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, off = self.take()
             value = _apply(op, value, self.unary(), off)
         return value
 
-    def unary(self) -> RatFun:
+    def unary(self) -> Poly | RatFun:
         tok = self.peek()
         if tok[0] == "-":
             self.take()
@@ -132,7 +128,7 @@ class _Parser:
             return self.unary()
         return self.power()
 
-    def power(self) -> RatFun:
+    def power(self) -> Poly | RatFun:
         base = self.atom()
         if self.peek()[0] != "^":
             return base
@@ -145,26 +141,31 @@ class _Parser:
         exponent = int(tok[1])
         if exponent > MAX_DEGREE:
             raise ParseError(f"exponent {exponent} exceeds the cap {MAX_DEGREE}", tok[2])
+        num, den = _num_den(base)
         if base.is_zero and sign * exponent < 0:
             raise ParseError("negative power of zero", off)
-        if max(_deg(base.num), base.den.degree) * exponent > MAX_DEGREE:
+        if max(_deg(num), den.degree) * exponent > MAX_DEGREE:
             raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", off)
         limit = _max_digits()
         if limit and exponent > 1:
-            bits = max(
-                max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in base.num.coeffs + base.den.coeffs
-            )
+            # Bit lengths of each coefficient in lowest terms, as in Fraction.
+            bits = 0
+            for p in (num, den):
+                for c in p._c:
+                    g = math.gcd(c, p._d)
+                    bits = max(bits, (c // g).bit_length(), (p._d // g).bit_length())
             if exponent * bits * math.log10(2) > limit:
                 raise ParseError(f"power exceeds the coefficient size limit of {limit} digits", off)
+        if sign < 0:
+            base = _lift(base)
         return base ** (sign * exponent)
 
-    def atom(self) -> RatFun:
+    def atom(self) -> Poly | RatFun:
         tok = self.take()
         if tok[0] == "int":
-            return RatFun(Poly([int(tok[1])]))
+            return _new([int(tok[1])], 1)
         if tok[0] == "var":
-            return RatFun(Poly([0, 1]))
+            return X
         if tok[0] == "(":
             value = self.expr()
             self.take(")")
@@ -176,13 +177,24 @@ def _deg(p: Poly) -> int:
     return p.degree or 0
 
 
+def _num_den(value: Poly | RatFun) -> tuple[Poly, Poly]:
+    """Numerator and denominator of a parsed value, a Poly being over 1: the
+    one place the guards read degrees and coefficients from."""
+    return (value, ONE) if isinstance(value, Poly) else (value.num, value.den)
+
+
+def _lift(value: Poly | RatFun) -> RatFun:
+    return RatFun.from_lowest_terms(value, ONE) if isinstance(value, Poly) else value
+
+
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _apply(op: str, left: RatFun, right: RatFun, offset: int) -> RatFun:
+def _apply(op: str, left: Poly | RatFun, right: Poly | RatFun, offset: int) -> Poly | RatFun:
     """left op right, after checking that neither the numerator nor the
     denominator RatFun forms before cancelling exceeds MAX_DEGREE."""
-    ln, ld, rn, rd = _deg(left.num), _deg(left.den), _deg(right.num), _deg(right.den)
+    (lnum, lden), (rnum, rden) = _num_den(left), _num_den(right)
+    ln, ld, rn, rd = _deg(lnum), lden.degree, _deg(rnum), rden.degree
     if op == "/":
         if right.is_zero:
             raise ParseError("division by zero", offset)
@@ -190,6 +202,10 @@ def _apply(op: str, left: RatFun, right: RatFun, offset: int) -> RatFun:
     num = ln + rn if op in "*/" else max(ln + rd, rn + ld)
     if max(num, ld + rd) > MAX_DEGREE:
         raise ParseError(f"result of {op!r} exceeds the degree cap {MAX_DEGREE}", offset)
+    if op == "/":
+        if isinstance(right, Poly) and right.is_constant:
+            return left * (1 / right.lc)
+        left = _lift(left)
     return _OPS[op](left, right)
 
 
@@ -199,14 +215,14 @@ def parse(text: str) -> RatFun:
     >>> parse("1/x + 1/x")
     RatFun('(2)/(x)')
     """
-    return _Parser(text).parse()
+    return _lift(_Parser(text).parse())
 
 
 def parse_poly(text: str) -> Poly:
-    f = parse(text)
-    if not f.is_polynomial:
+    num, den = _num_den(_Parser(text).parse())
+    if den != ONE:
         raise DomainError("expected a polynomial expression")
-    return f.num
+    return num
 
 
 # -- output rendering ----------------------------------------------------------

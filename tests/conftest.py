@@ -1,8 +1,8 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
 seeded random matrices, the per-function first-residues reference, the
-per-part-inverse partial-fraction reference, the expression-tree parser
-reference, the Fraction-tuple polynomial reference and the subresultant-PRS
-shift-resultant reference."""
+per-part-inverse partial-fraction reference, the character-loop tokenizer
+and expression-tree parser references, the Fraction-tuple polynomial
+reference and the subresultant-PRS shift-resultant reference."""
 
 from __future__ import annotations
 
@@ -201,12 +201,49 @@ def ref_parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
     return out
 
 
+_TOKEN_OPS = set("+-*/^()")
+
+
+def ref_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The character loop that `cli._tokenize` replaced; a test-only
+    reference.  Its digits are `str.isdigit`, which is wider than the
+    decimal digits int() accepts, so it is only compared on text whose
+    digits are decimal."""
+    tokens = []
+    limit = cli._max_digits()
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if limit and j - i > limit:
+                raise ParseError(f"integer literal of {j - i} digits exceeds the limit of {limit}", i)
+            tokens.append(("int", text[i:j], i))
+            i = j
+        elif ch == "x":
+            tokens.append(("var", ch, i))
+            i += 1
+        elif ch in _TOKEN_OPS:
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
 def ref_parse(text):
     """The expression tree parser with a separate evaluator that the one-pass
-    `cli.parse` replaced; a test-only reference.  It shares the tokenizer.
-    Nodes are tuples: ("num", n), ("var",), ("neg", arg),
-    ("bin", op, left, right, offset), ("pow", base, exponent, offset)."""
-    tokens, pos = cli._tokenize(text), 0
+    `cli.parse` replaced; a test-only reference.  It tokenizes with
+    `ref_tokenize` and evaluates every node as a RatFun.  Nodes are tuples:
+    ("num", n), ("var",), ("neg", arg), ("bin", op, left, right, offset),
+    ("pow", base, exponent, offset)."""
+    tokens, pos = ref_tokenize(text), 0
 
     def peek():
         return tokens[pos]
@@ -294,14 +331,24 @@ def ref_parse(text):
             return base**exponent
         _, op, left, right, off = node
         left, right = evaluate(left), evaluate(right)
+        # The degrees of the numerator and denominator the operation forms
+        # before cancelling.
+        ln, ld = left.num.degree or 0, left.den.degree
+        rn, rd = right.num.degree or 0, right.den.degree
+        if op == "/" and right.is_zero:
+            raise ParseError("division by zero", off)
+        if op in "+-":
+            formed = (max(ln + rd, rn + ld), ld + rd)
+        else:
+            formed = (ln + rn, ld + rd) if op == "*" else (ln + rd, ld + rn)
+        if max(formed) > cli.MAX_DEGREE:
+            raise ParseError("result exceeds the degree cap", off)
         if op == "+":
             return left + right
         if op == "-":
             return left - right
         if op == "*":
             return left * right
-        if right.is_zero:
-            raise ParseError("division by zero", off)
         return left / right
 
     tree = expr()

@@ -1,13 +1,14 @@
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import ref_parse
+from conftest import ref_parse, ref_tokenize
 
-from dresidues import cli
+from dresidues import cli, testkit
 from dresidues.cli import MAX_DEGREE, _tokenize, main, parse, parse_poly
 from dresidues.errors import ParseError
 from dresidues.polys import ONE, Poly, X
@@ -56,6 +57,19 @@ class TestParse:
     def test_division_by_zero_polynomial(self):
         with pytest.raises(ParseError):
             parse("1/(x - x)")
+
+    def test_unicode_decimal_digits(self):
+        # A literal is a run of Unicode decimal digits, the ones int() reads.
+        assert parse("\u0663/x") == RatFun(Poly([3]), x)
+        assert parse("\uff11\uff12 + 1") == RatFun(Poly([13]))
+
+    def test_other_digit_characters_rejected(self):
+        # Superscripts and circled digits are str.isdigit but not decimal.
+        for text, offset in (("\u00b2", 0), ("1\u00b2", 1), ("x^\u00b3", 2), ("\u2460", 0)):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.offset == offset
+            assert "unexpected character" in str(info.value)
 
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
@@ -199,6 +213,14 @@ def _outcome(fn, text):
         return (type(exc), exc.offset)
 
 
+def _token_outcome(fn, text):
+    """The token list, or the error message, which ends with the offset."""
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return str(exc)
+
+
 def _one_syntax_error(rng, text):
     """text, which evaluates without error, with one syntax error put where
     nothing that text does not compute gets computed before it."""
@@ -250,6 +272,78 @@ class TestParserDifferential:
             assert isinstance(want, tuple), bad
             assert _outcome(parse, bad) == want, bad
             checked += 1
+
+    def test_tokenizer_matches_reference(self):
+        rng = random.Random(20261020)
+        limit = cli._max_digits()
+        grammar = list("0123456789x+-*/^()  ")
+        spaces = ["\t", "\n", "\u00a0", "\u2003", "\u2028", "\u3000"]
+        digits = ["\u0663", "\u0967", "\uff10", "\U0001d7d7"]  # decimal, not ASCII
+        stray = ["y", "?", ".", "\u00e9", "\u2217"]
+        outcomes = set()
+        for _ in range(400):
+            pieces = []
+            for _ in range(rng.randint(0, 40)):
+                roll = rng.random()
+                if roll < 0.01:
+                    # A literal at the digit limit or one digit over it.
+                    pieces.append("9" * limit + rng.choice(digits + ["", "7"]))
+                elif roll < 0.03:
+                    pieces.append(rng.choice(stray))
+                elif roll < 0.1:
+                    pieces.append(rng.choice(spaces))
+                elif roll < 0.17:
+                    pieces.append(rng.choice(digits))
+                else:
+                    pieces.append(rng.choice(grammar))
+            text = "".join(pieces)
+            got, want = _token_outcome(_tokenize, text), _token_outcome(ref_tokenize, text)
+            assert got == want, text
+            outcomes.add(want.split()[0] if isinstance(want, str) else "tokens")
+        assert outcomes >= {"tokens", "unexpected", "integer"}
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("(x - x)^-0", None),  # the exponent is 0, not negative
+            ("(x - x)^0", None),
+            ("(x - x)^-1", 7),
+            ("x^500*x^501", 5),
+            ("x^1000 + 1/x", 7),
+            ("x^999*x + 1", None),
+            ("(x+1)/(x-x)", 5),
+            ("2/0", 1),
+            ("(x^2 + 1)/2^0", None),
+            ("(9^1000*x + 1)^5", 14),
+            ("(9^1000*x + 1)^4", None),
+        ],
+    )
+    def test_guards_on_polynomial_operands(self, text, offset):
+        got = _outcome(parse, text)
+        assert got == _outcome(ref_parse, text)
+        assert got == (ParseError, offset) if offset is not None else isinstance(got, RatFun)
+
+    def test_coefficient_limit_reads_lowest_terms(self):
+        # x/2^(b-1) + 1/3 is (3x + 2^(b-1)) / (3*2^(b-1)) over one common
+        # denominator of b + 1 bits; in lowest terms no number has more than b.
+        limit = sys.get_int_max_str_digits()
+        b = int(limit / (9 * math.log10(2)))
+        assert 9 * b * math.log10(2) <= limit < 9 * (b + 1) * math.log10(2)
+        half = (b - 1) // 2
+        accepted = f"(x/(2^{half}*2^{b - 1 - half}) + 1/3)^9"
+        rejected = f"(x/(2^{half}*2^{b - half}) + 1/3)^9"
+        want = RatFun((x * Fraction(1, 2 ** (b - 1)) + Fraction(1, 3)) ** 9)
+        assert _outcome(parse, accepted) == _outcome(ref_parse, accepted) == want
+        assert _outcome(parse, rejected) == _outcome(ref_parse, rejected) == (ParseError, len(rejected) - 2)
+
+    def test_oracle_functions_round_trip(self):
+        # The dres-oracle benchmark's input shape: a sum of c/(x - a)^k,
+        # printed as one polynomial over another.
+        rng = random.Random(20261021)
+        for _ in range(200):
+            f = testkit.build_from_spec(testkit.random_orbit_spec(rng))
+            text = str(f)
+            assert parse(text) == f == ref_parse(text), text
 
     def test_error_order(self):
         # The one behaviour that moved: an evaluation error left of a syntax
@@ -358,6 +452,14 @@ class TestMain:
         assert main(["nonsense"]) == 1  # usage error
         assert main([]) == 1
         capsys.readouterr()
+
+    def test_digit_characters(self, capsys):
+        assert main(["dres", "\u0663/x"]) == 0
+        assert capsys.readouterr().out == "k=1 B[0 1] D[3]\n"
+        assert main(["dres", "\u00b2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: unexpected character '\u00b2' (at offset 0)\n"
 
     def test_pretty_round_trips(self, capsys):
         assert main(["reduce", "--pretty", "1/(x*(x+3))"]) == 0
