@@ -1,0 +1,51 @@
+"""The BENCH_*.json writer shared by the scripts in this directory.
+
+Each run is merged into its file at the checkout root under the sha256 of the
+checkout's `src/dresidues/*.py`, with the git head, whether `src` has
+uncommitted changes, the machine and the time, so running a script in two
+checkouts that share the file keeps both results side by side.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def source_digest() -> str:
+    h = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "dresidues").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def git(*args: str) -> str | None:
+    try:
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def record(out: Path, title: str, key: str, rows: list[dict]) -> None:
+    """Merge one run, its rows stored under `key`, into the file `out`; the
+    title is written only when the file has none."""
+    result = {
+        "git_head": git("rev-parse", "HEAD"),
+        "git_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}, "
+        f"{platform.python_implementation()} {platform.python_version()}",
+        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        key: rows,
+    }
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data.setdefault("title", title)
+    data.setdefault("runs", {})[source_digest()] = result
+    out.write_text(json.dumps(data, indent=1) + "\n")

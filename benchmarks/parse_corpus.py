@@ -14,25 +14,21 @@ Run from a checkout, with no arguments:
 
     python3 benchmarks/parse_corpus.py
 
-The result is merged into BENCH_parser.json at the checkout root under
-the sha256 of the checkout's `src/dresidues/*.py`, so running the script in
-two checkouts that share the file keeps both results side by side.
+The result is merged into BENCH_parser.json at the checkout root by
+`benchfile.record`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import platform
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
-ROOT = Path(__file__).resolve().parent.parent
+from benchfile import ROOT, record
+
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
@@ -69,21 +65,6 @@ def best_pass(fn, exprs: list[str]) -> float:
     return min(times)
 
 
-def source_digest() -> str:
-    h = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "dresidues").glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def main() -> int:
     rows = []
     for seed in SEEDS:
@@ -99,22 +80,13 @@ def main() -> int:
         }
         print(json.dumps(row), flush=True)
         rows.append(row)
-    result = {
-        "git_head": git("rev-parse", "HEAD"),
-        "git_dirty": bool(git("status", "--porcelain", "--", "src")),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}, "
-        f"{platform.python_implementation()} {platform.python_version()}",
-        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seeds": rows,
-    }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data.setdefault(
-        "title",
+    record(
+        OUT,
         "cli.parse and cli._tokenize on the dres-oracle expressions of seeds 1 and 7 "
         "(benchmarks/parse_corpus.py); times are the best of 7 passes over a seed's corpus, in seconds",
+        "seeds",
+        rows,
     )
-    data.setdefault("runs", {})[source_digest()] = result
-    OUT.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
 

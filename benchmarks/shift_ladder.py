@@ -12,24 +12,19 @@ Run from a checkout, with no arguments:
 
     python3 benchmarks/shift_ladder.py
 
-The result is merged into BENCH_shiftset.json at the checkout root under
-the sha256 of the checkout's `src/dresidues/*.py`, so running the script in
-two checkouts that share the file keeps both results side by side.
+The result is merged into BENCH_shiftset.json at the checkout root by
+`benchfile.record`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import platform
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from benchfile import ROOT, record
+
 sys.path.insert(0, str(ROOT / "src"))
 
 from dresidues import polys  # noqa: E402
@@ -75,21 +70,6 @@ def best_time(fn) -> float:
     return min(times)
 
 
-def source_digest() -> str:
-    h = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "dresidues").glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def main() -> int:
     rows = []
     for degree in DEGREES:
@@ -104,22 +84,13 @@ def main() -> int:
             row[key] = round(row[key], 4)
         print(json.dumps(row), flush=True)
         rows.append(row)
-    result = {
-        "git_head": git("rev-parse", "HEAD"),
-        "git_dirty": bool(git("status", "--porcelain", "--", "src")),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}, "
-        f"{platform.python_implementation()} {platform.python_version()}",
-        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "ladder": rows,
-    }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data.setdefault(
-        "title",
+    record(
+        OUT,
         "shift_set by degree: sums over 3 squarefree products of shifted random quadratics per degree "
         "(benchmarks/shift_ladder.py); times are the minimum of up to 3 runs, in seconds",
+        "ladder",
+        rows,
     )
-    data.setdefault("runs", {})[source_digest()] = result
-    OUT.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
 

@@ -131,15 +131,7 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
 
 def lattice_contains(basis: list[list[int]], vec: list[int]) -> bool:
     """Membership of an integer vector in the lattice spanned by `basis`."""
-    hnf = hermite_normal_form(basis)
-    v = list(vec)
-    for row in hnf:
-        col = next(j for j, a in enumerate(row) if a)
-        if v[col] % row[col] != 0:
-            return False
-        q = v[col] // row[col]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return hermite_normal_form(basis + [vec]) == hermite_normal_form(basis)
 
 
 def factor_rational(q: Fraction) -> tuple[int, dict[int, int]]:

@@ -8,17 +8,23 @@ by the stated degree/squarefreeness constraints, independent of the reduction
 variant used.
 
 Both are one core.  Yun's algorithm runs once, on den(f) = prod q_i^i, and f
-is split once as f = sum a_i / q_i^i.  From then on every Hermite step of
-every layer works modulo one q_i alone: with s = 1/q' mod q, a step on n/q^e
-(e >= 2) takes b = n*s mod q and c = (n - b*q')/q, so that
+is split once as f = sum a_i / q_i^i, each class a/q^e carried as the e
+base-q digits of a (a = sum_j d_j q^j, deg d_j < deg q).  From then on every
+Hermite step of every layer works modulo one q_i alone: with s = 1/q' mod q,
+a step on a/q^e (e >= 2) takes b = d_0*s mod q and c = (a - b*q')/q, so that
 
-    n/q^e = d/dx(-b / ((e-1) q^(e-1))) + (b'/(e-1) + c) / q^(e-1).
+    a/q^e = d/dx(-b / ((e-1) q^(e-1))) + (b'/(e-1) + c) / q^(e-1).
+
+The new numerator's digits are d_1 + (d_0 - b*q')/q + b'/(e-1), d_2, ...,
+d_(e-1): a step touches only the two lowest digits, divides nothing of
+degree 2 deg q - 1 or more, and a class of multiplicity i costs O(i^2) such
+steps over all its layers.
 
 The g of a layer needs no gcd, because pole orders drop by exactly one.  A
-layer starts from n coprime to q (the split of a reduced f gives that), so
-its first b is coprime to q too, and the class's part of g is G/q^(e-1) with
-G = -b/(e-1) mod q: in lowest terms, and again coprime to q for the next
-layer.  g is carried to that layer as these numerators, with no second
+layer starts from a coprime to q (the split of a reduced f gives that), so
+its first b is coprime to q too, and the class's part of g is G/q^(e-1),
+whose digits are the -b/(e-1) of the steps: in lowest terms, and again
+coprime to q for the next layer, which starts from them with no second
 squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
 or share a factor with q_i, is normalised, by one gcd per layer.
 """
@@ -33,8 +39,10 @@ from .errors import DomainError, InternalError
 from .polys import ONE, ZERO, Poly
 from .ratfun import RF_ZERO, RatFun
 
-# The state of one class: n / q^e, with q' and 1/q' mod q (None when e = 1).
-_State = tuple[Poly, int, Poly, Poly | None, Poly | None]
+# The state of one class a / q^e: q, e, the e base-q digits of a, q' and
+# 1/q' mod q (None when e = 1).  A step rewrites only the two lowest digits,
+# so the class costs O(e^2) steps on polynomials of degree below 2 deg q.
+_State = tuple[Poly, int, list[Poly], Poly | None, Poly | None]
 
 
 def _classes(f: RatFun) -> tuple[tuple[Poly, int], ...]:
@@ -61,10 +69,6 @@ def _split(f: RatFun, classes: tuple[tuple[Poly, int], ...]) -> list[_State]:
     w = 1/(C*q') mod q, gives both 1/C = w*q' and s = 1/q' = w*C mod q.  The
     class of multiplicity 1, if any, takes what is left: a_1 = (num - sum a_i C_i) / (den/q_1).
     """
-    if len(classes) == 1:
-        ((q, i),) = classes
-        dq = q.derivative()
-        return [(q, i, f.num, dq, polys.inverse_mod(dq, q))]
     states, rest, high = [], f.num, ONE
     for q, i in classes:
         if i == 1:
@@ -81,36 +85,33 @@ def _split(f: RatFun, classes: tuple[tuple[Poly, int], ...]) -> list[_State]:
             d = (rem * t) % q
             digits.append(d)
             n = quo + (rem - cof * d).exact_div(q)
-        a = _in_base(digits, q)
-        rest = rest - a * cof
-        states.append((q, i, a, dq, s))
+        rest = rest - _in_base(digits, q) * cof
+        states.append((q, i, digits, dq, s))
     if classes[0][1] == 1:
-        states.insert(0, (classes[0][0], 1, rest.exact_div(high), None, None))
+        states.insert(0, (classes[0][0], 1, [rest.exact_div(high)], None, None))
     return states
 
 
-def _reduce(q: Poly, e: int, n: Poly, dq: Poly | None, s: Poly | None) -> tuple[Poly, Poly]:
-    """n/q^e = d/dx(G/q^(e-1)) + r/q, by Hermite steps modulo q alone: (G, r)."""
-    pieces = []
-    while e > 1:
-        quo, rem = n.divrem(q)
-        b = (rem * s) % q
-        c = quo + (rem - b * dq).exact_div(q)
-        scale = Fraction(1, e - 1)
+def _reduce(q: Poly, e: int, digits: list[Poly], dq: Poly | None, s: Poly | None) -> tuple[list[Poly], Poly]:
+    """a/q^e = d/dx(G/q^(e-1)) + r/q, by Hermite steps on the two lowest
+    base-q digits of a: (the digits of G, r)."""
+    low, pieces = digits[0], []
+    for k, digit in zip(range(e - 1, 0, -1), digits[1:]):
+        b = (low * s) % q
+        scale = Fraction(1, k)
         pieces.append(b * -scale)
-        n = b.derivative() * scale + c
-        e -= 1
-    return _in_base(pieces, q), n
+        low = digit + (low - b * dq).exact_div(q) + b.derivative() * scale
+    return pieces, low
 
 
 def _step(states: list[_State]) -> tuple[list[_State], list[tuple[Poly, Poly]]]:
-    """One Hermite reduction of sum n/q^e: the states of g and the parts (r, q) of h."""
+    """One Hermite reduction of sum a/q^e: the states of g and the parts (r, q) of h."""
     nxt, parts = [], []
-    for q, e, n, dq, s in states:
-        g, r = _reduce(q, e, n, dq, s)
+    for q, e, digits, dq, s in states:
+        pieces, r = _reduce(q, e, digits, dq, s)
         parts.append((r, q))
-        if not g.is_zero:
-            nxt.append((q, e - 1, g, dq, s))
+        if pieces:
+            nxt.append((q, e - 1, pieces, dq, s))
     return nxt, parts
 
 
@@ -140,7 +141,7 @@ def hermite_reduction(f: RatFun) -> tuple[RatFun, RatFun]:
     if max(i for _, i in classes) == 1:
         return RF_ZERO, f
     nxt, parts = _step(_split(f, classes))
-    g = RatFun.from_lowest_terms(*_over_product([(n, q**e) for q, e, n, _, _ in nxt]))
+    g = RatFun.from_lowest_terms(*_over_product([(_in_base(digits, q), q**e) for q, e, digits, _, _ in nxt]))
     return g, RatFun(*_over_product(parts))
 
 

@@ -57,11 +57,6 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     b = polys.lcm_all(f.den for f in fs)
     shifts = shiftset.shift_set(b).shifts
     cert0 = RF_ZERO if want_certificate else None
-    if not shifts:
-        return [
-            ReductionOutput(f, cert0, ReductionParts(f.den, (0,), {0: f.den}, {0: f.num}, {}, ONE))
-            for f in fs
-        ]
     shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
     overlap = polys.lcm_all(shift_gcds.values())
     initial = b.exact_div(overlap)
@@ -77,7 +72,8 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
         reduced = RF_ZERO
         certificate = cert0
         for ell in indices:
-            piece = RatFun(numerators[ell], factors[ell])
+            # f is in lowest terms with a squarefree denominator, so no residue is zero.
+            piece = RatFun.from_lowest_terms(numerators[ell], factors[ell])
             reduced = reduced + piece.sigma(ell)
             if want_certificate:
                 for i in range(ell):

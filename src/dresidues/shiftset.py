@@ -7,10 +7,11 @@ form B of b, v(l) = Res_x(B(x), B(x+l)) vanishes exactly at those l and at
 is a difference of two roots, so it is below L = 2 * `polys._cauchy_bound`
 of B(x+c), with c an integer near the mean of the roots: translating by c
 moves every root and changes no difference.  When L <= deg(b)^2 + 1 the
-shift set is read off v(1), ..., v(L-1).  Otherwise those deg(b)^2 + 1
-values are interpolated into the shift resultant R(z) = Res_x(B(x), B(x+z)),
-and the shift set is its positive integer roots.  Both routes evaluate v by
-the same loop, and neither evaluates more values than interpolation needs.
+shift set is read off v(1), ..., v(L-1).  Otherwise it is the positive
+integer roots of `polys.resultant_shift`(b), a constant multiple of
+R(z) = Res_x(B(x), B(x+z)) interpolated from v(0), ..., v(deg(b)^2).  Both
+routes evaluate v by the same loop, and neither evaluates more values than
+interpolation needs.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def shift_set(b: Poly) -> ShiftSetResult:
     if bound <= n * n + 1:
         values = polys._shift_values(big, bound)
         return ShiftSetResult(tuple(ell for ell in range(1, bound) if not values[ell]))
-    r = polys._interpolate_shift_values(polys._shift_values(big, n * n + 1))
-    return ShiftSetResult(tuple(sorted(ell for ell in polys.integer_roots(r) if ell > 0)))
+    roots = polys.integer_roots(polys.resultant_shift(b))
+    return ShiftSetResult(tuple(sorted(ell for ell in roots if ell > 0)))
 
 
 def dispersion(b: Poly) -> int:

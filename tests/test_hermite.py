@@ -175,6 +175,10 @@ def _differential_inputs():
     for _ in range(10):
         den = random_poly(rng, 2).monic() ** rng.randint(1, 3) * (x - rng.randint(-5, 5)) ** rng.randint(1, 4)
         fs.append(RatFun(_numerator_over(rng, den), den))
+    # multiplicity 20 to 40, one class alone and beside lower classes; numerators
+    # of degree below 6 keep the whole-denominator reference fast
+    for den in ((x + 2) ** 40, (x**2 + 1) ** 20, x**25 * (x - 1), (x - 1) ** 3 * (x**2 + x + 1) ** 20, x * (x + 3) ** 2 * (x - 2) ** 30):
+        fs.append(RatFun(_numerator_over(rng, x**6), den))
     return fs
 
 
@@ -203,6 +207,45 @@ class TestDifferential:
         assert any([m for _, m in s] == [1, 4] for s in shapes)
         assert any(q.degree == 3 and m > 1 for s in shapes for q, m in s)
         assert any(c.denominator != 1 for f in inputs for c in f.num.coeffs)
+        assert any(len(s) == 1 and s[0][1] >= 20 for s in shapes)
+        assert any(len(s) > 1 and max(m for _, m in s) >= 20 for s in shapes)
+
+
+class TestSmallDivisions:
+    def test_steps_divide_below_twice_deg_q(self, monkeypatch):
+        """Every division in a Hermite step has a dividend of degree below 2 deg q - 1."""
+        rng = random.Random(11)
+        qs = (x - Fraction(1, 3), x**2 + 1, (x - 1) * (x + 2), x**3 + x + 1)
+        fs = []
+        for e in range(2, 11):
+            for q in qs:
+                fs.append(RatFun(_numerator_over(rng, q**e), q**e))
+            q, r = rng.sample(qs, 2)
+            den = q**e * r ** rng.randint(1, 3)
+            fs.append(RatFun(_numerator_over(rng, den), den))
+        divisions, inside = [], []
+        divrem, reduce = Poly.divrem, hermite._reduce
+
+        def recorded_divrem(a, b):
+            if inside:
+                divisions.append((a.degree, b.degree))
+            return divrem(a, b)
+
+        def flagged_reduce(*args):
+            inside.append(True)
+            try:
+                return reduce(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Poly, "divrem", recorded_divrem)
+        monkeypatch.setattr(hermite, "_reduce", flagged_reduce)
+        for f in fs:
+            hermite_list(f)
+            hermite_reduction(f)
+        assert divisions
+        large = [(d, dq) for d, dq in divisions if d is not None and d >= 2 * dq - 1]
+        assert not large, large[:5]
 
 
 class TestOneDecomposition:
@@ -232,7 +275,7 @@ class TestExactOrException:
         original = hermite._reduce
 
         def drops_g(q, e, n, dq, s):
-            return ZERO, original(q, e, n, dq, s)[1]
+            return [], original(q, e, n, dq, s)[1]
 
         monkeypatch.setattr(hermite, "_reduce", drops_g)
         with pytest.raises(InternalError, match="layers for a pole of order 3"):
