@@ -169,6 +169,10 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise DomainError("negative power of a polynomial")
+        c = self._c
+        if len(c) == 2 and not c[0]:
+            # (c x / d)^n has one coefficient: no squarings.
+            return _new([0] * n + [c[1] ** n], self._d**n)
         result = ONE
         base = self
         while n:
@@ -409,8 +413,11 @@ def lcm(a: Poly, b: Poly) -> Poly:
 
 def lcm_all(ps: Iterable[Poly]) -> Poly:
     acc = ONE
+    seen = {ONE}
     for p in ps:
-        acc = lcm(acc, p)
+        if p not in seen:
+            seen.add(p)
+            acc = lcm(acc, p)
     return acc
 
 

@@ -102,6 +102,10 @@ class RatFun:
             other = RatFun(_as_poly(other))
         if not isinstance(other, RatFun):
             return NotImplemented
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -205,6 +209,12 @@ def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
         w = polys.inverse_mod(f.den.derivative(), f.den)
     except DomainError:
         raise DomainError("parfrac requires a squarefree denominator") from None
+    return _parfrac(f, parts, w)
+
+
+def _parfrac(f: RatFun, parts: list[Poly], w: Poly) -> list[Poly]:
+    """`parfrac` given w = 1/D' mod D, so that callers splitting several
+    numerators over one D compute w once."""
     prod = ONE
     for b in parts:
         if b.is_zero or not b.is_monic:

@@ -5,7 +5,10 @@ f-bar either zero or of polar dispersion zero (at most one pole per
 Z-orbit, sitting at the leftmost pole of the orbit).  `simple_reduction`
 handles one function; `simple_reduction_multi` reduces several functions
 against one shared divisor of initial roots so that common orbits show up
-as common poles across the outputs.
+as common poles across the outputs.  Within one call, inputs over one
+denominator D share its split over the shifted initial roots and the inverse
+1/D' mod D of their partial fractions, and a zero input (a padding Hermite
+layer) passes through with no gcd.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 from . import polys, shiftset
 from .errors import DomainError
-from .polys import ONE, Poly
-from .ratfun import RF_ZERO, RatFun, parfrac
+from .polys import ONE, ZERO, Poly
+from .ratfun import RF_ZERO, RatFun, _parfrac
 
 
 @dataclass(frozen=True)
@@ -60,15 +63,24 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
     overlap = polys.lcm_all(shift_gcds.values())
     initial = b.exact_div(overlap)
+    moved = {ell: initial.shift(-ell) for ell in shifts}
+    splits: dict[Poly, tuple[dict[int, Poly], tuple[int, ...], Poly]] = {}
     out: list[ReductionOutput] = []
     for f in fs:
-        factors = {0: polys.gcd(initial, f.den)}
-        for ell in shifts:
-            bl = polys.gcd(initial.shift(-ell), f.den)
-            if not bl.is_constant:
-                factors[ell] = bl
-        indices = tuple(sorted(factors))
-        numerators = dict(zip(indices, parfrac(f, [factors[ell] for ell in indices])))
+        if f.is_zero:
+            parts = ReductionParts(initial, (0,), {0: ONE}, {0: ZERO}, shift_gcds, overlap)
+            out.append(ReductionOutput(RF_ZERO, cert0, parts))
+            continue
+        if f.den not in splits:
+            factors = {0: polys.gcd(initial, f.den)}
+            for ell in shifts:
+                bl = polys.gcd(moved[ell], f.den)
+                if not bl.is_constant:
+                    factors[ell] = bl
+            w = polys.inverse_mod(f.den.derivative(), f.den)
+            splits[f.den] = (factors, tuple(sorted(factors)), w)
+        factors, indices, w = splits[f.den]
+        numerators = dict(zip(indices, _parfrac(f, [factors[ell] for ell in indices], w)))
         reduced = RF_ZERO
         certificate = cert0
         for ell in indices:
@@ -78,7 +90,7 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
             if want_certificate:
                 for i in range(ell):
                     certificate = certificate - piece.sigma(i)
-        parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
+        parts = ReductionParts(initial, indices, dict(factors), numerators, shift_gcds, overlap)
         out.append(ReductionOutput(reduced, certificate, parts))
     return out
 

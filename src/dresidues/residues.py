@@ -125,7 +125,18 @@ def _residues_of_layers(f: RatFun, coordinated: bool) -> list[ResiduePair]:
         outs = _reduce(layers, False)
     else:
         outs = [_reduce([layer], False)[0] for layer in layers]
-    return [first_residues(out.reduced) for out in outs]
+    # first_residues per layer, with one inverse per distinct denominator.
+    inverses: dict[Poly, Poly] = {}
+    pairs = []
+    for out in outs:
+        f = out.reduced
+        if f.is_zero:
+            pairs.append(TRIVIAL_PAIR)
+            continue
+        if f.den not in inverses:
+            inverses[f.den] = polys.inverse_mod(f.den.derivative(), f.den)
+        pairs.append(ResiduePair(f.den, (f.num * inverses[f.den]) % f.den))
+    return pairs
 
 
 def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:

@@ -182,6 +182,38 @@ def _differential_inputs():
     return fs
 
 
+def reconstruct_horner(layers):
+    """f from its layers by f = sum_k (-1)^(k-1)/(k-1)! d^(k-1) f_k in Horner
+    form: acc = f_k - acc'/k for k = m, ..., 1."""
+    acc = RF_ZERO
+    for k in range(len(layers), 0, -1):
+        acc = layers[k - 1] - acc.derivative() * Fraction(1, k)
+    return acc
+
+
+def _high_multiplicity_inputs():
+    """The multiplicity 20-40 shapes of `_differential_inputs` with numerators
+    of full degree, too slow for the whole-denominator reference."""
+    rng = random.Random(4040)
+    fs = []
+    for den in ((x + 2) ** 40, (x**2 + 1) ** 20, x**25 * (x - 1), (x - 1) ** 3 * (x**2 + x + 1) ** 20, x * (x + 3) ** 2 * (x - 2) ** 30):
+        num = _rational_poly(rng, den.degree - 1)
+        fs.append(RatFun(num, den))
+    return fs
+
+
+class TestHighMultiplicity:
+    def test_layers_satisfy_the_derivative_identity(self):
+        for f in _high_multiplicity_inputs():
+            assert f.num.degree == f.den.degree - 1, f
+            layers = hermite_list(f)
+            assert len(layers) == squarefree_decomposition(f.den).max_multiplicity()
+            assert not layers[-1].is_zero
+            for layer in layers:
+                assert layer.is_proper and (layer.is_zero or is_squarefree(layer.den))
+            assert reconstruct_horner(layers) == f
+
+
 class TestDifferential:
     """The per-class core against the whole-denominator reference."""
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import RefPoly, resultant_shift_prs
 
+from dresidues import polys
 from dresidues.errors import DomainError, FactorLimitError, InexactDivisionError
 from dresidues.polys import (
     ONE,
@@ -22,6 +23,7 @@ from dresidues.polys import (
     inverse_mod,
     is_squarefree,
     lcm,
+    lcm_all,
     resultant,
     resultant_shift,
     squarefree_decomposition,
@@ -443,6 +445,38 @@ class TestPrimitive:
 
     def test_lcm(self):
         assert lcm(x * (x + 1), (x + 1) * (x + 2)) == x * (x + 1) * (x + 2)
+
+    def test_lcm_all_folds_each_distinct_operand_once(self, monkeypatch):
+        a, b = x * (x + 1), 2 * (x + 1) * (x + 2)
+        calls = []
+
+        def counted(p, q):
+            calls.append(q)
+            return lcm(p, q)
+
+        monkeypatch.setattr(polys, "lcm", counted)
+        assert lcm_all([]) == ONE
+        assert lcm_all([ONE, ONE]) == ONE
+        assert calls == []
+        assert lcm_all([a, ONE, a, b, ONE, a, b]) == lcm(a, b)
+        assert calls == [a, b]
+        assert lcm_all([2 * x, x, x]) == x
+
+    def test_lcm_all_rejects_zero(self):
+        for ps in ([ZERO], [x, ZERO], [ONE, x, ZERO, ZERO], [ZERO, ZERO]):
+            with pytest.raises(DomainError):
+                lcm_all(ps)
+
+
+class TestMonomialPower:
+    def test_matches_repeated_product(self):
+        for c in (1, -1, 3, frac(2, 3), frac(-5, 7), frac(1, 10**6)):
+            p = x * c
+            expected = ONE
+            for k in range(21):
+                _assert_same(p**k, expected)
+                expected = expected * p
+        assert x**0 == ONE and x**1 == x and (x**20).coeffs == (0,) * 20 + (1,)
 
 
 def _kernel_coeffs(rng):

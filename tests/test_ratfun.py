@@ -282,6 +282,30 @@ class TestArithmetic:
                 assert got == expected
                 assert got == RatFun(got.num, got.den)  # canonical without a gcd
 
+    def test_add_matches_cross_multiplied_sum(self):
+        fs = _arithmetic_inputs()
+        for f in fs:
+            for g in fs:
+                got = f + g
+                assert got == RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
+                assert got == RatFun(got.num, got.den)
+
+    def test_add_zero_returns_other_operand_without_gcd(self, monkeypatch):
+        def forbidden(a, b):
+            raise AssertionError("adding zero must not take a gcd")
+
+        fs = _arithmetic_inputs() + [RatFun(x + 1, x**2 + 1)]
+        monkeypatch.setattr(polys, "gcd", forbidden)
+        for f in fs:
+            for zero in (RF_ZERO, ZERO, 0, Fraction(0)):
+                assert (f + zero).num == f.num and (f + zero).den == f.den
+                assert (zero + f).num == f.num and (zero + f).den == f.den
+                if not f.is_zero:
+                    assert f + zero is f and zero + f is f
+                    assert f - zero is f
+            for other in (x + 1, Poly([Fraction(-2, 3)]), 5, Fraction(1, 2)):
+                assert RF_ZERO + other == RatFun(other) == other + RF_ZERO
+
     def test_negation_and_shift_match_normalised(self):
         # Both skip the gcd; the gcd-normalised quotient is the reference.
         for f in _arithmetic_inputs():

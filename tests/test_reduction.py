@@ -9,7 +9,7 @@ from dresidues import polys, shiftset
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, Poly, X, gcd, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
-from dresidues.reduction import ReductionOutput, ReductionParts, simple_reduction, simple_reduction_multi
+from dresidues.reduction import ReductionOutput, ReductionParts, _reduce, simple_reduction, simple_reduction_multi
 from dresidues.shiftset import dispersion
 from dresidues.summability import is_summable
 from dresidues.testkit import build_from_spec, orbit_spec, random_orbit_spec
@@ -100,6 +100,115 @@ class TestDifferential:
         assert any(len(p.indices) >= 3 for p in parts)
         assert any(p.initial.degree >= 2 and p.overlap.degree >= 2 for p in parts)
         assert any(c.denominator != 1 for f in inputs for c in f.den.coeffs)
+
+
+def _ref_add(f, g):
+    """f + g by cross-multiplication and a gcd, with no zero shortcut."""
+    return RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ref_reduce(fs, want_certificate):
+    """The shared reduction core with every input reduced on its own: shifts
+    of `initial`, gcds, partial fractions and sums recomputed per input; a
+    test-only reference."""
+    b = ONE
+    for f in fs:
+        b = polys.lcm(b, f.den)
+    shifts = shiftset.shift_set(b).shifts
+    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
+    overlap = ONE
+    for g in shift_gcds.values():
+        overlap = polys.lcm(overlap, g)
+    initial = b.exact_div(overlap)
+    out = []
+    for f in fs:
+        factors = {0: polys.gcd(initial, f.den)}
+        for ell in shifts:
+            bl = polys.gcd(initial.shift(-ell), f.den)
+            if not bl.is_constant:
+                factors[ell] = bl
+        indices = tuple(sorted(factors))
+        numerators = dict(zip(indices, ref_parfrac(f, [factors[ell] for ell in indices])))
+        reduced = RF_ZERO
+        certificate = RF_ZERO if want_certificate else None
+        for ell in indices:
+            piece = RatFun(numerators[ell], factors[ell])
+            reduced = _ref_add(reduced, piece.sigma(ell))
+            if want_certificate:
+                for i in range(ell):
+                    certificate = _ref_add(certificate, -piece.sigma(i))
+        parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
+        out.append(ReductionOutput(reduced, certificate, parts))
+    return out
+
+
+def _multi_input_lists():
+    """Seeded input lists with zero inputs, several numerators over one
+    denominator and repeated inputs."""
+    rng = random.Random(1515)
+    lists = [[RF_ZERO], [RF_ZERO, RF_ZERO], [RatFun(ONE, x), RF_ZERO, RatFun(ONE, x)]]
+    while len(lists) < 24:
+        fs = []
+        for _ in range(rng.randint(1, 3)):
+            f = build_from_spec(random_orbit_spec(rng, max_orbits=4, max_order=1))
+            if f.is_zero:
+                continue
+            fs.append(f)
+            for _ in range(rng.randint(0, 3)):
+                num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.den.degree)])
+                fs.append(RatFun(num, f.den))
+        fs += [RF_ZERO] * rng.randint(0, 2) + rng.sample(fs, min(len(fs), rng.randint(0, 2)))
+        rng.shuffle(fs)
+        lists.append(fs)
+    return lists
+
+
+class TestMultiInputDifferential:
+    """`_reduce` on several inputs against the per-input reference."""
+
+    @pytest.fixture(scope="class")
+    def lists(self):
+        return _multi_input_lists()
+
+    def test_matches_reference(self, lists):
+        for fs in lists:
+            for want in (False, True):
+                got = _reduce(fs, want)
+                ref = ref_reduce(fs, want)
+                assert len(got) == len(ref) == len(fs)
+                for f, a, r in zip(fs, got, ref):
+                    assert a.reduced == r.reduced, (fs, f)
+                    assert a.certificate == r.certificate, (fs, f)
+                    for field in ("initial", "indices", "factors", "numerators", "shift_gcds", "overlap"):
+                        assert getattr(a.parts, field) == getattr(r.parts, field), (fs, f, field)
+
+    def test_lists_cover_the_cases(self, lists):
+        def shares_den(fs):
+            dens = [f.den for f in fs if not f.is_zero]
+            return len(set(dens)) < len(dens)
+
+        assert sum(any(f.is_zero for f in fs) for fs in lists) >= 5
+        assert sum(shares_den([f for f in fs if fs.count(f) == 1]) for fs in lists) >= 5
+        assert sum(any(fs.count(f) > 1 for f in fs if not f.is_zero) for fs in lists) >= 5
+        assert any(len(ref_reduce(fs, False)[0].parts.shift_gcds) >= 2 for fs in lists)
+
+    def test_one_inverse_per_denominator(self, monkeypatch):
+        den = x * (x + 1) * (x + 3) * (x**2 + 1) * ((x + 2) ** 2 + 1)
+        fs = [RatFun(Poly(range(k, k + den.degree)), den) for k in range(1, 5)]
+        assert all(f.den == den for f in fs)
+        calls = []
+        original = polys.inverse_mod
+
+        def counted(a, m):
+            calls.append(m)
+            return original(a, m)
+
+        monkeypatch.setattr(polys, "inverse_mod", counted)
+        outs = _reduce(fs + [RF_ZERO], True)
+        assert calls == [den]
+        assert len(outs[0].parts.indices) >= 3
+        factors = [out.parts.factors for out in outs]
+        assert len({id(d) for d in factors}) == len(factors)
 
 
 def simple_instance(rng):
