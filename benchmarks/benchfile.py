@@ -34,7 +34,7 @@ def git(*args: str) -> str | None:
     return out.stdout.strip()
 
 
-def record(out: Path, title: str, key: str, rows: list[dict]) -> None:
+def record(out: Path, title: str, key: str, rows: list[dict] | dict) -> None:
     """Merge one run, its rows stored under `key`, into the file `out`; the
     title is written only when the file has none."""
     result = {

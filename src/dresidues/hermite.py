@@ -27,22 +27,31 @@ whose digits are the -b/(e-1) of the steps: in lowest terms, and again
 coprime to q for the next layer, which starts from them with no second
 squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
 or share a factor with q_i, is normalised, by one gcd per layer.
+
+The split and the steps run on the integer-list kernels of `polys`, each
+digit, q' and s a Poly's (integers, denominator) pair in lowest terms; a Poly
+is built only for each layer's r and for `_in_base`.  Exact divisions divide
+by the primitive integer form q._c of the monic q = q._c / q._d, so by
+Gauss's lemma the quotient is integral, and a remainder or a scale raises
+InexactDivisionError.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import Sequence
 
 from . import polys
-from .errors import DomainError, InternalError
+from .errors import DomainError, InexactDivisionError, InternalError
 from .polys import ONE, ZERO, Poly
 from .ratfun import RF_ZERO, RatFun
 
-# The state of one class a / q^e: q, e, the e base-q digits of a, q' and
-# 1/q' mod q (None when e = 1).  A step rewrites only the two lowest digits,
-# so the class costs O(e^2) steps on polynomials of degree below 2 deg q.
-_State = tuple[Poly, int, list[Poly], Poly | None, Poly | None]
+# A polynomial (c_0 + c_1 x + ...) / d as a Poly's (_c, _d) pair.  The state
+# of one class a / q^e: q, e, the e base-q digits of a, q' and 1/q' mod q
+# (None when e = 1).  A step rewrites only the two lowest digits, so the
+# class costs O(e^2) steps on polynomials of degree below 2 deg q.
+_Pair = tuple[Sequence[int], int]
+_State = tuple[Poly, int, list[_Pair], _Pair | None, _Pair | None]
 
 
 def _classes(f: RatFun) -> tuple[tuple[Poly, int], ...]:
@@ -52,12 +61,27 @@ def _classes(f: RatFun) -> tuple[tuple[Poly, int], ...]:
     return decomp.factors
 
 
-def _in_base(digits: list[Poly], q: Poly) -> Poly:
+def _in_base(digits: list[_Pair], q: Poly) -> Poly:
     """sum_j digits[j] * q^j, by Horner."""
     acc = ZERO
-    for d in reversed(digits):
-        acc = acc * q + d
+    for c, d in reversed(digits):
+        acc = acc * q + polys._new(list(c), d)
     return acc
+
+
+def _mod(a: list[int], d: int, big: Sequence[int]) -> _Pair:
+    """(a/d) mod q for q = big/lc(big)."""
+    _, r, m = polys._divrem_int(a, big)
+    return polys._norm(r, m * d)
+
+
+def _exact(a: list[int], big: Sequence[int]) -> list[int]:
+    """a/big for a primitive big that divides a over Q: by Gauss's lemma the
+    quotient is integral, so `_divrem_int` never scales."""
+    quo, r, m = polys._divrem_int(a, big)
+    if m != 1 or any(r):
+        raise InexactDivisionError("inexact division by a squarefree factor")
+    return quo
 
 
 def _split(f: RatFun, classes: tuple[tuple[Poly, int], ...]) -> list[_State]:
@@ -79,29 +103,44 @@ def _split(f: RatFun, classes: tuple[tuple[Poly, int], ...]) -> list[_State]:
         dq, cof_q = q.derivative(), cof % q
         w = polys.inverse_mod(cof_q * dq, q)
         t, s = (w * dq) % q, (w * cof_q) % q
-        n, digits = f.num, []
+        big, qd, n, nd, digits = q._c, q._d, f.num._c, f.num._d, []
         for _ in range(i):
-            quo, rem = n.divrem(q)
-            d = (rem * t) % q
-            digits.append(d)
-            n = quo + (rem - cof * d).exact_div(q)
+            # n/nd = (quo qd/e1) q + r/e1, with e1 = m nd and big = qd q
+            quo, r, m = polys._divrem_int(n, big)
+            e1 = m * nd
+            dc, dd = _mod(polys._mul_int(r, t._c), e1 * t._d, big)
+            digits.append((dc, dd))
+            # the next n is quo qd/e1 + (r/e1 - cof d)/q, over lcm(e1, e2) = e1 h
+            e2 = cof._d * dd
+            h = e2 // math.gcd(e1, e2)
+            top = _exact(polys._lin_int(r, h, polys._mul_int(cof._c, dc), -(e1 * h // e2)), big)
+            n, nd = polys._norm(polys._lin_int(quo, qd * h, top, qd), e1 * h)
         rest = rest - _in_base(digits, q) * cof
-        states.append((q, i, digits, dq, s))
+        states.append((q, i, digits, (dq._c, dq._d), (s._c, s._d)))
     if classes[0][1] == 1:
-        states.insert(0, (classes[0][0], 1, [rest.exact_div(high)], None, None))
+        a = rest.exact_div(high)
+        states.insert(0, (classes[0][0], 1, [(a._c, a._d)], None, None))
     return states
 
 
-def _reduce(q: Poly, e: int, digits: list[Poly], dq: Poly | None, s: Poly | None) -> tuple[list[Poly], Poly]:
+def _reduce(q: Poly, e: int, digits: list[_Pair], dq: _Pair | None, s: _Pair | None) -> tuple[list[_Pair], Poly]:
     """a/q^e = d/dx(G/q^(e-1)) + r/q, by Hermite steps on the two lowest
     base-q digits of a: (the digits of G, r)."""
-    low, pieces = digits[0], []
-    for k, digit in zip(range(e - 1, 0, -1), digits[1:]):
-        b = (low * s) % q
-        scale = Fraction(1, k)
-        pieces.append(b * -scale)
-        low = digit + (low - b * dq).exact_div(q) + b.derivative() * scale
-    return pieces, low
+    big, qd = q._c, q._d
+    (low, ld), pieces = digits[0], []
+    for k, (dc, dd) in zip(range(e - 1, 0, -1), digits[1:]):
+        bc, bd = _mod(polys._mul_int(low, s[0]), ld * s[1], big)  # b = low*s mod q
+        pieces.append(polys._norm([-c for c in bc], bd * k))  # -b/k
+        # With q' = dq[0]/pd, (low - b*q')/q = quo*qd/(ld*bd*pd), and the new
+        # low is that + b'/k + the next digit: over den = ld*bd*pd*k, then
+        # over its lcm with dd.
+        pd = dq[1]
+        quo = _exact(polys._lin_int(low, bd * pd, polys._mul_int(bc, dq[0]), -ld), big)
+        den = ld * bd * pd * k
+        top = polys._lin_int(quo, qd * k, [j * c for j, c in enumerate(bc[1:], 1)], ld * pd)
+        g = math.gcd(dd, den)
+        low, ld = polys._norm(polys._lin_int(top, dd // g, dc, den // g), den // g * dd)
+    return pieces, polys._new(list(low), ld)
 
 
 def _step(states: list[_State]) -> tuple[list[_State], list[tuple[Poly, Poly]]]:

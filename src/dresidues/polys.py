@@ -9,12 +9,15 @@ Gathen & Gerhard, *Modern Computer Algebra*, §6.2).  The zero polynomial is
 ((), 1) and its degree is the sentinel ``None``, never an integer that
 arithmetic could silently consume.
 
-Every kernel runs on Python ints and normalises its result once, in `_new`,
-where a tuple of `Fraction`s pays a gcd on every coefficient operation.
-Division is fraction-free, and it scales the remainder (by lc / gcd(top, lc))
-only at a step where the divisor's leading integer lc does not divide the
-top coefficient: dividing by an integer-monic divisor, the common case, never
-scales, and no case grows like the pseudo-remainder's lc^(deg a - deg b + 1).
+The arithmetic is one set of kernels on integer lists (`_mul_int`,
+`_divrem_int`, `_lin_int` and `_norm`, one gcd per result), where a tuple of
+`Fraction`s pays a gcd on every coefficient operation.  The Poly operators
+wrap them; hot loops (Hermite steps, extended Euclid) run them on (list,
+denominator) pairs and build a Poly only for their outputs.  Division is
+fraction-free, and it scales the remainder (by lc / gcd(top, lc)) only at a
+step where the divisor's leading integer lc does not divide the top
+coefficient: an integer-monic divisor or an integral quotient never scales,
+and no case grows like the pseudo-remainder's lc^(deg a - deg b + 1).
 At the API coefficients are exact rationals (``.coeffs``, ``.lc`` and
 ``.coeff(k)`` are `Fraction` views); there is no floating point anywhere.
 """
@@ -123,17 +126,9 @@ class Poly:
             if not isinstance(other, _COEF_TYPES):
                 return NotImplemented
             other = Poly([other])
-        a, b, d = list(self._c), other._c, self._d
-        if d != other._d:
-            g = math.gcd(d, other._d)
-            ma, mb = other._d // g, d // g
-            a, b, d = [c * ma for c in a], [c * mb for c in b], d * ma
-        if sign < 0:
-            b = [-c for c in b]
-        a.extend([0] * (len(b) - len(a)))
-        for i, c in enumerate(b):
-            a[i] += c
-        return _new(a, d)
+        d, e = self._d, other._d
+        g = math.gcd(d, e)
+        return _new(_lin_int(self._c, e // g, other._c, sign * d // g), d // g * e)
 
     def __add__(self, other) -> Poly:
         return self._add(other, 1)
@@ -154,15 +149,7 @@ class Poly:
                 u = other.numerator
                 return _new([c * u for c in self._c], self._d * other.denominator)
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for k, cb in enumerate(b, i):
-                    out[k] += ca * cb
-        return _new(out, self._d * other._d)
+        return _new(_mul_int(self._c, other._c), self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -186,38 +173,15 @@ class Poly:
     # -- division ----------------------------------------------------------
 
     def divrem(self, other: Poly) -> tuple[Poly, Poly]:
-        """Euclidean division: self = q * other + r with r = 0 or deg r < deg other.
-
-        Fraction-free on the integer parts A of self and B of other: it finds
-        Q, R and s > 0 with s*A = Q*B + R, scaling only at the steps where
-        lc(B) does not divide the top coefficient (see the module docstring).
-        """
+        """Euclidean division: self = q * other + r with r = 0 or deg r < deg
+        other, from `_divrem_int` on the integer parts of self and other."""
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
         if len(self._c) < len(other._c):
             return ZERO, self
-        b = other._c
-        db = len(b) - 1
-        low, lc = b[:-1], b[-1]
-        r = list(self._c)
-        q = [0] * (len(r) - db)
-        s = 1
-        for i in range(len(r) - 1, db - 1, -1):
-            top = r[i]
-            if not top:
-                continue
-            if top % lc:
-                m = abs(lc) // math.gcd(top, lc)
-                s *= m
-                top *= m
-                r[:i] = [c * m for c in r[:i]]
-                q[i - db + 1 :] = [c * m for c in q[i - db + 1 :]]
-            c = top // lc
-            q[i - db] = c
-            for k, bc in enumerate(low, i - db):
-                r[k] -= c * bc
+        q, r, s = _divrem_int(self._c, other._c)
         den = s * self._d
-        return _new([c * other._d for c in q], den), _new(r[:db], den)
+        return _new([c * other._d for c in q], den), _new(r, den)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return self.divrem(other)[0]
@@ -279,25 +243,82 @@ class Poly:
         return f"Poly({poly_str(self)!r})"
 
 
-def _new(cs: list[int], d: int) -> Poly:
-    """The canonical Poly (cs[0] + cs[1] x + ...) / d, for ints cs (the list
-    is consumed) and an int d != 0.  `math.gcd` with many arguments stops
-    computing once the gcd reaches 1, so an integer polynomial (d = 1) costs
-    no gcd at all."""
+def _norm(cs: list[int], d: int) -> tuple[list[int], int]:
+    """(cs[0] + cs[1] x + ...) / d in lowest terms, for ints cs (the list is
+    consumed) and an int d != 0: no trailing zero, d > 0 and gcd(d, *cs) = 1.
+    `math.gcd` with many arguments stops computing once the gcd reaches 1, so
+    an integer polynomial (d = 1) costs no gcd at all."""
     while cs and not cs[-1]:
         cs.pop()
     if not cs:
-        d = 1
-    elif d < 0:
+        return cs, 1
+    if d < 0:
         d, cs = -d, [-c for c in cs]
     g = math.gcd(d, *cs)
     if g != 1:
         d //= g
         cs = [c // g for c in cs]
+    return cs, d
+
+
+def _new(cs: list[int], d: int) -> Poly:
+    """The canonical Poly (cs[0] + cs[1] x + ...) / d (see `_norm`)."""
+    cs, d = _norm(cs, d)
     p = object.__new__(Poly)
     _set_c(p, tuple(cs))
     _set_d(p, d)
     return p
+
+
+def _mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for k, cb in enumerate(b, i):
+                out[k] += ca * cb
+    return out
+
+
+def _lin_int(a: Sequence[int], ma: int, b: Sequence[int], mb: int) -> list[int]:
+    """ma*a + mb*b for integer coefficient lists a, b and ints ma, mb."""
+    if len(a) < len(b):
+        a, ma, b, mb = b, mb, a, ma
+    out = list(a) if ma == 1 else [c * ma for c in a]
+    for i, c in enumerate(b):
+        out[i] += c * mb
+    return out
+
+
+def _divrem_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s*a = q*b + r, s > 0 and r (which may end in zeros)
+    shorter than b, for integer lists a and b, b ending in a nonzero entry;
+    lazily scaled (see the module docstring), so s = 1 if q is integral."""
+    db = len(b) - 1
+    r = list(a)
+    if len(r) <= db:
+        return [], r, 1
+    low, lc = b[:-1], b[-1]
+    q = [0] * (len(r) - db)
+    s = 1
+    for i in range(len(r) - 1, db - 1, -1):
+        top = r[i]
+        if not top:
+            continue
+        if top % lc:
+            m = abs(lc) // math.gcd(top, lc)
+            s *= m
+            top *= m
+            r[:i] = [c * m for c in r[:i]]
+            q[i - db + 1 :] = [c * m for c in q[i - db + 1 :]]
+        c = top // lc
+        q[i - db] = c
+        for k, bc in enumerate(low, i - db):
+            r[k] -= c * bc
+    del r[db:]
+    return q, r, s
 
 
 # The slot setters, which bypass Poly.__setattr__.
@@ -423,15 +444,18 @@ def lcm_all(ps: Iterable[Poly]) -> Poly:
 
 def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Monic g = gcd(a, b) and s with s*a = g mod b: the extended Euclid loop
-    carrying only the cofactor of a."""
-    r0, r1 = a, b
-    s0, s1 = ONE, ZERO
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    scale = 1 / r0.lc
-    return r0 * scale, s0 * scale
+    carrying only the cofactor of a, on (list, denominator) pairs."""
+    r0, d0, r1, d1 = a._c, a._d, b._c, b._d
+    s0, e0, s1, e1 = [1], 1, [], 1
+    while r1:
+        # r0/d0 = (q/dq) (r1/d1) + r/(m d0) with q/dq = quo d1/(m d0).
+        quo, r, m = _divrem_int(r0, r1)
+        q, dq = _norm([c * d1 for c in quo], m * d0)
+        (r0, d0), (r1, d1) = (r1, d1), _norm(r, m * d0)
+        de = dq * e1  # s0/e0 - (q/dq) (s1/e1) over lcm(e0, de)
+        g = math.gcd(e0, de)
+        (s0, e0), (s1, e1) = (s1, e1), _norm(_lin_int(s0, de // g, _mul_int(q, s1), -(e0 // g)), e0 // g * de)
+    return _new(list(r0), r0[-1]), _new([c * d0 for c in s0], e0 * r0[-1])
 
 
 def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

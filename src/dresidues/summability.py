@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import residues
+from . import polys, residues
 from .errors import DomainError
 from .galois import _integer_row, hermite_normal_form
 from .hermite import hermite_list
-from .polys import Poly
+from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
 from .reduction import _reduce
 
@@ -50,7 +50,8 @@ def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun
     one divisor of initial roots; a reduced form is zero exactly when its
     layer is summable, whichever divisor is used.  With `want_certificate` a
     witness g is assembled from the layer certificates through the layer
-    reconstruction identity and returned; each layer's proper antidifference
+    reconstruction identity, over one known denominator and with no gcd
+    (`_assemble`), and returned; each layer's proper antidifference
     is unique, as Delta(h) = 0 forces h constant, so the shared divisor does
     not change g.  Otherwise the second component is None.
     """
@@ -62,12 +63,37 @@ def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun
     if any(not out.reduced.is_zero for out in outs):
         return False, None
     if want_certificate:
-        for k, out in enumerate(outs, 1):
-            piece = out.certificate
-            for _ in range(k - 1):
-                piece = piece.derivative()
-            cert = cert + piece * (Fraction(-1) ** (k - 1) / math.factorial(k - 1))
+        num, den = _assemble([out.certificate for out in outs])
+        cert = RatFun.from_lowest_terms(cert.num * den + num, den)
     return True, cert
+
+
+def _assemble(certs: list[RatFun]) -> tuple[Poly, Poly]:
+    """sum_k (-1)^(k-1)/(k-1)! d^(k-1)/dx^(k-1) c_k, for c_k with simple
+    poles, as (numerator, monic denominator) in lowest terms with no gcd.
+
+    With E the lcm of the den(c_k), Horner's rule H <- c_k/(k-1)! - H' runs on
+    numerators N over E^j, as d/dx(N/E^j) = (N'E - jNE')/E^(j+1), to N/E^m.
+    At a root of E the pole order is the largest k with den(c_k) vanishing
+    there, so with u_k = den(c_k) / gcd(den(c_k), later den(c_k)), E = prod u_k,
+    the denominator is D = prod u_k^k and the numerator N / prod u_k^(m-k).
+    """
+    m, later, us = len(certs), ONE, []
+    for c in reversed(certs):
+        u = c.den if later == ONE or c.den == ONE else c.den.exact_div(polys.gcd(c.den, later))
+        us.append(u)
+        later = later * u
+    e, de, power, num = later, later.derivative(), ONE, ZERO
+    for j, c in enumerate(reversed(certs)):
+        num = num * de * j - num.derivative() * e
+        if not c.is_zero:
+            num = num + c.num * e.exact_div(c.den) * power * Fraction(1, math.factorial(m - j - 1))
+        power = power * e
+    den, rest = ONE, ONE
+    for k, u in zip(range(m, 0, -1), us):
+        if u != ONE:
+            den, rest = den * u**k, rest * u ** (m - k)
+    return num.exact_div(rest), den
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:

@@ -610,3 +610,157 @@ class TestIntegerKernel:
         assert Poly([Fraction(1, 2), Fraction(3, 2)]) * 2 == Poly([1, 3])
         assert hash(Poly(["1/2", 0])) == hash(Poly([Fraction(2, 4)]))
         assert (Poly([]) == 0) and Poly([0, 0])._c == () and Poly([0])._d == 1
+
+
+def _int_coeffs(rng, length):
+    """Seeded integers of 3 to 90 bits, the last one nonzero."""
+    bits = rng.choice((3, 30, 90))
+    out = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+    if out:
+        out[-1] = out[-1] or rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+    return out
+
+
+class TestDivremKernel:
+    """`polys._divrem_int(a, b)` gives (q, r, s) with s*a = q*b + r."""
+
+    def test_identity_on_seeded_inputs(self):
+        rng = random.Random(41)
+        shapes = {"non-monic": 0, "shorter": 0, "zero": 0}
+        for _ in range(400):
+            b = _int_coeffs(rng, rng.randint(1, 9))
+            kind = rng.random()
+            if kind < 0.05:
+                a = []
+            elif kind < 0.15:
+                a = _int_coeffs(rng, rng.randint(0, len(b) - 1))
+            else:
+                a = _int_coeffs(rng, rng.randint(len(b), 20))
+            shapes["non-monic"] += abs(b[-1]) != 1
+            shapes["shorter"] += 0 < len(a) < len(b)
+            shapes["zero"] += not a
+            q, r, s = polys._divrem_int(a, b)
+            assert type(s) is int and s > 0
+            assert all(type(c) is int for c in q + r)
+            assert len(r) < len(b)
+            lhs = polys._lin_int(a, s, polys._mul_int(q, b), -1)
+            assert lhs + [0] * (len(r) - len(lhs)) == r + [0] * (len(lhs) - len(r))
+            if len(a) < len(b):
+                assert (q, r, s) == ([], a, 1)
+        assert all(shapes.values()), shapes
+
+    def test_no_scale_for_integral_quotient(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            b = _to_int_primitive(random_poly(rng, rng.randint(1, 6)))
+            q = _int_coeffs(rng, rng.randint(1, 8))
+            assert polys._divrem_int(polys._mul_int(q, b), b) == (q, [0] * (len(b) - 1), 1)
+
+    def test_matches_poly_divrem(self):
+        for a, b in _kernel_pairs(count=120, seed=45):
+            if not b:
+                continue
+            p, d = Poly(a), Poly(b)
+            q, r, s = polys._divrem_int(p._c, d._c)
+            quo, rem = p.divrem(d)
+            assert quo == Poly([Fraction(c * d._d, s * p._d) for c in q])
+            assert rem == Poly([Fraction(c, s * p._d) for c in r])
+
+
+def _ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_sub(a, b):
+    out = list(a) + [Fraction(0)] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _ref_trim(out)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    r, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, k = r[-1] / b[-1], len(r) - len(b)
+        q[k] = c
+        r = _ref_sub(r, [Fraction(0)] * k + [c * bc for bc in b])
+    return _ref_trim(q), r
+
+
+def ref_ext_gcd(a, b):
+    """Monic g with s*a + t*b = g by the textbook extended Euclid loop on
+    `Fraction` coefficient lists; a test-only reference."""
+    r0, r1, s0, s1, t0, t1 = a, b, [Fraction(1)], [], [], [Fraction(1)]
+    while r1:
+        q, r = _ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_sub(s0, _ref_mul(q, s1))
+        t0, t1 = t1, _ref_sub(t0, _ref_mul(q, t1))
+    lc = r0[-1]
+    return [c / lc for c in r0], [c / lc for c in s0], [c / lc for c in t0]
+
+
+def _rational_pair(rng):
+    """Two polynomials with small rational coefficients, often sharing a factor."""
+    def rand(deg):
+        p = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(deg + 1)]
+        while p[-1] == 0:
+            p[-1] = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        return p
+    a, b = rand(rng.randint(0, 7)), rand(rng.randint(0, 7))
+    if rng.random() < 0.4:
+        common = rand(rng.randint(1, 3))
+        a, b = _ref_mul(a, common), _ref_mul(b, common)
+    if rng.random() < 0.05:
+        a = []
+    return a, b
+
+
+class TestExtendedEuclidReference:
+    """`gcd`, `ext_gcd` and `inverse_mod` against `ref_ext_gcd` on 500 seeded pairs."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = random.Random(2718)
+        return [_rational_pair(rng) for _ in range(500)]
+
+    def test_gcd_and_ext_gcd(self, pairs):
+        for a, b in pairs:
+            g, s, t = ref_ext_gcd(a, b)
+            assert ext_gcd(Poly(a), Poly(b)) == (Poly(g), Poly(s), Poly(t))
+            assert gcd(Poly(a), Poly(b)) == Poly(g)
+
+    def test_inverse_mod(self, pairs):
+        inverses = 0
+        for a, m in pairs:
+            if len(m) < 2:
+                continue
+            reduced = _ref_divmod(a, m)[1]
+            g, s, _ = ref_ext_gcd(reduced, m)
+            if g != [1]:
+                with pytest.raises(DomainError):
+                    inverse_mod(Poly(a), Poly(m))
+                continue
+            inverses += 1
+            assert inverse_mod(Poly(a), Poly(m)) == Poly(_ref_divmod(s, m)[1])
+        assert inverses > 100
+
+    def test_non_coprime_and_zero_arguments(self):
+        with pytest.raises(DomainError):
+            inverse_mod((x - 1) * (x + 2) * (3 * x + 1), (x - 1) * (x**2 + 5))
+        with pytest.raises(DomainError):
+            inverse_mod(Fraction(1, 2) * (x**2 + 1), x**2 + 1)
+        g, s, t = ext_gcd(Fraction(3, 4) * (x**2 - 2), ZERO)
+        assert (g, s, t) == (x**2 - 2, Poly([Fraction(4, 3)]), ZERO)
+        with pytest.raises(DomainError):
+            ext_gcd(ZERO, ZERO)

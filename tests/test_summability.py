@@ -9,10 +9,10 @@ from conftest import random_matrices
 from dresidues import shiftset
 from dresidues.errors import DomainError
 from dresidues.hermite import hermite_list
-from dresidues.polys import ONE, ZERO, Poly, X
+from dresidues.polys import ONE, ZERO, Poly, X, integer_roots, lcm_all
 from dresidues.ratfun import RF_ZERO, RatFun
-from dresidues.reduction import simple_reduction
-from dresidues.summability import is_summable, nullspace, poly_antidifference, vspace
+from dresidues.reduction import _reduce, simple_reduction
+from dresidues.summability import _assemble, is_summable, nullspace, poly_antidifference, vspace
 from dresidues.testkit import (
     build_from_spec,
     random_dispersion_zero,
@@ -203,6 +203,84 @@ class TestOneReduction:
             calls.clear()
             is_summable(f, want_certificate=i % 2 == 1)
             assert len(calls) == (0 if f.proper_part()[1].is_zero else 1), f
+
+
+def ref_assemble(certs):
+    """sum_k (-1)^(k-1)/(k-1)! d^(k-1)/dx^(k-1) c_k by the derivative chain,
+    one `RatFun` derivative and one addition (each with a gcd) per step; a
+    test-only reference for `summability._assemble`."""
+    acc = RF_ZERO
+    for k, piece in enumerate(certs, 1):
+        for _ in range(k - 1):
+            piece = piece.derivative()
+        acc = acc + piece * (Fraction(-1) ** (k - 1) / math.factorial(k - 1))
+    return acc
+
+
+def _certificate_inputs():
+    """Seeded summable inputs: delta images with pole orders up to 8, with
+    (x^2 + a)^k poles, with a polynomial part; one whose certificate
+    denominator is below E^m and one with zero layer certificates."""
+    rng = random.Random(616)
+    fs = []
+    for order in range(1, 9):
+        for _ in range(3):
+            fs.append(random_summable(rng, max_order=order))
+        fs.append(random_summable(rng, max_order=order) + RatFun(random_poly(rng, rng.randint(0, 3))))
+    for a in (1, 2, 3, 5):
+        for k in (1, 2, 3, 4):
+            num = Poly([Fraction(rng.randint(1, 9), rng.randint(1, 5)), rng.randint(-3, 3)])
+            g = RatFun(num, (x**2 + a).shift(rng.randint(-2, 2)) ** k)
+            fs.append((g + RatFun(ONE, (x - Fraction(1, 3)) ** rng.randint(1, 3))).delta())
+    fs.append((RatFun(ONE, x**3) + RatFun(ONE, x - 10)).delta())
+    fs.append(RatFun(ONE, x**4).delta())
+    return fs
+
+
+class TestCertificateAssembly:
+    """The one-denominator certificate against the derivative chain."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for f in _certificate_inputs():
+            outs = _reduce(hermite_list(f.proper_part()[1]), True)
+            out.append((f, [o.certificate for o in outs]))
+        return out
+
+    def test_matches_derivative_chain(self, cases):
+        for f, certs in cases:
+            ref = ref_assemble(certs)
+            assert _assemble(certs) == (ref.num, ref.den), f
+            ok, g = is_summable(f, want_certificate=True)
+            assert ok
+            assert g == ref + RatFun(poly_antidifference(f.proper_part()[0])), f
+            assert g.delta() == f
+
+    def test_random_simple_pole_lists(self):
+        rng = random.Random(617)
+        pool = [x, x + 1, x - 2, x + Fraction(1, 2), x**2 + 1, x**2 + x + 1, x**2 - 3]
+        for _ in range(60):
+            certs = []
+            for _ in range(rng.randint(1, 6)):
+                den = ONE
+                for q in rng.sample(pool, rng.randint(0, 3)):
+                    den = den * q
+                num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(den.degree + 1)])
+                certs.append(RatFun(num, den).proper_part()[1] if rng.random() < 0.8 else RF_ZERO)
+            ref = ref_assemble(certs)
+            assert _assemble(certs) == (ref.num, ref.den), certs
+
+    def test_cases_cover_the_shapes(self, cases):
+        def below(certs):
+            e = lcm_all(c.den for c in certs)
+            return _assemble(certs)[1].degree < len(certs) * e.degree
+
+        assert max(len(certs) for _, certs in cases) == 8
+        assert any(not f.proper_part()[0].is_zero for f, _ in cases)
+        assert any(c.is_zero for _, certs in cases for c in certs[:-1])
+        assert any(below(certs) for _, certs in cases)
+        assert any(not integer_roots(c.den) for _, certs in cases for c in certs if not c.den.is_constant)
 
 
 class TestNullspace:
