@@ -257,10 +257,7 @@ def _vec_str(vec) -> str:
 
 def _cmd_dres(args) -> tuple[list[str], dict]:
     _, f = parse(args.expr).proper_part()
-    if args.per_order:
-        pairs = residues.discrete_residues(f) if not f.is_zero else []
-    else:
-        pairs = residues.discrete_residues_coordinated(f) if not f.is_zero else []
+    pairs = (residues.discrete_residues if args.per_order else residues.discrete_residues_coordinated)(f)
     if args.pretty:
         lines = [f"k={k}: B = {poly_str(p.places)}, D = {poly_str(p.values)}" for k, p in enumerate(pairs, 1)]
     else:

@@ -79,7 +79,10 @@ def exp_log_derivative(g: RatFun) -> RatFun:
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of the lattice {e in Z^ncols : M e = 0}: the rows of the Hermite
     normal form of [M^T | I] whose M^T part is zero, restricted to the I part
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  Those
+    rows are the bottom block of an echelon form, so the basis is already its
+    own Hermite normal form: echelon, positive pivots, reduced entries above
+    each pivot."""
     m = len(rows)
     aug = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
     return [row[m:] for row in hermite_normal_form(aug) if not any(row[:m])]
@@ -169,7 +172,7 @@ def _solution_lattice(reduced: list[RatFun]) -> list[list[int]]:
     integer row per power of x in their first-residue polynomials."""
     big, ps = residues.first_residues_multi(reduced)
     rows = [_integer_row([p.coeff(power) for p in ps]) for power in range(len(big.coeffs) - 1)]
-    return hermite_normal_form(integer_kernel([row for row in rows if any(row)], len(reduced)))
+    return integer_kernel([row for row in rows if any(row)], len(reduced))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ fraction-free, and it scales the remainder (by lc / gcd(top, lc)) only at a
 step where the divisor's leading integer lc does not divide the top
 coefficient: an integer-monic divisor or an integral quotient never scales,
 and no case grows like the pseudo-remainder's lc^(deg a - deg b + 1).
+One integer Newton kernel (`_newton`, then `_from_falling` to monomials)
+interpolates for `resultant_shift` and `summability.poly_antidifference`.
 At the API coefficients are exact rationals (``.coeffs``, ``.lc`` and
 ``.coeff(k)`` are `Fraction` views); there is no floating point anywhere.
 """
@@ -595,33 +597,34 @@ def _shift_values(big: list[int], count: int) -> list[int]:
     return values
 
 
-def _interpolate_shift_values(values: list[int]) -> Poly:
-    """The integer polynomial of degree < len(values) through (l, values[l]),
-    where the values are Res_x(B(x), B(x+l)) for an integer B of degree n
-    and l = 0..n^2.
-
-    The divided differences of R_B(z) = Res_x(B(x), B(x+z)) over consecutive
-    integer nodes, Delta^k R_B(a) / k!, are the coefficients of R_B(z+a) in
-    the falling-factorial basis z(z-1)...(z-k+1); each z^m is an integer
-    (Stirling) combination of that basis, so k! divides Delta^k R_B(a) and
-    every division below is exact."""
+def _newton(values: Sequence[int]) -> list[int]:
+    """The coefficients c_k = Delta^k v(0) / k! of the polynomial v of degree
+    < len(values) through (j, values[j]) in the falling-factorial basis
+    z(z-1)...(z-k+1): divided differences over the nodes 0, 1, 2, ..., on
+    integers.  That basis and the monomials are integer (Stirling)
+    combinations of each other, so every division is exact when v is in Z[z];
+    a remainder raises InexactDivisionError."""
     coef = list(values)
-    top = len(coef) - 1
-    for k in range(1, top + 1):
-        for i in range(top, k - 1, -1):
+    for k in range(1, len(coef)):
+        for i in range(len(coef) - 1, k - 1, -1):
             coef[i], rem = divmod(coef[i] - coef[i - 1], k)
             if rem:
-                raise InexactDivisionError("divided difference of Res_x(B(x), B(x+z)) not integral")
-    # Newton form to monomials: R = c_0 + z*(c_1 + (z-1)*(c_2 + ...)).
-    out = [coef.pop()]
-    for k in range(top - 1, -1, -1):
+                raise InexactDivisionError("divided difference not integral")
+    return coef
+
+
+def _from_falling(coef: Sequence[int]) -> list[int]:
+    """The monomial coefficients of sum_k coef[k] z(z-1)...(z-k+1), by
+    Horner's rule on the Newton form c_0 + z*(c_1 + (z-1)*(c_2 + ...))."""
+    out = list(coef[-1:])
+    for k in range(len(coef) - 2, -1, -1):
         out = [coef[k] - k * out[0]] + [out[i - 1] - k * out[i] for i in range(1, len(out))] + [out[-1]]
-    return _new(out, 1)
+    return out
 
 
 def resultant_shift(b: Poly) -> Poly:
     """R(z) = Res_x(b(x), b(x+z)) by evaluation at z = 0..deg(b)^2 followed by
-    exact interpolation, all on integers.
+    exact interpolation (`_newton`, then `_from_falling`), all on integers.
 
     For b = s*B with B primitive, R = s^(2n) * R_B with R_B = Res_x(B(x), B(x+z))
     in Z[z].  The leading x-coefficient of B(x+z) does not depend on z, so every
@@ -630,7 +633,7 @@ def resultant_shift(b: Poly) -> Poly:
         raise DomainError("resultant_shift requires degree >= 2")
     n = b.degree
     big = _to_int_primitive(b)
-    return _interpolate_shift_values(_shift_values(big, n * n + 1)) * (b.lc / big[-1]) ** (2 * n)
+    return _new(_from_falling(_newton(_shift_values(big, n * n + 1))), 1) * (b.lc / big[-1]) ** (2 * n)
 
 
 # -- integer factorization and root finding ------------------------------------

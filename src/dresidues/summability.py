@@ -22,24 +22,16 @@ from .reduction import _reduce
 
 
 def poly_antidifference(p: Poly) -> Poly:
-    """A polynomial q with q(x+1) - q(x) = p, via the binomial basis.
-
-    Delta maps binomial(x, k+1) to binomial(x, k), so writing p in the
-    binomial basis by iterated differencing at 0 and shifting the basis index
-    gives an antidifference (normalized by q(0) = 0).
-    """
-    # Iterated finite differences of p evaluated at 0.
-    diffs: list[Fraction] = []
-    cur = p
-    while not cur.is_zero:
-        diffs.append(cur(0))
-        cur = cur.shift(1) - cur
-    q = Poly()
-    binom = Poly([0, 1])  # binomial(x, 1) = x
-    for k, d in enumerate(diffs):
-        binom = binom if k == 0 else binom * Poly([-k, 1]) * Fraction(1, k + 1)
-        q = q + binom * d
-    return q
+    """The polynomial q with q(x+1) - q(x) = p and q(0) = 0.  For p = P/d with
+    P in Z[x] of degree n, `polys._newton` on P(0), ..., P(n) gives integers
+    c_k with P = sum_k c_k x(x-1)...(x-k+1).  Delta maps x(x-1)...(x-k)/(k+1)
+    to x(x-1)...(x-k+1), so q = sum_k c_k x(x-1)...(x-k)/(k+1) / d, which
+    `polys._from_falling` puts into monomials over one denominator d (n+1)!."""
+    if p.is_zero:
+        return p
+    n, scale = p.degree, math.factorial(p.degree + 1)
+    coef = polys._newton([polys._horner(p._c, j) for j in range(n + 1)])
+    return polys._new(polys._from_falling([0] + [c * (scale // (k + 1)) for k, c in enumerate(coef)]), p._d * scale)
 
 
 def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun | None]:

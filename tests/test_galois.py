@@ -208,6 +208,16 @@ class TestIntegerLinearAlgebra:
                     reducedv = [a // g for a in v]
                     assert lattice_contains(basis, reducedv)
 
+    def test_kernel_is_its_own_normal_form(self):
+        # The kernel rows are the bottom block of a Hermite normal form, so
+        # callers need no second normal form.
+        rng = random.Random(20261019)
+        for _ in range(500):
+            m, n = rng.randint(0, 5), rng.randint(1, 7)
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            basis = integer_kernel(rows, n)
+            assert basis == hermite_normal_form(basis), rows
+
     def test_hnf_canonical(self):
         # same lattice, different bases, same normal form
         assert hermite_normal_form([[1, -1, 0], [0, 1, -1]]) == hermite_normal_form(

@@ -13,6 +13,9 @@ from dresidues.polys import (
     Poly,
     X,
     _cauchy_bound,
+    _from_falling,
+    _horner,
+    _newton,
     _subresultant,
     _to_int_primitive,
     divisors_upto,
@@ -258,6 +261,25 @@ class TestResultantShift:
             cs = [frac(rng.randint(-20, 20), rng.randint(2, 9)) for _ in range(deg)] + [lead]
             b = Poly(cs) * frac(6, 35)
             assert resultant_shift(b) == resultant_shift_prs(b), f"backends disagree on {b}"
+
+
+class TestNewtonKernel:
+    def test_round_trip_through_falling_factorials(self):
+        rng = random.Random(1917)
+        for n in range(26):
+            for _ in range(4):
+                big = [rng.randint(-50, 50) for _ in range(n)] + [rng.choice([-1, 1]) * rng.randint(1, 50)]
+                assert _from_falling(_newton([_horner(big, j) for j in range(n + 1)])) == big, big
+
+    def test_falling_factorial_is_a_unit_vector(self):
+        # z(z-1)(z-2) at 0..4 is 0, 0, 0, 6, 24.
+        assert _newton([0, 0, 0, 6, 24]) == [0, 0, 0, 1, 0]
+        assert _from_falling([0, 0, 0, 1]) == [0, 2, -3, 1]
+
+    def test_non_integral_interpolant_raises(self):
+        # The values 0, 0, 1 interpolate z(z-1)/2, which is not in Z[z].
+        with pytest.raises(InexactDivisionError):
+            _newton([0, 0, 1])
 
 
 class TestResultantCores:

@@ -77,6 +77,41 @@ class TestPolyAntidifference:
             assert q.shift(1) - q == p
 
 
+def ref_poly_antidifference(p):
+    """The antidifference with q(0) = 0 from the iterated differences of p at
+    0 in the binomial basis, with `Fraction` values and binomial products; a
+    test-only reference."""
+    diffs = []
+    cur = p
+    while not cur.is_zero:
+        diffs.append(cur(0))
+        cur = cur.shift(1) - cur
+    q = Poly()
+    binom = Poly([0, 1])  # binomial(x, 1) = x
+    for k, d in enumerate(diffs):
+        binom = binom if k == 0 else binom * Poly([-k, 1]) * Fraction(1, k + 1)
+        q = q + binom * d
+    return q
+
+
+class TestPolyAntidifferenceReference:
+    def test_matches_binomial_reference(self):
+        rng = random.Random(20261019)
+        cases = [ZERO]
+        for _ in range(240):
+            n = rng.randint(0, 30)
+            lead = 0
+            while not lead:
+                lead = rng.randint(-20, 20)
+            cs = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
+            cases.append(Poly(cs + [Fraction(lead, rng.randint(1, 12))]))
+        for p in cases:
+            q = poly_antidifference(p)
+            assert q == ref_poly_antidifference(p), p
+            assert q(0) == 0 and q.shift(1) - q == p, p
+        assert {p.degree for p in cases} >= set(range(31))
+
+
 class TestIsSummable:
     def test_telescoping(self):
         ok, cert = is_summable(RatFun(ONE, x * (x + 1)), want_certificate=True)
