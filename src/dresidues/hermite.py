@@ -115,7 +115,8 @@ def _split(f: RatFun, classes: tuple[tuple[Poly, int], ...]) -> list[_State]:
             h = e2 // math.gcd(e1, e2)
             top = _exact(polys._lin_int(r, h, polys._mul_int(cof._c, dc), -(e1 * h // e2)), big)
             n, nd = polys._norm(polys._lin_int(quo, qd * h, top, qd), e1 * h)
-        rest = rest - _in_base(digits, q) * cof
+        if classes[0][1] == 1:
+            rest = rest - _in_base(digits, q) * cof
         states.append((q, i, digits, (dq._c, dq._d), (s._c, s._d)))
     if classes[0][1] == 1:
         a = rest.exact_div(high)

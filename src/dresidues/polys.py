@@ -20,6 +20,10 @@ coefficient: an integer-monic divisor or an integral quotient never scales,
 and no case grows like the pseudo-remainder's lc^(deg a - deg b + 1).
 One integer Newton kernel (`_newton`, then `_from_falling` to monomials)
 interpolates for `resultant_shift` and `summability.poly_antidifference`.
+Most gcds are coprimality questions: `_coprime` settles those by one integer
+gcd of values at a power of 2 beyond a root bound (the coprime half of Char,
+Geddes & Gonnet's heuristic gcd), ahead of `gcd`'s primitive PRS and of each
+resultant of `shiftset.shift_set`'s scan.
 At the API coefficients are exact rationals (``.coeffs``, ``.lc`` and
 ``.coeff(k)`` are `Fraction` views); there is no floating point anywhere.
 """
@@ -405,8 +409,20 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True only if the integer lists a and b (b nonzero) share no factor of
+    positive degree: gcd(a(xi), b(xi)) < xi - m at xi = 2^k, k = bitlen(m) + 32,
+    where every root of b lies below m = 2 + max|b_i| // |lc b| (Cauchy's bound).
+    Proof: a common factor G in Z[x] has G(xi) | gcd(a(xi), b(xi)) by Gauss's lemma, and
+    b(xi) != 0; G's roots are b's, so |G(xi)| >= (xi - m)^deg G.  False proves nothing."""
+    m = 2 + max(map(abs, b)) // abs(b[-1])
+    xi = 1 << (m.bit_length() + 32)
+    return math.gcd(_horner(a, xi), _horner(b, xi)) < xi - m
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by primitive PRS over the integers.
+    """Monic greatest common divisor: ONE when `_coprime` certifies it (most
+    calls), otherwise by primitive PRS over the integers.
 
     >>> gcd(Poly([-1, 0, 1]), Poly([1, -2, 1]))
     Poly('x - 1')
@@ -420,8 +436,11 @@ def gcd(a: Poly, b: Poly) -> Poly:
     aa, bb = _to_int_primitive(a), _to_int_primitive(b)
     if len(aa) < len(bb):
         aa, bb = bb, aa
-    # Primitive PRS: on the gcd calls of the perfbench workloads the subresultant
-    # PRS gave the same gcds ~10% slower, and lazy scaling (as in divrem) was no faster.
+    if _coprime(aa, bb):
+        return ONE
+    # Primitive PRS, for the pairs not certified coprime: on the gcd calls of the perfbench
+    # workloads the subresultant PRS gave the same gcds ~10% slower, and lazy scaling (as
+    # in divrem) was no faster.
     while bb:
         rr = _int_primitive(_int_prem(aa, bb))
         aa, bb = bb, rr

@@ -9,9 +9,9 @@ of B(x+c), with c an integer near the mean of the roots: translating by c
 moves every root and changes no difference.  When L <= deg(b)^2 + 1 the
 shift set is read off v(1), ..., v(L-1).  Otherwise it is the positive
 integer roots of `polys.resultant_shift`(b), a constant multiple of
-R(z) = Res_x(B(x), B(x+z)) interpolated from v(0), ..., v(deg(b)^2).  Both
-routes evaluate v by the same loop, and neither evaluates more values than
-interpolation needs.
+R(z) = Res_x(B(x), B(x+z)) interpolated from v(0), ..., v(deg(b)^2).  The
+scan computes v(l) only when `polys._coprime` cannot certify B(x+l) coprime
+to B, so it never evaluates more values than interpolation needs.
 """
 
 from __future__ import annotations
@@ -50,8 +50,12 @@ def shift_set(b: Poly) -> ShiftSetResult:
     polys._taylor_shift(centred, -big[-2] // (n * big[-1]))
     bound = 2 * polys._cauchy_bound(centred)
     if bound <= n * n + 1:
-        values = polys._shift_values(big, bound)
-        return ShiftSetResult(tuple(ell for ell in range(1, bound) if not values[ell]))
+        shifted, shifts = list(big), []
+        for ell in range(1, bound):
+            polys._taylor_shift(shifted, 1)
+            if not polys._coprime(shifted, big) and not polys._subresultant(big, shifted):
+                shifts.append(ell)
+        return ShiftSetResult(tuple(shifts))
     roots = polys.integer_roots(polys.resultant_shift(b))
     return ShiftSetResult(tuple(sorted(ell for ell in roots if ell > 0)))
 

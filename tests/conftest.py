@@ -2,7 +2,8 @@
 seeded random matrices, the per-function first-residues reference, the
 per-part-inverse partial-fraction reference, the character-loop tokenizer
 and expression-tree parser references, the Fraction-tuple polynomial
-reference and the subresultant-PRS shift-resultant reference."""
+reference, the subresultant-PRS shift-resultant reference and the
+primitive-PRS gcd reference."""
 
 from __future__ import annotations
 
@@ -617,3 +618,45 @@ def resultant_shift_prs(b: Poly) -> Poly:
     if da == 0:
         return ONE * sign
     return (b_[0] ** da).exact_div(h ** (da - 1)) * sign
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return [c // g for c in cs]
+
+
+def _int_prem_ref(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b over Z, one leading term at a time."""
+    lead, r = b[-1], list(a)
+    e = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        top, shift = r[-1], len(r) - len(b)
+        r = [lead * c for c in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= top * bc
+        while r and r[-1] == 0:
+            r.pop()
+        e -= 1
+    return [c * lead**e for c in r] if e > 0 else r
+
+
+def gcd_prs(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the primitive PRS over Z on every pair, the loop `polys.gcd`
+    ran before it certified coprime pairs first.
+
+    Kept as an independent oracle for `polys.gcd` and `polys._coprime`."""
+    if a.is_zero and b.is_zero:
+        raise DomainError("gcd(0, 0) is undefined")
+    if a.is_zero or b.is_zero:
+        return (a + b).monic()
+    den = math.lcm(*(c.denominator for c in a.coeffs + b.coeffs))
+    aa = _primitive([int(c * den) for c in a.coeffs])
+    bb = _primitive([int(c * den) for c in b.coeffs])
+    if len(aa) < len(bb):
+        aa, bb = bb, aa
+    while bb:
+        rr = _int_prem_ref(aa, bb)
+        aa, bb = bb, _primitive(rr) if rr else rr
+    return Poly(aa).monic()

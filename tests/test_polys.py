@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import RefPoly, resultant_shift_prs
+from conftest import RefPoly, gcd_prs, resultant_shift_prs
 
 from dresidues import polys
 from dresidues.errors import DomainError, FactorLimitError, InexactDivisionError
@@ -13,8 +13,10 @@ from dresidues.polys import (
     Poly,
     X,
     _cauchy_bound,
+    _coprime,
     _from_falling,
     _horner,
+    _mul_int,
     _newton,
     _subresultant,
     _to_int_primitive,
@@ -98,6 +100,58 @@ class TestGcd:
                 assert b % g == ZERO
             if not (a.is_zero or b.is_zero):
                 assert (g % common.monic()) == ZERO
+
+
+def _coprime_pairs(count=2000, seed=20261019):
+    """Seeded integer-list pairs (a, b, planted) of degrees 0-10 with
+    coefficients up to 10^6; every second pair shares a planted factor
+    prod (c x - r) of degree 1-3, with c up to 10^3 and r up to 10^9."""
+    rng = random.Random(seed)
+
+    def rand(deg):
+        lead = 0
+        while not lead:
+            lead = rng.randint(-(10**6), 10**6)
+        return [rng.randint(-(10**6), 10**6) for _ in range(deg)] + [lead]
+
+    pairs = []
+    for i in range(count):
+        common = [1]
+        if i % 2:
+            for _ in range(rng.randint(1, 3)):
+                common = _mul_int(common, [rng.randint(-(10**9), 10**9), rng.choice((-1, 1)) * rng.randint(1, 10**3)])
+        top = 11 - len(common)
+        a = _mul_int(common, rand(rng.randint(0, top)))
+        b = _mul_int(common, rand(rng.randint(0, top)))
+        pairs.append((a, b, i % 2 == 1))
+    return pairs
+
+
+class TestCoprimeCertificate:
+    def test_seeded_pairs_against_the_prs_reference(self):
+        certified = 0
+        for a, b, planted in _coprime_pairs():
+            for u, v in ((a, b), (b, a)):
+                if planted:
+                    assert not _coprime(u, v), (u, v)
+                elif _coprime(u, v):
+                    certified += 1
+                    assert _subresultant(u, v) != 0, (u, v)
+            assert gcd(Poly(a), Poly(b)) == gcd_prs(Poly(a), Poly(b)), (a, b)
+        # The certificate is not vacuous: it settles nearly every pair
+        # without a planted factor.
+        assert certified > 0.9 * 2000
+
+    def test_defeated_certificate_falls_back_to_the_prs(self):
+        # a = b + b(2^k) is coprime to b for every k, but a(2^k) = 2 b(2^k),
+        # so the value gcd is as large as b(2^k) at the test's own point.
+        for b in ([-7, 3, 1], [1, 0, 1], [5, -2, 0, 3], [-6, 9, 2, 0, -8, 4, -7]):
+            defeated = 0
+            for k in range(1, 81):
+                a = [b[0] + _horner(b, 2**k)] + b[1:]
+                assert gcd(Poly(a), Poly(b)) == ONE, (b, k)
+                defeated += not _coprime(a, b)
+            assert defeated, b
 
 
 class TestExtGcd:

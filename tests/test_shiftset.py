@@ -138,6 +138,44 @@ class TestShiftSet:
         want = {ell for ell in range(1, 41) if not gcd(b, b.shift(ell)).is_constant}
         assert shift_set(b).as_set() == want
 
+    def test_matches_the_subresultant_definition_on_both_routes(self):
+        # The shift set is {l < L : Res_x(B(x), B(x+l)) = 0}, with no gcd and
+        # no value certificate in the reference.  Clustered roots up to 10^7
+        # take the scan route, spread ones the interpolation route, and the
+        # interpolation route is also run on every input directly.
+        rng = random.Random(1907)
+        bs = []
+        for spread in (6, 15, 40):
+            for _ in range(5):
+                centre = rng.randint(-(10**7), 10**7)
+                b = Poly([1])
+                for r in rng.sample(range(-spread, spread + 1), rng.randint(2, 6)):
+                    b = b * (x - centre - r)
+                bs.append(b)
+        for _ in range(8):
+            centre = rng.randint(-(10**7), 10**7)
+            b = Poly([1])
+            for _ in range(rng.randint(1, 2)):
+                q = random_poly(rng, 2).shift(-centre)
+                b = b * q * q.shift(rng.randint(1, 4))
+            bs.append(b)
+        routes = set()
+        for b in bs:
+            big = polys._to_int_primitive(b)
+            centred = list(big)
+            polys._taylor_shift(centred, -big[-2] // (b.degree * big[-1]))
+            bound = 2 * polys._cauchy_bound(centred)
+            routes.add(bound > b.degree**2 + 1)
+            shifted, want = list(big), []
+            for ell in range(1, bound):
+                polys._taylor_shift(shifted, 1)
+                if not polys._subresultant(big, shifted):
+                    want.append(ell)
+            assert shift_set(b).shifts == tuple(want), b
+            roots = polys.integer_roots(polys.resultant_shift(b))
+            assert tuple(sorted(ell for ell in roots if ell > 0)) == tuple(want), b
+        assert routes == {False, True}
+
     def test_no_gcd_calls(self, monkeypatch, golden):
         calls = []
         original = polys.gcd
