@@ -43,19 +43,25 @@ def exp_log_derivative(g: RatFun) -> RatFun:
 
     For g = a/b the candidate residues are the integer roots of the
     Rothstein-Trager resultant Res_x(b, a - z*b') (Bronstein, *Symbolic
-    Integration I*, 2.5), one subresultant PRS over Q[z]: at a simple root t
-    of b, a(t) - z*b'(t) = b'(t) * (c - z) for the residue c there, and the
-    multiplicity-c part of p is gcd(b, a - c*b').  Raises DomainError when g
-    is not a log derivative (non-integer residues or a repeated pole)."""
+    Integration I*, 2.5): at a simple root t of b, a(t) - z*b'(t) =
+    b'(t) * (c - z) for the residue c there, and the multiplicity-c part of p
+    is gcd(b, a - c*b').  For b = s*B with B primitive of degree n, and
+    l*(a - z*b') = A - z*D over the integers, it is s^(n-1) l^(-n) Res_x(B, A - z*D),
+    interpolated from integer subresultants at z = 0..n, each times
+    lc(B)^(n-1-deg(A - z*D)) to keep the formal x-degree n - 1.  Raises DomainError
+    when g is not a log derivative (non-integer residues or a repeated pole)."""
     if not g.is_proper:
         raise DomainError("exp_log_derivative requires a proper input")
     if g.is_zero:
         return RatFun(ONE)
     a, b = g.num, g.den
     db = b.derivative()
-    norm = polys._subresultant(
-        [Poly([c]) for c in b.coeffs], [Poly([a.coeff(k), -db.coeff(k)]) for k in range(b.degree)]
-    )
+    n = b.degree
+    big = polys._to_int_primitive(b)
+    lam = math.lcm(a._d, db._d)
+    lins = (polys._norm(polys._lin_int(a._c, lam // a._d, db._c, -j * (lam // db._d)), 1)[0] for j in range(n + 1))
+    values = [polys._subresultant(big, lin) * big[-1] ** (n - len(lin)) if lin else 0 for lin in lins]
+    norm = polys._new(polys._from_falling(polys._newton(values)), 1) * ((b.lc / big[-1]) ** (n - 1) / lam**n)
     cands = sorted(polys.integer_roots(norm) - {0})
     num = den = cover = ONE
     for c in cands:

@@ -18,8 +18,9 @@ fraction-free, and it scales the remainder (by lc / gcd(top, lc)) only at a
 step where the divisor's leading integer lc does not divide the top
 coefficient: an integer-monic divisor or an integral quotient never scales,
 and no case grows like the pseudo-remainder's lc^(deg a - deg b + 1).
-One integer Newton kernel (`_newton`, then `_from_falling` to monomials)
-interpolates for `resultant_shift` and `summability.poly_antidifference`.
+Every private kernel runs on integer lists.  One Newton kernel (`_newton`, then
+`_from_falling` to monomials) interpolates `resultant_shift`, the norm of
+`galois.exp_log_derivative` and `summability.poly_antidifference`.
 Most gcds are coprimality questions: `_coprime` settles those by one integer
 gcd of values at a power of 2 beyond a root bound (the coprime half of Char,
 Geddes & Gonnet's heuristic gcd), ahead of `gcd`'s primitive PRS and of each
@@ -381,7 +382,7 @@ def _to_int_primitive(p: Poly) -> list[int]:
     return _int_primitive(list(p._c))
 
 
-def _taylor_shift(cs: list, c) -> None:
+def _taylor_shift(cs: list[int], c: int) -> None:
     """p(x) -> p(x + c) on the coefficient list in place, by repeated synthetic division."""
     for i in range(len(cs) - 1):
         for j in range(len(cs) - 2, i - 1, -1):
@@ -389,7 +390,7 @@ def _taylor_shift(cs: list, c) -> None:
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over Z or Q[z]."""
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, on integer lists."""
     da, db = len(a) - 1, len(b) - 1
     lead = b[-1]
     r = list(a)
@@ -557,25 +558,25 @@ def squarefree_decomposition(p: Poly) -> SquarefreeDecomposition:
 # -- resultants ----------------------------------------------------------------
 
 
-def _subresultant(a: list, b: list):
-    """Res_x of two nonzero polynomials with coefficients in Z or in Q[z]
-    (lists of ints or of `Poly` in z) by the subresultant PRS."""
+def _subresultant(a: list[int], b: list[int]) -> int:
+    """Res_x of two nonzero integer polynomials, as coefficient lists ending in
+    a nonzero entry, by the subresultant PRS."""
     sign = 1
     if len(a) < len(b):
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
             sign = -sign
         a, b = b, a
-    g = h = one = a[-1] ** 0  # int ** 0 is 1 and Poly ** 0 is ONE
+    g = h = 1
     while len(b) - 1 > 0:
         delta = len(a) - len(b)
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
             sign = -sign
         r = _int_prem(a, b)
         if not r:
-            return one * 0
+            return 0
         a = b
         factor = g * h**delta
-        b = [c // factor for c in r]  # exact, in Z and in Q[z]
+        b = [c // factor for c in r]  # exact
         g = a[-1]
         if delta == 1:
             h = g
@@ -584,7 +585,7 @@ def _subresultant(a: list, b: list):
     # b is now a nonzero constant
     da = len(a) - 1
     if da == 0:
-        return one * sign
+        return sign
     return sign * b[0] ** da // h ** (da - 1)
 
 
@@ -603,17 +604,6 @@ def resultant(a: Poly, b: Poly) -> Fraction:
     sa = a.lc / ai[-1]
     sb = b.lc / bi[-1]
     return sa**b.degree * sb**a.degree * _subresultant(ai, bi)
-
-
-def _shift_values(big: list[int], count: int) -> list[int]:
-    """Res_x(B(x), B(x+l)) for l = 0..count-1, for an integer coefficient
-    list B: one subresultant per value, stepping B(x+l) by a Taylor shift."""
-    shifted = list(big)
-    values = []
-    for _ in range(count):
-        values.append(_subresultant(big, shifted))
-        _taylor_shift(shifted, 1)
-    return values
 
 
 def _newton(values: Sequence[int]) -> list[int]:
@@ -652,7 +642,11 @@ def resultant_shift(b: Poly) -> Poly:
         raise DomainError("resultant_shift requires degree >= 2")
     n = b.degree
     big = _to_int_primitive(b)
-    return _new(_from_falling(_newton(_shift_values(big, n * n + 1))), 1) * (b.lc / big[-1]) ** (2 * n)
+    shifted, values = list(big), []
+    for _ in range(n * n + 1):
+        values.append(_subresultant(big, shifted))
+        _taylor_shift(shifted, 1)  # B(x + j) -> B(x + j + 1)
+    return _new(_from_falling(_newton(values)), 1) * (b.lc / big[-1]) ** (2 * n)
 
 
 # -- integer factorization and root finding ------------------------------------

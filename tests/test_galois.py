@@ -85,7 +85,18 @@ class TestExpLogDerivative:
             return original(q)
 
         monkeypatch.setattr(polys, "integer_roots", captured)
-        for p, exponents in _factored_products():
+        # b with non-integer coefficients and a node c in 0..deg b where
+        # deg(a - c*b') drops: the residues sum to c * deg b.  In the first,
+        # a - 0*b' has degree 4, not 5; in the degree-12 one, a - 1*b' drops.
+        dropping = [
+            (RatFun((x - Fraction(1, 2)) * (x**2 + 1), (x + Fraction(3, 4)) * (x**2 + 3)), {1, -1}),
+            (
+                RatFun((x - Fraction(1, 3)) ** 3 * (x + Fraction(5, 2)) * (x.shift(Fraction(1, 2)) ** 2 - 2) ** 2)
+                * RatFun((x**3 + x + 1) ** 2 * (x**2 + 3), (x + Fraction(7, 4)) ** 2 * (x**2 + x + 1)),
+                {3, 1, 2, -2, -1},
+            ),
+        ]
+        for p, exponents in _factored_products() + dropping:
             if not exponents:
                 continue
             g = log_derivative(p)
@@ -94,7 +105,7 @@ class TestExpLogDerivative:
             (norm,) = norms
             a, b = g.num, g.den
             assert norm.degree == b.degree
-            for c in range(-4, 5):
+            for c in range(-4, b.degree + 2):
                 assert norm(c) == polys.resultant(b, a - b.derivative() * c)
             assert original(norm) - {0} == exponents
 
