@@ -374,10 +374,15 @@ class TestResultantCores:
                 assert type(got) is Fraction and got == self._euclid_resultant(u, v), (u, v)
 
     def test_int_core_known_value(self):
-        # Res(x^2 - 1, x - 2) = (2-1)(2+1) = 3, Res(x^2 - 1, x + 1) = 0 and Res(2, x + 1) = 2
+        # Res(x^2 - 1, x - 2) = (2-1)(2+1) = 3
         assert _subresultant([-1, 0, 1], [-2, 1]) == 3
-        assert _subresultant([-1, 0, 1], [1, 1]) == 0
-        assert _subresultant([2], [1, 1]) == 2
+
+    def test_loop_returns_in_the_inputs_ring(self):
+        # Res(x^2 - 1, x + 1) = 0 and Res(2, x + 1) = 2, as Python ints over Z.
+        zero = _subresultant([-1, 0, 1], [1, 1])
+        two = _subresultant([2], [1, 1])
+        assert type(zero) is int and zero == 0
+        assert type(two) is int and two == 2
 
     def test_root_product(self):
         a = (x - 1) * (x - 2) * (x + 3)
