@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
+    except (DomainError, UnicodeDecodeError) as exc:  # the latter from a spec file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, InexactDivisionError, AssertionError) as exc:

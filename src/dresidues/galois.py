@@ -135,7 +135,7 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
             if q:
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
-    return [row for row in mat[:rank]]
+    return mat[:rank]
 
 
 def lattice_contains(basis: list[list[int]], vec: list[int]) -> bool:
@@ -233,8 +233,7 @@ def multiplicative_relations(rs: list[RatFun]) -> RelationLattice:
 
 
 def _combine(m: list[int], basis: list[list[int]]) -> list[int]:
-    n = len(basis[0])
-    out = [0] * n
+    out = [0] * len(basis[0])
     for mj, ej in zip(m, basis):
         out = [a + mj * b for a, b in zip(out, ej)]
     return out
@@ -248,14 +247,8 @@ def _unit_product_kernel(gammas: list[Fraction]) -> list[list[int]]:
     {m : E m = 0, S m even} by dropping the slack coordinate, so a basis maps
     to a basis (Cohen, 2.4)."""
     s = len(gammas)
-    signs: list[int] = []
-    exps: list[dict[int, int]] = []
-    primes: set[int] = set()
-    for q in gammas:
-        sign, e = factor_rational(q)
-        signs.append(0 if sign > 0 else 1)
-        exps.append(e)
-        primes.update(e)
-    rows = [[e.get(p, 0) for e in exps] + [0] for p in sorted(primes)]
-    rows.append(signs + [2])
+    factored = [factor_rational(q) for q in gammas]
+    primes = sorted({p for _, e in factored for p in e})
+    rows = [[e.get(p, 0) for _, e in factored] + [0] for p in primes]
+    rows.append([int(sign < 0) for sign, _ in factored] + [2])
     return [m[:s] for m in integer_kernel(rows, s + 1)]

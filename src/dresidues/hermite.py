@@ -44,7 +44,7 @@ from typing import Sequence
 from . import polys
 from .errors import DomainError, InexactDivisionError, InternalError
 from .polys import ONE, ZERO, Poly
-from .ratfun import RF_ZERO, RatFun
+from .ratfun import RF_ZERO, RatFun, _over_product
 
 # A polynomial (c_0 + c_1 x + ...) / d as a Poly's (_c, _d) pair.  The state
 # of one class a / q^e: q, e, the e base-q digits of a, q' and 1/q' mod q
@@ -153,18 +153,6 @@ def _step(states: list[_State]) -> tuple[list[_State], list[tuple[Poly, Poly]]]:
         if pieces:
             nxt.append((q, e - 1, pieces, dq, s))
     return nxt, parts
-
-
-def _over_product(terms: list[tuple[Poly, Poly]]) -> tuple[Poly, Poly]:
-    """sum n/d over terms with pairwise coprime monic d, as a numerator over the product of the d."""
-    terms = [(n, d) for n, d in terms if not n.is_zero]
-    den = ONE
-    for _, d in terms:
-        den = den * d
-    num = ZERO
-    for n, d in terms:
-        num = num + n * den.exact_div(d)
-    return num, den
 
 
 def hermite_reduction(f: RatFun) -> tuple[RatFun, RatFun]:

@@ -3,6 +3,10 @@ partial fractions over pre-factored squarefree denominators.
 
 Every RatFun is kept in canonical form at every API boundary: numerator and
 denominator coprime, denominator monic and nonzero, zero represented as 0/1.
+
+`_over_product` sums n/d over monic, pairwise coprime d, which it requires,
+with no gcd: the cross-multiplied sum is in lowest terms whenever each n/d
+is, since a prime factor of the product of the d divides exactly one d.
 """
 
 from __future__ import annotations
@@ -224,3 +228,13 @@ def _parfrac(f: RatFun, parts: list[Poly], w: Poly) -> list[Poly]:
         raise DomainError("parfrac parts do not multiply to the denominator")
     nw = f.num * w
     return [(nw * b.derivative()) % b for b in parts]
+
+
+def _over_product(terms: list[tuple[Poly, Poly]]) -> tuple[Poly, Poly]:
+    """sum n/d over terms with pairwise coprime monic d, as a numerator over
+    the product of the d of the nonzero terms ((0, 1) if there are none)."""
+    terms = [(n, d) for n, d in terms if not n.is_zero]
+    num, den = terms[0] if terms else (ZERO, ONE)
+    for n, d in terms[1:]:
+        num, den = num * d + n * den, den * d
+    return num, den

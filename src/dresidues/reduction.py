@@ -9,6 +9,12 @@ as common poles across the outputs.  Within one call, inputs over one
 denominator D share its split over the shifted initial roots and the inverse
 1/D' mod D of their partial fractions, and a zero input (a padding Hermite
 layer) passes through with no gcd.
+
+The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) takes one gcd-free
+`ratfun._over_product` per distinct l: every root of F_l lies l steps right
+of an initial root and no two initial roots share a Z-orbit, so the
+sigma^i(F_l), i < l, are pairwise coprime.  The reduced form keeps RatFun
+sums, as its pieces sigma^l(N_l/F_l) may share poles across l.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from . import polys, shiftset
 from .errors import DomainError
 from .polys import ONE, ZERO, Poly
-from .ratfun import RF_ZERO, RatFun, _parfrac
+from .ratfun import RF_ZERO, RatFun, _over_product, _parfrac
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,10 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
             piece = RatFun.from_lowest_terms(numerators[ell], factors[ell])
             reduced = reduced + piece.sigma(ell)
             if want_certificate:
-                for i in range(ell):
-                    certificate = certificate - piece.sigma(i)
+                # Exact with no gcd: the sigma^i(factors[ell]), i < ell, are
+                # pairwise coprime (see the module docstring).
+                steps = _over_product([(piece.num.shift(i), piece.den.shift(i)) for i in range(ell)])
+                certificate = certificate - RatFun.from_lowest_terms(*steps)
         parts = ReductionParts(initial, indices, dict(factors), numerators, shift_gcds, overlap)
         out.append(ReductionOutput(reduced, certificate, parts))
     return out

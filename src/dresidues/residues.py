@@ -16,7 +16,7 @@ from . import polys
 from .errors import DomainError
 from .hermite import hermite_list
 from .polys import ONE, ZERO, Poly
-from .ratfun import RatFun
+from .ratfun import RF_ZERO, RatFun
 from .reduction import _reduce
 
 
@@ -154,10 +154,7 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
         raise DomainError("discrete_residues_multi requires proper rational functions")
     all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
     m = max(len(layers) for layers in all_layers)
-    zero = RatFun(ZERO)
-    flat: list[RatFun] = []
-    for layers in all_layers:
-        flat.extend(layers + [zero] * (m - len(layers)))
+    flat = [g for layers in all_layers for g in layers + [RF_ZERO] * (m - len(layers))]
     places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
     values = [ps[i * m : (i + 1) * m] for i in range(len(fs))]
     return MultiResidues(places, values)

@@ -130,10 +130,6 @@ def vspace(fs: list[RatFun]) -> list[list[Fraction]]:
     if not fs:
         raise DomainError("vspace requires at least one function")
     md = residues.discrete_residues_multi(fs)
-    n = len(fs)
     width = len(md.places.coeffs) - 1  # deg(places); value polys have smaller degree
-    rows: list[list[Fraction]] = []
-    for k in range(md.order_count):
-        for power in range(width):
-            rows.append([md.values[i][k].coeff(power) for i in range(n)])
-    return nullspace(rows, ncols=n)
+    rows = [[row[k].coeff(power) for row in md.values] for k in range(md.order_count) for power in range(width)]
+    return nullspace(rows, ncols=len(fs))

@@ -78,7 +78,8 @@ def dres_by_definition(spec: OrbitSpec) -> list[tuple[Fraction, int, Fraction]]:
 
 def parse_spec_text(text: str) -> OrbitSpec:
     """One term per line: `alpha k c` in exact rational literal syntax,
-    e.g. `-3 1 1/1080`.  Blank lines and `#` comments are skipped."""
+    e.g. `-3 1 1/1080` or `0.5 2 -3`, with no exponent.  Blank lines and `#`
+    comments are skipped."""
     terms: list[Term] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -87,6 +88,8 @@ def parse_spec_text(text: str) -> OrbitSpec:
         fields = line.split()
         if len(fields) != 3:
             raise DomainError(f"line {lineno}: expected `alpha k c`, got {raw!r}")
+        if "e" in (fields[0] + fields[2]).lower():  # Fraction("1e999999999") builds the power
+            raise DomainError(f"line {lineno}: exponent literals are not accepted, got {raw!r}")
         try:
             alpha, k, c = Fraction(fields[0]), int(fields[1]), Fraction(fields[2])
         except (ValueError, ZeroDivisionError) as exc:

@@ -435,6 +435,9 @@ class TestMain:
         assert main(["oracle", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "-3 1 71/5000"
         assert main(["oracle", str(tmp_path / "missing.txt")]) == 1
+        path.write_bytes(b"\xff\xfe 1 1\n")  # not UTF-8
+        assert main(["oracle", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_quiet(self, capsys):
         assert main(["dres", "--quiet", "1/x"]) == 0

@@ -70,7 +70,23 @@ def _differential_inputs():
             fs.append(f)
     # empty shift sets: the early return
     fs += [RatFun(ONE, x), RatFun(x, x**2 + 1), RatFun(ONE, (x - Fraction(1, 2)) * (x + Fraction(1, 3)))]
-    return fs
+    return fs + _long_shift_inputs()
+
+
+def _long_shift_inputs():
+    """Long shifts whose certificate pieces overlap across l: three poles in
+    the orbit of a rational pole and two in that of an irreducible from above,
+    at shifts up to 25; then 1/x - 1/(x+n) for n up to 60."""
+    rng = random.Random(2121)
+    fs = []
+    for _ in range(20):
+        rational = x - Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        f = RF_ZERO
+        for q, poles in ((rational, 3), (rng.choice([x**2 + 1, x**2 - 2, x**2 + x + 1, x**3 - 2]), 2)):
+            for s in rng.sample(range(26), poles):
+                f = f + RatFun(Poly([rng.choice([-2, -1, 1, 2]) for _ in range(q.degree)]), q.shift(s))
+        fs.append(f)
+    return fs + [RatFun(ONE, x) - RatFun(ONE, x + n) for n in (1, 17, 39, 60)]
 
 
 class TestDifferential:
@@ -87,6 +103,8 @@ class TestDifferential:
                 ref = ref_simple_reduction(f, want)
                 assert got.reduced == ref.reduced, f
                 assert got.certificate == ref.certificate, f
+                if want:
+                    assert got.certificate.delta() == f - got.reduced, f
                 for field in ("initial", "indices", "factors", "numerators", "shift_gcds", "overlap"):
                     assert getattr(got.parts, field) == getattr(ref.parts, field), (f, field)
 
@@ -100,6 +118,14 @@ class TestDifferential:
         assert any(len(p.indices) >= 3 for p in parts)
         assert any(p.initial.degree >= 2 and p.overlap.degree >= 2 for p in parts)
         assert any(c.denominator != 1 for f in inputs for c in f.den.coeffs)
+        # long shifts, and one orbit met at two distinct l > 0 (overlapping pieces)
+        assert any(max(p.indices) >= 20 for p in parts) and any(p.indices[-1] == 60 for p in parts)
+
+        def overlaps(p):
+            moved = [p.factors[ell].shift(ell) for ell in p.indices[1:]]
+            return any(polys.gcd(a, b) != ONE for i, a in enumerate(moved) for b in moved[i + 1 :])
+
+        assert sum(map(overlaps, parts)) >= 10
 
 
 def _ref_add(f, g):

@@ -69,6 +69,11 @@ class TestSpecFiles:
             parse_spec_text("1 2\n")
         with pytest.raises(DomainError):
             parse_spec_text("a 1 1\n")
+        # an exponent literal would build 10^999999999 before any check
+        for text in ("0 1 1e999999999\n", "1E3 1 1\n"):
+            with pytest.raises(DomainError, match="line 1:"):
+                parse_spec_text(text)
+        assert parse_spec_text("0.5 1 -1.25\n").terms == ((Fraction(1, 2), 1, Fraction(-5, 4)),)
 
 
 class TestRationalRoots:
