@@ -1,4 +1,4 @@
-"""The BENCH_*.json writer shared by the scripts in this directory.
+"""The BENCH_*.json writer and the CLI timer shared by the scripts in this directory.
 
 Each run is merged into its file at the checkout root under the sha256 of the
 checkout's `src/dresidues/*.py`, with the git head, whether `src` has
@@ -12,11 +12,15 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
+import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
+SLOW_S = 5.0
 
 
 def source_digest() -> str:
@@ -49,3 +53,23 @@ def record(out: Path, title: str, key: str, rows: list[dict] | dict) -> None:
     data.setdefault("title", title)
     data.setdefault("runs", {})[source_digest()] = result
     out.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def time_cli(tree: Path, argv: list[str], budget: float) -> dict:
+    """Median wall time and stdout sha256 of `python -m dresidues.cli *argv`
+    with `tree`'s src first on the path, each run in a fresh interpreter: up
+    to REPEATS runs, one when it takes over SLOW_S seconds.  A run past
+    `budget` seconds is stopped and recorded as timed out."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    times, digests = [], set()
+    while len(times) < REPEATS and not (times and times[-1] > SLOW_S):
+        t0 = time.perf_counter()
+        try:
+            out = subprocess.run([sys.executable, "-m", "dresidues.cli", *argv], env=env, capture_output=True, timeout=budget, check=True)
+        except subprocess.TimeoutExpired:
+            return {"timed_out_s": budget}
+        times.append(time.perf_counter() - t0)
+        digests.add(hashlib.sha256(out.stdout).hexdigest())
+    if len(digests) != 1:
+        raise SystemExit(f"{tree}: {argv[0]} gave different outputs on repeated runs")
+    return {"median_s": round(statistics.median(times), 4), "runs": len(times), "sha256": digests.pop()}

@@ -29,18 +29,13 @@ into BENCH_long_shift.json at the checkout root by `benchfile.record`.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import random
-import statistics
-import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
-from benchfile import ROOT, git, record
+from benchfile import ROOT, git, record, time_cli
 
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -50,8 +45,6 @@ from dresidues.ratfun import RF_ZERO, RatFun  # noqa: E402
 SHIFTS = (50, 100, 200, 300)
 FAMILY = 8
 COMMANDS = ("reduce", "summable")
-REPEATS = 3
-SLOW_S = 5.0
 OUT = ROOT / "BENCH_long_shift.json"
 
 
@@ -73,24 +66,6 @@ def inputs() -> list[tuple[str, str]]:
     return pairs + [(f"family-{i}", e) for i, e in enumerate(family(), 1)]
 
 
-def measure(tree: Path, command: str, expr: str, budget: float) -> dict:
-    """Median wall time and stdout digest of the CLI on one input in `tree`."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    argv = [sys.executable, "-m", "dresidues.cli", command, "--certificate", "--json", expr]
-    times, digests = [], set()
-    while len(times) < REPEATS and not (times and times[-1] > SLOW_S):
-        t0 = time.perf_counter()
-        try:
-            out = subprocess.run(argv, env=env, capture_output=True, timeout=budget, check=True)
-        except subprocess.TimeoutExpired:
-            return {"timed_out_s": budget}
-        times.append(time.perf_counter() - t0)
-        digests.add(hashlib.sha256(out.stdout).hexdigest())
-    if len(digests) != 1:
-        raise SystemExit(f"{tree}: {command} gave different outputs on repeated runs")
-    return {"median_s": round(statistics.median(times), 4), "runs": len(times), "sha256": digests.pop()}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, nargs="?", help="a checkout of the parent commit")
@@ -102,7 +77,7 @@ def main() -> int:
         for command in COMMANDS:
             row = {"input": label, "command": command, "expr": expr}
             for side, tree in trees.items():
-                row[side] = measure(tree, command, expr, args.budget)
+                row[side] = time_cli(tree, [command, "--certificate", "--json", expr], args.budget)
             if "parent" in row and "sha256" in row["parent"]:
                 row["same_output"] = row["parent"]["sha256"] == row["change"].get("sha256")
             print(json.dumps({k: v for k, v in row.items() if k != "expr"}), flush=True)

@@ -12,8 +12,8 @@ arithmetic could silently consume.
 The arithmetic is one set of kernels on integer lists (`_mul_int`,
 `_divrem_int`, `_lin_int` and `_norm`, one gcd per result), where a tuple of
 `Fraction`s pays a gcd on every coefficient operation.  The Poly operators
-wrap them; hot loops (Hermite steps, extended Euclid) run them on (list,
-denominator) pairs and build a Poly only for their outputs.  Division is
+wrap them; the Hermite steps run them on (list, denominator) pairs, and every
+modular inverse is one extended subresultant PRS on integers.  Division is
 fraction-free, and it scales the remainder (by lc / gcd(top, lc)) only at a
 step where the divisor's leading integer lc does not divide the top
 coefficient: an integer-monic divisor or an integral quotient never scales,
@@ -464,20 +464,51 @@ def lcm_all(ps: Iterable[Poly]) -> Poly:
     return acc
 
 
-def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Monic g = gcd(a, b) and s with s*a = g mod b: the extended Euclid loop
-    carrying only the cofactor of a, on (list, denominator) pairs."""
-    r0, d0, r1, d1 = a._c, a._d, b._c, b._d
-    s0, e0, s1, e1 = [1], 1, [], 1
-    while r1:
-        # r0/d0 = (q/dq) (r1/d1) + r/(m d0) with q/dq = quo d1/(m d0).
-        quo, r, m = _divrem_int(r0, r1)
-        q, dq = _norm([c * d1 for c in quo], m * d0)
-        (r0, d0), (r1, d1) = (r1, d1), _norm(r, m * d0)
-        de = dq * e1  # s0/e0 - (q/dq) (s1/e1) over lcm(e0, de)
-        g = math.gcd(e0, de)
-        (s0, e0), (s1, e1) = (s1, e1), _norm(_lin_int(s0, de // g, _mul_int(q, s1), -(e0 // g)), e0 // g * de)
-    return _new(list(r0), r0[-1]), _new([c * d0 for c in s0], e0 * r0[-1])
+def _ext_subresultant(m: list[int], a: list[int]) -> tuple[list[int], list[int]]:
+    """(r, u) with u*a = r mod m, for r the last nonzero remainder of the
+    subresultant PRS of integer lists m and a, len(a) < len(m) (u = [] if a = []).
+    a's cofactor u follows the remainders' recurrence (Collins 1967); both are
+    subresultants or their cofactors up to sign, so each division by
+    beta = g h^delta is exact, and a remainder raises InexactDivisionError."""
+    u0, u1 = [], [1]
+    g = h = 1
+    while a:
+        delta = len(m) - len(a)
+        q, r, s = _divrem_int(m, a)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return a, u1
+        # s divides lead = lc(a)^(delta+1), so lead*m = k*q*a + k*r: the pseudo-division.
+        lead = a[-1] ** (delta + 1)
+        k = lead // s
+        beta = g * h**delta
+        m, a = a, _exact_quo([c * k for c in r], beta)
+        u0, u1 = u1, _exact_quo(_lin_int(u0, lead, _mul_int(q, u1), -k), beta)
+        g = m[-1]
+        h = g**delta // h ** (delta - 1)
+    return m, u0
+
+
+def _exact_quo(cs: list[int], d: int) -> list[int]:
+    """cs / d for an int d that divides every entry; a remainder raises InexactDivisionError."""
+    out = []
+    for c in cs:
+        c, rem = divmod(c, d)
+        if rem:
+            raise InexactDivisionError("subresultant division not exact")
+        out.append(c)
+    return out
+
+
+def _cofactor(a: Poly, m: Poly) -> tuple[Poly, Poly]:
+    """Monic g = gcd(a, m) and s with s*a = g mod m, m nonzero: one `_ext_subresultant`
+    on the primitive integer parts of m and of a mod m, normalised once."""
+    r = a % m
+    big = _int_primitive(list(r._c))
+    rem, u = _ext_subresultant(_to_int_primitive(m), big)
+    scale = r._c[-1] // big[-1] * rem[-1] if big else 1
+    return _new(rem, rem[-1]), _new([c * r._d for c in u], scale)
 
 
 def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -488,16 +519,18 @@ def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """
     if a.is_zero and b.is_zero:
         raise DomainError("ext_gcd(0, 0) is undefined")
-    g, s = _gcd_cofactor(a, b)
-    return g, s, ZERO if b.is_zero else (g - s * a).exact_div(b)
+    if b.is_zero:
+        return a.monic(), Poly([1 / a.lc]), ZERO
+    g, s = _cofactor(a, b)
+    return g, s, (g - s * a).exact_div(b)
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
-    """The inverse of a modulo m; requires gcd(a, m) = 1."""
-    g, s = _gcd_cofactor(a % m, m)
+    """The inverse of a modulo m (ZERO for a constant m); requires gcd(a, m) = 1."""
+    g, s = _cofactor(a, m)
     if g != ONE:
         raise DomainError(f"{a} is not invertible modulo {m}")
-    return s % m
+    return s
 
 
 def is_squarefree(p: Poly) -> bool:

@@ -10,11 +10,12 @@ denominator D share its split over the shifted initial roots and the inverse
 1/D' mod D of their partial fractions, and a zero input (a padding Hermite
 layer) passes through with no gcd.
 
-The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) takes one gcd-free
-`ratfun._over_product` per distinct l: every root of F_l lies l steps right
-of an initial root and no two initial roots share a Z-orbit, so the
-sigma^i(F_l), i < l, are pairwise coprime.  The reduced form keeps RatFun
-sums, as its pieces sigma^l(N_l/F_l) may share poles across l.
+The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) (`_certificate`, from a
+run's parts) takes one gcd-free `ratfun._over_product` per distinct l: every
+root of F_l lies l steps right of an initial root and no two initial roots
+share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  The
+reduced form keeps RatFun sums, as its pieces sigma^l(N_l/F_l) may share
+poles across l.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     their denominators.  For one input, gcd(initial, f.den) = initial."""
     b = polys.lcm_all(f.den for f in fs)
     shifts = shiftset.shift_set(b).shifts
-    cert0 = RF_ZERO if want_certificate else None
     shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
     overlap = polys.lcm_all(shift_gcds.values())
     initial = b.exact_div(overlap)
@@ -75,7 +75,7 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     for f in fs:
         if f.is_zero:
             parts = ReductionParts(initial, (0,), {0: ONE}, {0: ZERO}, shift_gcds, overlap)
-            out.append(ReductionOutput(RF_ZERO, cert0, parts))
+            out.append(ReductionOutput(RF_ZERO, RF_ZERO if want_certificate else None, parts))
             continue
         if f.den not in splits:
             factors = {0: polys.gcd(initial, f.den)}
@@ -88,19 +88,24 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
         factors, indices, w = splits[f.den]
         numerators = dict(zip(indices, _parfrac(f, [factors[ell] for ell in indices], w)))
         reduced = RF_ZERO
-        certificate = cert0
         for ell in indices:
             # f is in lowest terms with a squarefree denominator, so no residue is zero.
-            piece = RatFun.from_lowest_terms(numerators[ell], factors[ell])
-            reduced = reduced + piece.sigma(ell)
-            if want_certificate:
-                # Exact with no gcd: the sigma^i(factors[ell]), i < ell, are
-                # pairwise coprime (see the module docstring).
-                steps = _over_product([(piece.num.shift(i), piece.den.shift(i)) for i in range(ell)])
-                certificate = certificate - RatFun.from_lowest_terms(*steps)
+            reduced = reduced + RatFun.from_lowest_terms(numerators[ell], factors[ell]).sigma(ell)
         parts = ReductionParts(initial, indices, dict(factors), numerators, shift_gcds, overlap)
-        out.append(ReductionOutput(reduced, certificate, parts))
+        out.append(ReductionOutput(reduced, _certificate(parts) if want_certificate else None, parts))
     return out
+
+
+def _certificate(parts: ReductionParts) -> RatFun:
+    """The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) of one reduction,
+    from its parts: exact with no gcd inside each l, as the sigma^i(F_l),
+    i < l, are pairwise coprime (see the module docstring)."""
+    certificate = RF_ZERO
+    for ell in parts.indices:
+        num, den = parts.numerators[ell], parts.factors[ell]
+        steps = _over_product([(num.shift(i), den.shift(i)) for i in range(ell)])
+        certificate = certificate - RatFun.from_lowest_terms(*steps)
+    return certificate
 
 
 def simple_reduction(f: RatFun, want_certificate: bool = False) -> ReductionOutput:

@@ -18,7 +18,7 @@ from .galois import _integer_row, hermite_normal_form
 from .hermite import hermite_list
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
-from .reduction import _reduce
+from .reduction import _certificate, _reduce
 
 
 def poly_antidifference(p: Poly) -> Poly:
@@ -40,22 +40,23 @@ def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun
     Polynomial parts never block a yes: they always admit a polynomial
     antidifference.  All Hermite layers are shift-reduced together, against
     one divisor of initial roots; a reduced form is zero exactly when its
-    layer is summable, whichever divisor is used.  With `want_certificate` a
-    witness g is assembled from the layer certificates through the layer
-    reconstruction identity, over one known denominator and with no gcd
-    (`_assemble`), and returned; each layer's proper antidifference
-    is unique, as Delta(h) = 0 forces h constant, so the shared divisor does
-    not change g.  Otherwise the second component is None.
+    layer is summable, whichever divisor is used.  With `want_certificate`,
+    and only once every reduced form is zero, the layer certificates are
+    built (`reduction._certificate`) and a witness g is assembled from them
+    through the layer reconstruction identity, over one known denominator and
+    with no gcd (`_assemble`); each layer's proper antidifference is unique,
+    as Delta(h) = 0 forces h constant, so the shared divisor does not change
+    g.  Otherwise the second component is None.
     """
     poly_part, fp = f.proper_part()
     cert = RatFun(poly_antidifference(poly_part)) if want_certificate else None
     if fp.is_zero:
         return True, cert
-    outs = _reduce(hermite_list(fp), want_certificate)
+    outs = _reduce(hermite_list(fp), False)
     if any(not out.reduced.is_zero for out in outs):
         return False, None
     if want_certificate:
-        num, den = _assemble([out.certificate for out in outs])
+        num, den = _assemble([_certificate(out.parts) for out in outs])
         cert = RatFun.from_lowest_terms(cert.num * den + num, den)
     return True, cert
 

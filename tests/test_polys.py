@@ -825,3 +825,86 @@ class TestExtendedEuclidReference:
         assert (g, s, t) == (x**2 - 2, Poly([Fraction(4, 3)]), ZERO)
         with pytest.raises(DomainError):
             ext_gcd(ZERO, ZERO)
+
+    def test_inverse_modulo_a_constant_is_zero(self):
+        # Z/(c) for a nonzero constant c is the zero ring, where every inverse is 0.
+        for m in (Poly([3]), Poly([Fraction(1, 2)])):
+            for a in (x + 1, Poly([7]), Fraction(2, 3) * x**4 - 1):
+                assert inverse_mod(a, m) == ZERO
+
+    def test_zero_residue_raises(self):
+        m = 2 * x**2 + 3 * x - 5
+        for a in (ZERO, m, Fraction(5, 7) * m * (x**3 - 4)):
+            with pytest.raises(DomainError):
+                inverse_mod(a, m)
+
+    def test_non_monic_modulus_and_long_input(self):
+        rng, checked = random.Random(2719), 0
+        for deg_m in range(1, 7):
+            m = Fraction(rng.randint(2, 9), rng.randint(1, 5)) * random_poly(rng, deg_m)
+            for deg_a in (deg_m, deg_m + 1, 2 * deg_m + 3):
+                a = random_poly(rng, deg_a)
+                ref = [list(p.coeffs) for p in (a, m)]
+                g, s, _ = ref_ext_gcd(_ref_divmod(*ref)[1], ref[1])
+                if g != [1]:
+                    continue
+                w = inverse_mod(a, m)
+                assert w == Poly(s) and (w * a) % m == ONE
+                assert w.degree < m.degree
+                assert ext_gcd(a, m) == tuple(Poly(p) for p in ref_ext_gcd(*ref))
+                checked += 1
+        assert checked >= 15
+
+    def test_gcd_after_several_remainder_steps(self):
+        common = 3 * x**2 - x + 2
+        a, b = common * (x**4 - 2 * x**3 + x + 5), common * (2 * x**3 + x**2 - 7)
+        steps, r0, r1 = 0, list(a.coeffs), list(b.coeffs)
+        while r1:
+            r0, r1, steps = r1, _ref_divmod(r0, r1)[1], steps + 1
+        assert steps >= 4 and len(r0) == 3
+        g, s, t = ext_gcd(a, b)
+        assert (g, s, t) == tuple(Poly(p) for p in ref_ext_gcd(list(a.coeffs), list(b.coeffs)))
+        assert g == common.monic() and s * a + t * b == g
+        assert ext_gcd(b, a)[0] == g
+
+    def test_inexact_beta_division_raises(self):
+        assert polys._exact_quo([12, -8, 0], 4) == [3, -2, 0]
+        with pytest.raises(InexactDivisionError):
+            polys._exact_quo([12, -6], 4)
+
+
+def _orbit_denominator(rng, family, deg_q):
+    """b = q*q(x+3)*q(x+7) or q^2*q(x+2) for a random q of degree deg_q with
+    coefficients in -9..9, and q."""
+    q = Poly([rng.randint(-9, 9) for _ in range(deg_q)] + [rng.choice([-3, -2, -1, 1, 2, 3])])
+    if family == "three-orbit":
+        return q * q.shift(3) * q.shift(7), q
+    return q**2 * q.shift(2), q
+
+
+class TestHighDegreeInverse:
+    """Trager inverses on orbit-structured denominators b of degree 21-60,
+    checked exactly, and against `ref_ext_gcd` for moduli up to degree 24:
+    w = 1/b' mod b for b = q*q(x+3)*q(x+7), and for b = q^2*q(x+2), where
+    gcd(b', b) = q, w = 1/(b'/q) mod b/q."""
+
+    CASES = [("three-orbit", 7), ("three-orbit", 8), ("three-orbit", 13), ("three-orbit", 20), ("square", 7), ("square", 12), ("square", 16), ("square", 20)]
+
+    @pytest.mark.parametrize("family,deg_q", CASES)
+    def test_trager_inverse(self, family, deg_q):
+        rng = random.Random(3001 + deg_q)
+        b, q = _orbit_denominator(rng, family, deg_q)
+        a, m = b.derivative(), b
+        assert 21 <= b.degree <= 60
+        if family == "square":
+            with pytest.raises(DomainError):
+                inverse_mod(a, m)
+            g, s, t = ext_gcd(a, m)
+            assert g == q.monic() and s * a + t * m == g and s.degree < m.degree - g.degree
+            a, m = a.exact_div(q), m.exact_div(q)
+        w = inverse_mod(a, m)
+        assert (w * a) % m == ONE and w.degree < m.degree
+        if m.degree <= 24:
+            ref = [list(p.coeffs) for p in (a, m)]
+            g, s, _ = ref_ext_gcd(_ref_divmod(*ref)[1], ref[1])
+            assert g == [1] and w == Poly(s)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_matrices
 
-from dresidues import shiftset
+from dresidues import reduction, shiftset, summability
 from dresidues.errors import DomainError
 from dresidues.hermite import hermite_list
 from dresidues.polys import ONE, ZERO, Poly, X, integer_roots, lcm_all
@@ -238,6 +238,31 @@ class TestOneReduction:
             calls.clear()
             is_summable(f, want_certificate=i % 2 == 1)
             assert len(calls) == (0 if f.proper_part()[1].is_zero else 1), f
+
+    def test_certificates_only_for_summable_inputs(self, monkeypatch, inputs):
+        # The certificate helper as is_summable calls it, and the coprime sum
+        # under it by its name in `reduction` (hermite_list calls it too).
+        calls = {"_certificate": 0, "_over_product": 0}
+        for module, name in ((summability, "_certificate"), (reduction, "_over_product")):
+            original = getattr(module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        seen = set()
+        for f in inputs:
+            for name in calls:
+                calls[name] = 0
+            ok, _ = is_summable(f, want_certificate=True)
+            layers = len(hermite_list(f.proper_part()[1])) if not f.proper_part()[1].is_zero else 0
+            if ok:
+                assert calls["_certificate"] == layers, f
+            else:
+                assert calls == {"_certificate": 0, "_over_product": 0}, f
+            seen.add(ok)
+        assert seen == {True, False}
 
 
 def ref_assemble(certs):
