@@ -27,7 +27,7 @@ run past the per-input budget is stopped and recorded as not finished
 
 Run from a checkout, optionally with a checkout of the parent commit:
 
-    python3 benchmarks/high_degree.py [PARENT_DIR] [--budget 120] [--degrees 10 20 30 40]
+    python3 benchmarks/high_degree.py [PARENT_DIR] [--budget 120]
 
 The result, with `same_output` per row when both sides finished, is merged
 into BENCH_high_degree.json at the checkout root by `benchfile.record`.
@@ -82,12 +82,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, nargs="?", help="a checkout of the parent commit")
     parser.add_argument("--budget", type=float, default=120.0, help="seconds per run before it is stopped")
-    parser.add_argument("--degrees", type=int, nargs="+", default=list(DEGREES), help="degrees of q")
     args = parser.parse_args()
     trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
     rows = []
     for family in ("three-orbit", "square"):
-        for n in args.degrees:
+        for n in DEGREES:
             for command, argv in commands(family, n).items():
                 row = {"family": family, "degree": 3 * n, "command": command}
                 for side, tree in trees.items():

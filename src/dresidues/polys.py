@@ -468,8 +468,8 @@ def _ext_subresultant(m: list[int], a: list[int]) -> tuple[list[int], list[int]]
     """(r, u) with u*a = r mod m, for r the last nonzero remainder of the
     subresultant PRS of integer lists m and a, len(a) < len(m) (u = [] if a = []).
     a's cofactor u follows the remainders' recurrence (Collins 1967); both are
-    subresultants or their cofactors up to sign, so each division by
-    beta = g h^delta is exact, and a remainder raises InexactDivisionError."""
+    subresultants or their cofactors up to sign, so each division by beta = g h^delta,
+    and h's update, is exact, and a remainder raises InexactDivisionError."""
     u0, u1 = [], [1]
     g = h = 1
     while a:
@@ -486,7 +486,7 @@ def _ext_subresultant(m: list[int], a: list[int]) -> tuple[list[int], list[int]]
         m, a = a, _exact_quo([c * k for c in r], beta)
         u0, u1 = u1, _exact_quo(_lin_int(u0, lead, _mul_int(q, u1), -k), beta)
         g = m[-1]
-        h = g**delta // h ** (delta - 1)
+        h = _exact_quo([g**delta], h ** (delta - 1))[0]
     return m, u0
 
 
