@@ -40,7 +40,8 @@ def git(*args: str) -> str | None:
 
 def record(out: Path, title: str, key: str, rows: list[dict] | dict) -> None:
     """Merge one run, its rows stored under `key`, into the file `out`; the
-    title is written only when the file has none."""
+    title is written only when the file has none.  Runs of one source under
+    different keys share its entry, the metadata being the last run's."""
     result = {
         "git_head": git("rev-parse", "HEAD"),
         "git_dirty": bool(git("status", "--porcelain", "--", "src")),
@@ -51,7 +52,7 @@ def record(out: Path, title: str, key: str, rows: list[dict] | dict) -> None:
     }
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("title", title)
-    data.setdefault("runs", {})[source_digest()] = result
+    data.setdefault("runs", {}).setdefault(source_digest(), {}).update(result)
     out.write_text(json.dumps(data, indent=1) + "\n")
 
 

@@ -26,7 +26,9 @@ its first b is coprime to q too, and the class's part of g is G/q^(e-1),
 whose digits are the -b/(e-1) of the steps: in lowest terms, and again
 coprime to q for the next layer, which starts from them with no second
 squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
-or share a factor with q_i, is normalised, by one gcd per layer.
+or share a factor with q_i, is normalised, by one gcd per layer.  `_layers`
+skips even that: for several numerators over one den it runs Yun and the
+set-up once, and leaves layer k a numerator over D_k = prod_(i>=k) q_i.
 
 The split and the steps run on the integer-list kernels of `polys`, each
 digit, q' and s a Poly's (integers, denominator) pair in lowest terms; a Poly
@@ -54,13 +56,6 @@ _Pair = tuple[Sequence[int], int]
 _State = tuple[Poly, int, list[_Pair], _Pair | None, _Pair | None]
 
 
-def _classes(f: RatFun) -> tuple[tuple[Poly, int], ...]:
-    decomp = polys.squarefree_decomposition(f.den)
-    if decomp.unit != 1:
-        raise InternalError("denominator of a RatFun must be monic")
-    return decomp.factors
-
-
 def _in_base(digits: list[_Pair], q: Poly) -> Poly:
     """sum_j digits[j] * q^j, by Horner."""
     acc = ZERO
@@ -84,26 +79,35 @@ def _exact(a: list[int], big: Sequence[int]) -> list[int]:
     return quo
 
 
-def _split(f: RatFun, classes: tuple[tuple[Poly, int], ...]) -> list[_State]:
-    """f = sum a_i / q_i^i, as one state per class.
+def _setup(den: Poly) -> tuple[list[tuple], tuple[Poly, Poly] | None]:
+    """What `_split` needs of den = prod q_i^i, from one Yun: (q, i, C = den/q^i,
+    q', t = 1/C, s = 1/q' mod q) per class with i >= 2, by increasing i, t = w*q'
+    and s = w*C from one inverse w = 1/(C*q') mod q; and (q_1, den/q_1) if some i = 1."""
+    decomp = polys.squarefree_decomposition(den)
+    if decomp.unit != 1:
+        raise InternalError("denominator of a RatFun must be monic")
+    classes, setup, high = decomp.factors, [], ONE
+    for q, i in (c for c in classes if c[1] > 1):
+        power = q**i
+        high = high * power
+        cof = den.exact_div(power)
+        dq, cof_q = q.derivative(), cof % q
+        w = polys.inverse_mod(cof_q * dq, q)
+        setup.append((q, i, cof, (dq._c, dq._d), (w * dq) % q, (w * cof_q) % q))
+    return setup, ((classes[0][0], high) if classes[0][1] == 1 else None)
+
+
+def _split(num: Poly, setup: tuple[list[tuple], tuple[Poly, Poly] | None]) -> list[_State]:
+    """num/den = sum a_i / q_i^i, as one state per class, from `_setup(den)`.
 
     For i >= 2, a = a_i solves C*a = num mod q^i, with q = q_i and C = den/q^i.
     It is found digit by digit in base q, a = sum_j d_j q^j, with
-    d_j = n_j/C mod q, n_0 = num and n_(j+1) = (n_j - C*d_j)/q.  One inverse,
-    w = 1/(C*q') mod q, gives both 1/C = w*q' and s = 1/q' = w*C mod q.  The
-    class of multiplicity 1, if any, takes what is left: a_1 = (num - sum a_i C_i) / (den/q_1).
+    d_j = n_j*t mod q, n_0 = num and n_(j+1) = (n_j - C*d_j)/q.  The class
+    of multiplicity 1, if any, takes what is left: a_1 = (num - sum a_i C_i) / (den/q_1).
     """
-    states, rest, high = [], f.num, ONE
-    for q, i in classes:
-        if i == 1:
-            continue
-        power = q**i
-        high = high * power
-        cof = f.den.exact_div(power)
-        dq, cof_q = q.derivative(), cof % q
-        w = polys.inverse_mod(cof_q * dq, q)
-        t, s = (w * dq) % q, (w * cof_q) % q
-        big, qd, n, nd, digits = q._c, q._d, f.num._c, f.num._d, []
+    (per_class, simple), states, rest = setup, [], num
+    for q, i, cof, dq, t, s in per_class:
+        big, qd, n, nd, digits = q._c, q._d, num._c, num._d, []
         for _ in range(i):
             # n/nd = (quo qd/e1) q + r/e1, with e1 = m nd and big = qd q
             quo, r, m = polys._divrem_int(n, big)
@@ -115,12 +119,12 @@ def _split(f: RatFun, classes: tuple[tuple[Poly, int], ...]) -> list[_State]:
             h = e2 // math.gcd(e1, e2)
             top = _exact(polys._lin_int(r, h, polys._mul_int(cof._c, dc), -(e1 * h // e2)), big)
             n, nd = polys._norm(polys._lin_int(quo, qd * h, top, qd), e1 * h)
-        if classes[0][1] == 1:
+        if simple:
             rest = rest - _in_base(digits, q) * cof
-        states.append((q, i, digits, (dq._c, dq._d), (s._c, s._d)))
-    if classes[0][1] == 1:
-        a = rest.exact_div(high)
-        states.insert(0, (classes[0][0], 1, [(a._c, a._d)], None, None))
+        states.append((q, i, digits, dq, (s._c, s._d)))
+    if simple:
+        a = rest.exact_div(simple[1])
+        states.insert(0, (simple[0], 1, [(a._c, a._d)], None, None))
     return states
 
 
@@ -165,10 +169,10 @@ def hermite_reduction(f: RatFun) -> tuple[RatFun, RatFun]:
         raise DomainError("hermite reduction requires a proper rational function")
     if f.is_zero:
         return RF_ZERO, RF_ZERO
-    classes = _classes(f)
-    if max(i for _, i in classes) == 1:
+    setup = _setup(f.den)
+    if not setup[0]:
         return RF_ZERO, f
-    nxt, parts = _step(_split(f, classes))
+    nxt, parts = _step(_split(f.num, setup))
     g = RatFun.from_lowest_terms(*_over_product([(_in_base(digits, q), q**e) for q, e, digits, _, _ in nxt]))
     return g, RatFun(*_over_product(parts))
 
@@ -184,11 +188,10 @@ def hermite_list(f: RatFun) -> list[RatFun]:
     """
     if f.is_zero or not f.is_proper:
         raise DomainError("hermite_list requires a nonzero proper rational function")
-    classes = _classes(f)
-    top = max(i for _, i in classes)
-    if top == 1:
+    setup = _setup(f.den)
+    if not setup[0]:
         return [f]
-    states = _split(f, classes)
+    states, top = _split(f.num, setup), setup[0][-1][1]
     layers: list[RatFun] = []
     while states:
         k = len(layers)
@@ -200,3 +203,20 @@ def hermite_list(f: RatFun) -> list[RatFun]:
     if layers[-1].is_zero:
         raise InternalError("the last Hermite layer is zero")
     return layers
+
+
+def _layers(nums: list[Poly], den: Poly) -> tuple[list[Poly], list[list[Poly]]]:
+    """(the D_k, and per proper num/den the N_k): N_k/D_k is the k-th
+    `hermite_list` layer of num/den, or zero past its last (module docstring)."""
+    setup = _setup(den)
+    states = [_split(num, setup) for num in nums]
+    dens, rows = [], [[] for _ in nums]
+    while states[0]:  # every num has the same classes at every step
+        scale = (-1) ** len(dens) * math.factorial(len(dens))
+        qs = [q for q, _, _, _, _ in states[0]]
+        dens.append(math.prod(qs[1:], start=qs[0]))
+        cofs = [dens[-1].exact_div(q) * scale for q in qs]
+        for j, row in enumerate(rows):
+            states[j], parts = _step(states[j])
+            row.append(sum((r * cof for (r, _), cof in zip(parts, cofs)), ZERO))
+    return dens, rows

@@ -5,17 +5,19 @@ f-bar either zero or of polar dispersion zero (at most one pole per
 Z-orbit, sitting at the leftmost pole of the orbit).  `simple_reduction`
 handles one function; `simple_reduction_multi` reduces several functions
 against one shared divisor of initial roots so that common orbits show up
-as common poles across the outputs.  Within one call, inputs over one
-denominator D share its split over the shifted initial roots and the inverse
-1/D' mod D of their partial fractions, and a zero input (a padding Hermite
-layer) passes through with no gcd.
+as common poles across the outputs.  Within one call (`_prelude`), inputs
+over one denominator D share its split over the shifted initial roots and
+the inverse 1/D' mod D of their partial fractions, and a zero input passes
+through with no gcd.
 
 The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) (`_certificate`, from a
 run's parts) takes one gcd-free `ratfun._over_product` per distinct l: every
 root of F_l lies l steps right of an initial root and no two initial roots
-share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  The
-reduced form keeps RatFun sums, as its pieces sigma^l(N_l/F_l) may share
-poles across l.
+share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.
+`_reduce`'s reduced form keeps RatFun sums, as its pieces sigma^l(N_l/F_l)
+may share poles across l.  `_reduced_numerators` gives it as one numerator
+sum_l sigma^l(N_l) * initial/sigma^l(F_l) over initial, with no gcd, as
+every sigma^l(F_l) divides initial; its inputs need not be in lowest terms.
 """
 
 from __future__ import annotations
@@ -61,32 +63,45 @@ def _validate_simple(f: RatFun, who: str) -> None:
         raise DomainError(f"{who} requires squarefree denominators")
 
 
-def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
-    """Reduce each of fs against the divisor of initial roots of the lcm b of
-    their denominators.  For one input, gcd(initial, f.den) = initial."""
-    b = polys.lcm_all(f.den for f in fs)
+def _prelude(pairs: list[tuple[Poly, Poly]]) -> tuple[Poly, dict[int, Poly], Poly, list[tuple | None]]:
+    """What both finishers share, for num/den with squarefree den: initial, the
+    shift gcds, their lcm, and per input None (num = 0) or (F_l's, l's, N_l's)."""
+    b = polys.lcm_all(den for num, den in pairs if not num.is_zero)
     shifts = shiftset.shift_set(b).shifts
     shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
     overlap = polys.lcm_all(shift_gcds.values())
     initial = b.exact_div(overlap)
     moved = {ell: initial.shift(-ell) for ell in shifts}
     splits: dict[Poly, tuple[dict[int, Poly], tuple[int, ...], Poly]] = {}
+    out: list[tuple | None] = []
+    for num, den in pairs:
+        if num.is_zero:
+            out.append(None)
+            continue
+        if den not in splits:
+            factors = {0: polys.gcd(initial, den)}
+            for ell in shifts:
+                bl = polys.gcd(moved[ell], den)
+                if not bl.is_constant:
+                    factors[ell] = bl
+            w = polys.inverse_mod(den.derivative(), den)
+            splits[den] = (factors, tuple(sorted(factors)), w)
+        factors, indices, w = splits[den]
+        out.append((factors, indices, dict(zip(indices, _parfrac(num, den, [factors[ell] for ell in indices], w)))))
+    return initial, shift_gcds, overlap, out
+
+
+def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
+    """Reduce each of fs against the divisor of initial roots of the lcm b of
+    their denominators.  For one input, gcd(initial, f.den) = initial."""
+    initial, shift_gcds, overlap, splits = _prelude([(f.num, f.den) for f in fs])
     out: list[ReductionOutput] = []
-    for f in fs:
-        if f.is_zero:
+    for split in splits:
+        if split is None:
             parts = ReductionParts(initial, (0,), {0: ONE}, {0: ZERO}, shift_gcds, overlap)
             out.append(ReductionOutput(RF_ZERO, RF_ZERO if want_certificate else None, parts))
             continue
-        if f.den not in splits:
-            factors = {0: polys.gcd(initial, f.den)}
-            for ell in shifts:
-                bl = polys.gcd(moved[ell], f.den)
-                if not bl.is_constant:
-                    factors[ell] = bl
-            w = polys.inverse_mod(f.den.derivative(), f.den)
-            splits[f.den] = (factors, tuple(sorted(factors)), w)
-        factors, indices, w = splits[f.den]
-        numerators = dict(zip(indices, _parfrac(f, [factors[ell] for ell in indices], w)))
+        factors, indices, numerators = split
         reduced = RF_ZERO
         for ell in indices:
             # f is in lowest terms with a squarefree denominator, so no residue is zero.
@@ -94,6 +109,22 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
         parts = ReductionParts(initial, indices, dict(factors), numerators, shift_gcds, overlap)
         out.append(ReductionOutput(reduced, _certificate(parts) if want_certificate else None, parts))
     return out
+
+
+def _reduced_numerators(pairs: list[tuple[Poly, Poly]]) -> tuple[Poly, list[Poly]]:
+    """(initial, each num/den's reduced form as one numerator over initial)."""
+    initial, _, _, splits = _prelude(pairs)
+    cofactors: dict[Poly, list[Poly]] = {}
+    out: list[Poly] = []
+    for (_, den), split in zip(pairs, splits):
+        total = ZERO
+        if split:
+            factors, indices, numerators = split
+            if den not in cofactors:
+                cofactors[den] = [initial.exact_div(factors[ell].shift(ell)) for ell in indices]
+            total = sum((numerators[ell].shift(ell) * cof for ell, cof in zip(indices, cofactors[den])), ZERO)
+        out.append(total)
+    return initial, out
 
 
 def _certificate(parts: ReductionParts) -> RatFun:

@@ -5,7 +5,9 @@ The roots of `places` mark where residues live, with exactly one
 representative per Z-orbit carrying a nonzero residue, and evaluating
 `values` at such a root gives the residue there.  No denominator is ever
 factored into linear factors; everything runs on gcds, partial fractions,
-resultants and modular inverses.
+resultants and modular inverses.  `discrete_residues_multi` reads every
+input over L = lcm of the denominators, so Yun, the Hermite set-up, the
+shift set and one Trager inverse w = 1/initial' mod initial run once per call.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 
 from . import polys
 from .errors import DomainError
-from .hermite import hermite_list
+from .hermite import _layers, hermite_list
 from .polys import ONE, ZERO, Poly
-from .ratfun import RF_ZERO, RatFun
-from .reduction import _reduce
+from .ratfun import RatFun
+from .reduction import _reduce, _reduced_numerators
 
 
 @dataclass(frozen=True)
@@ -143,18 +145,24 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     """Discrete residues of several functions over one shared places
     polynomial, compatible across both functions and orders.
 
-    Hermite layers of all inputs are padded to a common order count, reduced
-    together, and read through one Trager inverse modulo the lcm of the
-    reduced denominators (`first_residues_multi`).  A zero input has no
-    layers, so its values row is all zero.
+    Each layer's reduced numerator over initial gives R = num * w mod
+    initial, which takes the residue at every root of initial; places drops
+    the roots where every R vanishes.  A zero input's values row is all zero.
     """
     if not fs:
         raise DomainError("discrete_residues_multi requires at least one function")
     if not all(f.is_proper for f in fs):
         raise DomainError("discrete_residues_multi requires proper rational functions")
-    all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
-    m = max(len(layers) for layers in all_layers)
-    flat = [g for layers in all_layers for g in layers + [RF_ZERO] * (m - len(layers))]
-    places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
-    values = [ps[i * m : (i + 1) * m] for i in range(len(fs))]
-    return MultiResidues(places, values)
+    big = polys.lcm_all(f.den for f in fs)
+    if big.is_constant:
+        return MultiResidues(ONE, [[] for _ in fs])
+    dens, rows = _layers([f.num * big.exact_div(f.den) for f in fs], big)
+    initial, nums = _reduced_numerators([(num, den) for row in rows for num, den in zip(row, dens)])
+    w = polys.inverse_mod(initial.derivative(), initial)
+    rs = [(num * w) % initial for num in nums]
+    common = initial
+    for r in rs:
+        if not (r.is_zero or common.is_constant):
+            common = polys.gcd(common, r)
+    places, m = initial.exact_div(common), len(dens)
+    return MultiResidues(places, [[r % places for r in rs[i : i + m]] for i in range(0, len(rs), m)])

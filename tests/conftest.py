@@ -1,9 +1,9 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
-seeded random matrices, the per-function first-residues reference, the
-per-part-inverse partial-fraction reference, the character-loop tokenizer
-and expression-tree parser references, the Fraction-tuple polynomial
-reference, the subresultant-PRS shift-resultant reference and the
-primitive-PRS gcd reference."""
+seeded random matrices, the per-function first-residues and multi-residues
+references, the per-part-inverse partial-fraction reference, the
+character-loop tokenizer and expression-tree parser references, the
+Fraction-tuple polynomial reference, the subresultant-PRS shift-resultant
+reference and the primitive-PRS gcd reference."""
 
 from __future__ import annotations
 
@@ -15,8 +15,10 @@ import pytest
 from dresidues import cli, polys
 from dresidues.errors import DomainError, InexactDivisionError, ParseError
 from dresidues.polys import _COEF_TYPES, ONE, ZERO, Poly, X, _as_rat, _taylor_shift, poly_str
-from dresidues.ratfun import RatFun
-from dresidues.residues import TRIVIAL_PAIR, ResiduePair
+from dresidues.hermite import hermite_list
+from dresidues.ratfun import RF_ZERO, RatFun
+from dresidues.reduction import _reduce
+from dresidues.residues import TRIVIAL_PAIR, MultiResidues, ResiduePair, first_residues_multi
 from dresidues.testkit import OrbitSpec, dres_by_definition, rational_roots
 
 x = X
@@ -163,6 +165,19 @@ def ref_first_residues_multi(fs):
         lift = polys.inverse_mod(cof, pair.places)
         ps.append((pair.values * lift) % pair.places * cof)
     return big, ps
+
+
+def ref_discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
+    """The per-function `discrete_residues_multi` that the common-denominator
+    one replaced: `hermite_list` of each function, padding to a common layer
+    count, one joint `_reduce` of the layer RatFuns and `first_residues_multi`
+    of the reduced forms; a test-only reference."""
+    all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
+    m = max(len(layers) for layers in all_layers)
+    flat = [g for layers in all_layers for g in layers + [RF_ZERO] * (m - len(layers))]
+    places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
+    values = [ps[i * m : (i + 1) * m] for i in range(len(fs))]
+    return MultiResidues(places, values)
 
 
 def ref_parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:

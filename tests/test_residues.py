@@ -7,9 +7,10 @@ from conftest import (
     assert_multi_matches_oracle,
     assert_pairs_match_oracle,
     ref_first_residues,
+    ref_discrete_residues_multi,
     ref_first_residues_multi,
 )
-from dresidues import polys
+from dresidues import polys, shiftset
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
@@ -352,3 +353,100 @@ class TestDiscreteResiduesMulti:
         root = integer_roots_found[0]
         assert md.values[0][0](root) == 1
         assert md.values[1][0](root) == 3
+
+
+# Bases of the Z-orbits the common-denominator families draw poles from:
+# rational roots, irreducible quadratics and irreducible cubics.
+_BASES = (x - Fraction(1, 2), x + Fraction(1, 3), x**2 + 1, x**2 + x + 3, x**3 - 2, x**3 + x + 1)
+
+
+def _random_term(rng, bases, max_order=3):
+    """c/p(x+s)^k with p from bases and deg c < deg p."""
+    p = rng.choice(bases)
+    num = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(p.degree - 1)] + [rng.randint(1, 4)])
+    return RatFun(num, p.shift(rng.randint(0, 3)) ** rng.randint(1, max_order))
+
+
+def _random_poly_below(rng, n):
+    return Poly([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
+
+
+def _common_den_families():
+    """Seeded (kind, family, cancelled base) triples for the common-denominator
+    read-out of `discrete_residues_multi`, one kind per case it must keep
+    exact; the base is None except for the "cancel" kind."""
+    rng = random.Random(2323)
+    out = []
+    for _ in range(6):
+        # shared: every input over one denominator
+        den = ONE
+        for _ in range(rng.randint(1, 3)):
+            den = den * _random_term(rng, _BASES).den
+        fs = [RatFun(_random_poly_below(rng, den.degree), den) for _ in range(rng.randint(2, 4))]
+        out.append(("shared", fs, None))
+        # disjoint: no orbit in common
+        bases = rng.sample(_BASES, 4)
+        out.append(("disjoint", [_random_term(rng, [p]) + _random_term(rng, [p]) for p in bases], None))
+        # zero inputs among nonzero ones
+        fs = [_random_term(rng, _BASES) + _random_term(rng, _BASES) for _ in range(3)]
+        out.append(("zero", fs[:1] + [RF_ZERO] + fs[1:] + [RF_ZERO], None))
+        # inputs that lack the top pole order
+        top = _random_term(rng, _BASES, 1) + RatFun(ONE, rng.choice(_BASES) ** 3)
+        out.append(("low-order", [top] + [_random_term(rng, _BASES, 1) for _ in range(3)], None))
+        # all summable: places = 1
+        out.append(("summable", [_random_term(rng, _BASES).delta() for _ in range(rng.randint(2, 4))], None))
+        # one orbit, that of p, cancels for every input, so places != initial
+        p, *rest = rng.sample(_BASES, 4)
+        fs = [_random_term(rng, rest) + _random_term(rng, [p]).delta() for _ in range(rng.randint(2, 4))]
+        out.append(("cancel", fs, p))
+    return out
+
+
+class TestCommonDenominator:
+    """`discrete_residues_multi` reads every input over one common denominator;
+    its places and values are canonical, so they equal the per-function
+    reference pipeline's exactly."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        return _common_den_families()
+
+    def test_matches_per_function_reference(self, families):
+        for kind, fs, _ in families:
+            md = discrete_residues_multi(fs)
+            ref = ref_discrete_residues_multi(fs)
+            assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
+
+    def test_families_cover_the_cases(self, families):
+        by_kind = {}
+        for kind, fs, _ in families:
+            by_kind.setdefault(kind, []).append(discrete_residues_multi(fs))
+        assert all(md.places == ONE for md in by_kind["summable"])
+        assert any(md.places.degree >= 2 for md in by_kind["shared"])
+        assert all(any(row == [ZERO] * md.order_count for row in md.values) for md in by_kind["zero"])
+        assert all(md.order_count == 3 and md.values[1][2].is_zero for md in by_kind["low-order"])
+        for kind, fs, p in families:
+            if kind == "cancel":
+                # p's orbit holds poles of the inputs, so one of its roots is
+                # initial, but no root of places
+                orbit = [p.shift(s) for s in range(-1, 6)]
+                assert any(polys.gcd(f.den, q) != ONE for f in fs for q in orbit)
+                assert all(polys.gcd(discrete_residues_multi(fs).places, q) == ONE for q in orbit)
+
+    def test_one_yun_and_one_shift_set_per_call(self, monkeypatch):
+        calls = {"squarefree_decomposition": 0, "shift_set": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(p):
+                calls[name] += 1
+                return original(p)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(polys, "squarefree_decomposition")
+        counted(shiftset, "shift_set")
+        fs = [RatFun(ONE, x**2 * (x + 1)), RatFun(x, (x**2 + 1) ** 3 * (x + 3)), RatFun(ONE, x + Fraction(1, 2))]
+        discrete_residues_multi(fs)
+        assert calls == {"squarefree_decomposition": 1, "shift_set": 1}
