@@ -15,7 +15,8 @@ range.  It also records both sides' output digests from `--seconds 1` runs
 at seeds 1 and 7, and the best of 3 `hermite_list` times on two
 high-multiplicity inputs.
 
-The result is merged into OUT_NAME at the checkout root by `benchfile.record`.
+The result is merged into OUT_NAME at the checkout root by `benchfile.record`,
+under the key "comparison seed SEED", so runs at several seeds sit side by side.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def main() -> None:
     record(
         ROOT / args.out,
         args.title,
-        "comparison",
+        f"comparison seed {args.seed}",
         {
             "parent_commit": git("-C", str(trees["parent"]), "rev-parse", "HEAD"),
             "seed": args.seed,
