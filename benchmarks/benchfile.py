@@ -1,9 +1,10 @@
 """The BENCH_*.json writer and the CLI timer shared by the scripts in this directory.
 
 Each run is merged into its file at the checkout root under the sha256 of the
-checkout's `src/dresidues/*.py`, with the git head, whether `src` has
-uncommitted changes, the machine and the time, so running a script in two
-checkouts that share the file keeps both results side by side.
+checkout's `src/dresidues/*.py` and the run's key, with its own git head,
+whether `src` has uncommitted changes, the machine and the time, so running
+a script in two checkouts that share the file, or under two keys, keeps both
+results side by side.
 """
 
 from __future__ import annotations
@@ -38,21 +39,21 @@ def git(*args: str) -> str | None:
     return out.stdout.strip()
 
 
-def record(out: Path, title: str, key: str, rows: list[dict] | dict) -> None:
-    """Merge one run, its rows stored under `key`, into the file `out`; the
-    title is written only when the file has none.  Runs of one source under
-    different keys share its entry, the metadata being the last run's."""
-    result = {
+def record(out: Path, title: str, key: str, fields: dict) -> None:
+    """Merge one run, its fields and metadata stored under `key` in its
+    source's entry, into the file `out`; the title is written only when the
+    file has none."""
+    run = {
         "git_head": git("rev-parse", "HEAD"),
         "git_dirty": bool(git("status", "--porcelain", "--", "src")),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}, "
         f"{platform.python_implementation()} {platform.python_version()}",
         "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        key: rows,
+        **fields,
     }
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("title", title)
-    data.setdefault("runs", {}).setdefault(source_digest(), {}).update(result)
+    data.setdefault("runs", {}).setdefault(source_digest(), {})[key] = run
     out.write_text(json.dumps(data, indent=1) + "\n")
 
 

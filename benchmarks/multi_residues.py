@@ -1,17 +1,26 @@
-"""In-process time of `discrete_residues_multi` on the perfbench `vspace` families.
+"""In-process time of `discrete_residues_multi` on each side of its path choice.
 
-Inputs: the 70 `vspace` families (4-8 functions each) of the
-`vspace-relations` corpus of `perfbench/workloads.py` at each given seed,
-built by this checkout's perfbench with the side's `src` first on the path.
-Per side and seed the script runs one pass over the families in a fresh
+Two corpora of families, built per side with the side's `src` first on the
+path:
+
+- "vspace seed S", S in SEEDS: the 70 `vspace` families (4-8 functions each)
+  of the `vspace-relations` corpus of `perfbench/workloads.py` at seed S.  Their
+  denominators are mostly shared (every function has the same simple poles,
+  plus a delta image on the orbit of 0), so they are read over one lcm.
+- "disjoint": 30 seeded families of 4-8 functions with pairwise
+  disjoint denominators, each function two terms c/p(x+s)^k, k <= 3, on its own
+  Z-orbit, p linear or an irreducible quadratic.  The lcm is the product of the
+  denominators, so each function takes its own Hermite layers.
+
+Per side and corpus the script runs one pass over the families in a fresh
 interpreter to take the sha256 of every (places, values), then REPEATS timed
 passes, and keeps the best pass time in milliseconds.
 
 Run from a checkout, optionally with a checkout of the parent commit:
 
-    python3 benchmarks/multi_residues.py OUT_NAME [PARENT_DIR] [--seeds 1 5]
+    python3 benchmarks/multi_residues.py OUT_NAME [PARENT_DIR]
 
-The result, with `same_output` per seed when both sides ran, is merged into
+The result, with `same_output` per corpus when both sides ran, is merged into
 OUT_NAME at the checkout root by `benchfile.record`.
 """
 
@@ -26,19 +35,46 @@ from pathlib import Path
 
 from benchfile import ROOT, git, record
 
+SEEDS = (1, 5)
 REPEATS = 12
 TIMER = """
 import argparse, hashlib, importlib, json, random, sys, time
+from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 import workloads
-names = ("cli", "galois", "polys", "ratfun", "summability", "testkit")
-lib = argparse.Namespace(**{m: importlib.import_module(f"dresidues.{m}") for m in names})
+from dresidues.polys import Poly
+from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.residues import discrete_residues_multi
-families = []
-for item in workloads.WORKLOADS["vspace-relations"](lib, random.Random(int(sys.argv[2]))):
-    if item.label.startswith("vspace"):
-        cells = dict(zip(item.run.__code__.co_freevars, item.run.__closure__))
-        families.append(cells["fs"].cell_contents)
+
+def vspace(seed):
+    names = ("cli", "galois", "polys", "ratfun", "summability", "testkit")
+    lib = argparse.Namespace(**{m: importlib.import_module(f"dresidues.{m}") for m in names})
+    # A vspace item runs lib.summability.vspace on its family, so with this
+    # stand-in its run() returns the family.
+    lib.summability = argparse.Namespace(vspace=lambda fs: fs)
+    items = workloads.WORKLOADS["vspace-relations"](lib, random.Random(seed))
+    return [item.run() for item in items if item.label.startswith("vspace")]
+
+def disjoint():
+    rng, x, orbit, families = random.Random(0), Poly([0, 1]), 0, []
+    for i in range(30):
+        fs = []
+        for _ in range(4 + i % 5):
+            orbit += 1
+            if rng.random() < 0.5:
+                p = x - Fraction(1, orbit + 7)
+            else:
+                p = x**2 + x * Fraction(1, orbit + 3) + (orbit + 2)
+            f = RF_ZERO
+            for _ in range(2):
+                num = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(p.degree - 1)] + [rng.randint(1, 4)])
+                f = f + RatFun(num, p.shift(rng.randint(0, 3)) ** rng.randint(1, 3))
+            fs.append(f)
+        families.append(fs)
+    return families
+
+corpus = sys.argv[2]
+families = vspace(int(corpus.split()[-1])) if corpus.startswith("vspace") else disjoint()
 digest = hashlib.sha256()
 for fs in families:
     md = discrete_residues_multi(fs)
@@ -53,9 +89,9 @@ print(json.dumps({"families": len(families), "best_ms": round(best * 1000, 1), "
 """
 
 
-def best_pass(tree: Path, seed: int) -> dict:
+def best_pass(tree: Path, corpus: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    argv = [sys.executable, "-c", TIMER, str(ROOT / "perfbench"), str(seed), str(REPEATS)]
+    argv = [sys.executable, "-c", TIMER, str(ROOT / "perfbench"), corpus, str(REPEATS)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -64,21 +100,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="file name of the BENCH_*.json at the checkout root")
     parser.add_argument("parent", type=Path, nargs="?", help="a checkout of the parent commit")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5])
     args = parser.parse_args()
     trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
     rows = []
-    for seed in args.seeds:
-        row: dict = {"seed": seed}
+    for corpus in [f"vspace seed {seed}" for seed in SEEDS] + ["disjoint"]:
+        row: dict = {"corpus": corpus}
         for side, tree in trees.items():
-            row[side] = best_pass(tree, seed)
+            row[side] = best_pass(tree, corpus)
         if "parent" in row:
             row["same_output"] = row["parent"]["sha256"] == row["change"]["sha256"]
         print(json.dumps(row), flush=True)
         rows.append(row)
     record(
         ROOT / args.out,
-        "discrete_residues_multi on the perfbench vspace families (benchmarks/multi_residues.py); "
+        "discrete_residues_multi on the perfbench vspace families and on families with disjoint denominators "
+        "(benchmarks/multi_residues.py); "
         f"best of {REPEATS} in-process passes in ms, with the sha256 of the outputs",
         "in_process_discrete_residues_multi",
         {

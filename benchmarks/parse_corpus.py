@@ -85,7 +85,7 @@ def main() -> int:
         "cli.parse and cli._tokenize on the dres-oracle expressions of seeds 1 and 7 "
         "(benchmarks/parse_corpus.py); times are the best of 7 passes over a seed's corpus, in seconds",
         "seeds",
-        rows,
+        {"rows": rows},
     )
     return 0
 

@@ -89,7 +89,7 @@ def main() -> int:
         "shift_set by degree: sums over 3 squarefree products of shifted random quadratics per degree "
         "(benchmarks/shift_ladder.py); times are the minimum of up to 3 runs, in seconds",
         "ladder",
-        rows,
+        {"rows": rows},
     )
     return 0
 

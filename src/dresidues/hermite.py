@@ -26,9 +26,8 @@ its first b is coprime to q too, and the class's part of g is G/q^(e-1),
 whose digits are the -b/(e-1) of the steps: in lowest terms, and again
 coprime to q for the next layer, which starts from them with no second
 squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
-or share a factor with q_i, is normalised, by one gcd per layer.  `_layers`
-skips even that: for several numerators over one den it runs Yun and the
-set-up once, and leaves layer k a numerator over D_k = prod_(i>=k) q_i.
+or share a factor with q_i, is normalised, by one gcd per layer; `_layers`, for several
+numerators over one den, skips it and leaves layer k over D_k = prod_(i>=k) q_i.
 
 The split and the steps run on the integer-list kernels of `polys`, each
 digit, q' and s a Poly's (integers, denominator) pair in lowest terms; a Poly
@@ -80,17 +79,14 @@ def _exact(a: list[int], big: Sequence[int]) -> list[int]:
 
 
 def _setup(den: Poly) -> tuple[list[tuple], tuple[Poly, Poly] | None]:
-    """What `_split` needs of den = prod q_i^i, from one Yun: (q, i, C = den/q^i,
-    q', t = 1/C, s = 1/q' mod q) per class with i >= 2, by increasing i, t = w*q'
-    and s = w*C from one inverse w = 1/(C*q') mod q; and (q_1, den/q_1) if some i = 1."""
+    """What `_split` needs of den = prod q_i^i, from one Yun: per class with i >= 2, by increasing i,
+    (q, i, C = den/q^i, q', t = w*q' = 1/C, s = w*C = 1/q' mod q), w = 1/(C*q') mod q; (q_1, den/q_1) if any."""
     decomp = polys.squarefree_decomposition(den)
     if decomp.unit != 1:
         raise InternalError("denominator of a RatFun must be monic")
     classes, setup, high = decomp.factors, [], ONE
     for q, i in (c for c in classes if c[1] > 1):
-        power = q**i
-        high = high * power
-        cof = den.exact_div(power)
+        high, cof = high * q**i, den.exact_div(q**i)
         dq, cof_q = q.derivative(), cof % q
         w = polys.inverse_mod(cof_q * dq, q)
         setup.append((q, i, cof, (dq._c, dq._d), (w * dq) % q, (w * cof_q) % q))

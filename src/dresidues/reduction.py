@@ -13,11 +13,10 @@ through with no gcd.
 The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) (`_certificate`, from a
 run's parts) takes one gcd-free `ratfun._over_product` per distinct l: every
 root of F_l lies l steps right of an initial root and no two initial roots
-share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.
-`_reduce`'s reduced form keeps RatFun sums, as its pieces sigma^l(N_l/F_l)
-may share poles across l.  `_reduced_numerators` gives it as one numerator
-sum_l sigma^l(N_l) * initial/sigma^l(F_l) over initial, with no gcd, as
-every sigma^l(F_l) divides initial; its inputs need not be in lowest terms.
+share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  The
+pieces sigma^l(N_l/F_l) of a reduced form may share poles across l: `_reduce`
+adds them as RatFuns, `_reduced_numerators` as sum_l sigma^l(N_l) *
+initial/sigma^l(F_l) over initial, with no gcd, its inputs maybe not in lowest terms.
 """
 
 from __future__ import annotations
@@ -114,16 +113,13 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
 def _reduced_numerators(pairs: list[tuple[Poly, Poly]]) -> tuple[Poly, list[Poly]]:
     """(initial, each num/den's reduced form as one numerator over initial)."""
     initial, _, _, splits = _prelude(pairs)
-    cofactors: dict[Poly, list[Poly]] = {}
+    cofactors: dict[Poly, list[Poly]] = {}  # initial/sigma^l(F_l) per den, by l
     out: list[Poly] = []
     for (_, den), split in zip(pairs, splits):
-        total = ZERO
-        if split:
-            factors, indices, numerators = split
-            if den not in cofactors:
-                cofactors[den] = [initial.exact_div(factors[ell].shift(ell)) for ell in indices]
-            total = sum((numerators[ell].shift(ell) * cof for ell, cof in zip(indices, cofactors[den])), ZERO)
-        out.append(total)
+        factors, indices, numerators = split or ({}, (), {})  # a zero num sums to ZERO
+        if split and den not in cofactors:
+            cofactors[den] = [initial.exact_div(factors[ell].shift(ell)) for ell in indices]
+        out.append(sum((numerators[ell].shift(ell) * cof for ell, cof in zip(indices, cofactors.get(den, ()))), ZERO))
     return initial, out
 
 

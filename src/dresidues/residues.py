@@ -5,20 +5,19 @@ The roots of `places` mark where residues live, with exactly one
 representative per Z-orbit carrying a nonzero residue, and evaluating
 `values` at such a root gives the residue there.  No denominator is ever
 factored into linear factors; everything runs on gcds, partial fractions,
-resultants and modular inverses.  `discrete_residues_multi` reads every
-input over L = lcm of the denominators, so Yun, the Hermite set-up, the
-shift set and one Trager inverse w = 1/initial' mod initial run once per call.
+resultants and modular inverses; `discrete_residues_multi` may read all inputs over one lcm.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import polys
 from .errors import DomainError
 from .hermite import _layers, hermite_list
 from .polys import ONE, ZERO, Poly
-from .ratfun import RatFun
+from .ratfun import RF_ZERO, RatFun
 from .reduction import _reduce, _reduced_numerators
 
 
@@ -145,9 +144,10 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     """Discrete residues of several functions over one shared places
     polynomial, compatible across both functions and orders.
 
-    Each layer's reduced numerator over initial gives R = num * w mod
-    initial, which takes the residue at every root of initial; places drops
-    the roots where every R vanishes.  A zero input's values row is all zero.
+    Read over L = lcm of the denominators (`_over_lcm`) when the cofactors
+    L/den_i have lower total degree than the den_i; else each input's Hermite
+    layers, padded to one count, are reduced together and read through one
+    Trager inverse (`first_residues_multi`).  A zero input's row is all zero.
     """
     if not fs:
         raise DomainError("discrete_residues_multi requires at least one function")
@@ -156,13 +156,22 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     big = polys.lcm_all(f.den for f in fs)
     if big.is_constant:
         return MultiResidues(ONE, [[] for _ in fs])
+    degrees = [f.den.degree for f in fs if not f.is_zero]
+    if len(degrees) * big.degree < 2 * sum(degrees):
+        return _over_lcm(fs, big)
+    all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
+    m = max(len(layers) for layers in all_layers)
+    flat = [g for layers in all_layers for g in layers + [RF_ZERO] * (m - len(layers))]
+    places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
+    return MultiResidues(places, [ps[i * m : (i + 1) * m] for i in range(len(fs))])
+
+
+def _over_lcm(fs: list[RatFun], big: Poly) -> MultiResidues:
+    """Layer k of each num*(big/den)/big, reduced over initial, gives R = num*w mod initial, w = 1/initial'
+    mod initial: the residue at every root of initial.  places keeps the roots where some R is nonzero."""
     dens, rows = _layers([f.num * big.exact_div(f.den) for f in fs], big)
     initial, nums = _reduced_numerators([(num, den) for row in rows for num, den in zip(row, dens)])
     w = polys.inverse_mod(initial.derivative(), initial)
     rs = [(num * w) % initial for num in nums]
-    common = initial
-    for r in rs:
-        if not (r.is_zero or common.is_constant):
-            common = polys.gcd(common, r)
-    places, m = initial.exact_div(common), len(dens)
+    places, m = initial.exact_div(functools.reduce(polys.gcd, rs, initial)), len(dens)
     return MultiResidues(places, [[r % places for r in rs[i : i + m]] for i in range(0, len(rs), m)])

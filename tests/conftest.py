@@ -168,10 +168,11 @@ def ref_first_residues_multi(fs):
 
 
 def ref_discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
-    """The per-function `discrete_residues_multi` that the common-denominator
-    one replaced: `hermite_list` of each function, padding to a common layer
-    count, one joint `_reduce` of the layer RatFuns and `first_residues_multi`
-    of the reduced forms; a test-only reference."""
+    """The per-function `discrete_residues_multi`, as it was before inputs
+    could be read over one common denominator: `hermite_list` of each
+    function, padding to a common layer count, one joint `_reduce` of the
+    layer RatFuns and `first_residues_multi` of the reduced forms; a
+    test-only reference."""
     all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
     m = max(len(layers) for layers in all_layers)
     flat = [g for layers in all_layers for g in layers + [RF_ZERO] * (m - len(layers))]

@@ -16,6 +16,7 @@ from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.residues import (
     TRIVIAL_PAIR,
+    _over_lcm,
     discrete_residues,
     discrete_residues_coordinated,
     discrete_residues_multi,
@@ -403,9 +404,10 @@ def _common_den_families():
 
 
 class TestCommonDenominator:
-    """`discrete_residues_multi` reads every input over one common denominator;
-    its places and values are canonical, so they equal the per-function
-    reference pipeline's exactly."""
+    """`discrete_residues_multi` reads inputs that share most of their
+    denominator over one common denominator (`_over_lcm`); places and values
+    are canonical, so on every family, whichever path it takes, both equal
+    the per-function reference pipeline's exactly."""
 
     @pytest.fixture(scope="class")
     def families(self):
@@ -413,8 +415,10 @@ class TestCommonDenominator:
 
     def test_matches_per_function_reference(self, families):
         for kind, fs, _ in families:
-            md = discrete_residues_multi(fs)
             ref = ref_discrete_residues_multi(fs)
+            md = discrete_residues_multi(fs)
+            assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
+            md = _over_lcm(fs, polys.lcm_all(f.den for f in fs))
             assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
 
     def test_families_cover_the_cases(self, families):
@@ -434,6 +438,8 @@ class TestCommonDenominator:
                 assert all(polys.gcd(discrete_residues_multi(fs).places, q) == ONE for q in orbit)
 
     def test_one_yun_and_one_shift_set_per_call(self, monkeypatch):
+        """Yun and the shift set run once on inputs over mostly one
+        denominator; inputs with no pole in common take one Yun each."""
         calls = {"squarefree_decomposition": 0, "shift_set": 0}
 
         def counted(module, name):
@@ -447,6 +453,11 @@ class TestCommonDenominator:
 
         counted(polys, "squarefree_decomposition")
         counted(shiftset, "shift_set")
-        fs = [RatFun(ONE, x**2 * (x + 1)), RatFun(x, (x**2 + 1) ** 3 * (x + 3)), RatFun(ONE, x + Fraction(1, 2))]
+        den = x**2 * (x + 1) * (x**2 + 1) ** 2
+        fs = [RatFun(ONE, den), RatFun(x, den * (x + 3)), RatFun(x**3 + 2, x**2 * (x**2 + 1) ** 2)]
         discrete_residues_multi(fs)
         assert calls == {"squarefree_decomposition": 1, "shift_set": 1}
+        calls.update(squarefree_decomposition=0, shift_set=0)
+        fs = [RatFun(ONE, x**2 * (x + 1)), RatFun(x, (x**2 + 1) ** 3 * (x + 3)), RatFun(ONE, (x + Fraction(1, 2)) ** 2)]
+        discrete_residues_multi(fs)
+        assert calls == {"squarefree_decomposition": 3, "shift_set": 1}
