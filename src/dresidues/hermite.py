@@ -86,7 +86,8 @@ def _setup(den: Poly) -> tuple[list[tuple], tuple[Poly, Poly] | None]:
         raise InternalError("denominator of a RatFun must be monic")
     classes, setup, high = decomp.factors, [], ONE
     for q, i in (c for c in classes if c[1] > 1):
-        high, cof = high * q**i, den.exact_div(q**i)
+        power = q**i
+        high, cof = high * power, den.exact_div(power)
         dq, cof_q = q.derivative(), cof % q
         w = polys.inverse_mod(cof_q * dq, q)
         setup.append((q, i, cof, (dq._c, dq._d), (w * dq) % q, (w * cof_q) % q))
@@ -204,9 +205,8 @@ def hermite_list(f: RatFun) -> list[RatFun]:
 def _layers(nums: list[Poly], den: Poly) -> tuple[list[Poly], list[list[Poly]]]:
     """(the D_k, and per proper num/den the N_k): N_k/D_k is the k-th
     `hermite_list` layer of num/den, or zero past its last (module docstring)."""
-    setup = _setup(den)
+    setup, dens, rows = _setup(den), [], [[] for _ in nums]
     states = [_split(num, setup) for num in nums]
-    dens, rows = [], [[] for _ in nums]
     while states[0]:  # every num has the same classes at every step
         scale = (-1) ** len(dens) * math.factorial(len(dens))
         qs = [q for q, _, _, _, _ in states[0]]
