@@ -26,8 +26,8 @@ its first b is coprime to q too, and the class's part of g is G/q^(e-1),
 whose digits are the -b/(e-1) of the steps: in lowest terms, and again
 coprime to q for the next layer, which starts from them with no second
 squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
-or share a factor with q_i, is normalised, by one gcd per layer; `_layers`, for several
-numerators over one den, skips it and leaves layer k over D_k = prod_(i>=k) q_i.
+or share a factor with q_i, is normalised, by one gcd per layer; `_remainders`, for several
+numerators over one den, skips it and gives each r_i/q_i as r_i/q_i' mod q_i.
 
 The split and the steps run on the integer-list kernels of `polys`, each
 digit, q' and s a Poly's (integers, denominator) pair in lowest terms; a Poly
@@ -202,17 +202,20 @@ def hermite_list(f: RatFun) -> list[RatFun]:
     return layers
 
 
-def _layers(nums: list[Poly], den: Poly) -> tuple[list[Poly], list[list[Poly]]]:
-    """(the D_k, and per proper num/den the N_k): N_k/D_k is the k-th
-    `hermite_list` layer of num/den, or zero past its last (module docstring)."""
-    setup, dens, rows = _setup(den), [], [[] for _ in nums]
-    states = [_split(num, setup) for num in nums]
-    while states[0]:  # every num has the same classes at every step
-        scale = (-1) ** len(dens) * math.factorial(len(dens))
-        qs = [q for q, _, _, _, _ in states[0]]
-        dens.append(math.prod(qs[1:], start=qs[0]))
-        cofs = [dens[-1].exact_div(q) * scale for q in qs]
-        for j, row in enumerate(rows):
-            states[j], parts = _step(states[j])
-            row.append(sum((r * cof for (r, _), cof in zip(parts, cofs)), ZERO))
-    return dens, rows
+def _remainders(nums: list[Poly], den: Poly) -> tuple[list[list[list[tuple[Poly, Poly]]]], Poly]:
+    """(per proper num/den and layer k, the (t, q) of each class q: with r/q its part of
+    the k-th Hermite remainder and s = 1/q' mod q, t = (-1)^(k-1) (k-1)! r s mod q takes
+    the order-k coefficient of num/den at every root of q; and b = prod q).  A zero num has no layers."""
+    setup = _setup(den)
+    inverses = {q: s for q, _, _, _, _, s in setup[0]}
+    for q, _ in filter(None, setup[1:]):  # the class of multiplicity 1, if any
+        inverses[q] = polys.inverse_mod(q.derivative(), q)
+    rows = []
+    for num in nums:
+        states, row = ([] if num.is_zero else _split(num, setup)), []
+        while states:
+            states, parts = _step(states)
+            scale = (-1) ** len(row) * math.factorial(len(row))
+            row.append([((r * inverses[q]) % q * scale, q) for r, q in parts])
+        rows.append(row)
+    return rows, math.prod(inverses, start=ONE)

@@ -213,19 +213,20 @@ def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
         w = polys.inverse_mod(f.den.derivative(), f.den)
     except DomainError:
         raise DomainError("parfrac requires a squarefree denominator") from None
-    return _parfrac(f.num, f.den, parts, w)
-
-
-def _parfrac(num: Poly, den: Poly, parts: list[Poly], w: Poly) -> list[Poly]:
-    """`parfrac` of a num/den, maybe not in lowest terms, given w = 1/D' mod D,
-    so that callers splitting several numerators over one D compute w once."""
     prod = ONE
     for b in parts:
         if b.is_zero or not b.is_monic:
             raise DomainError("parfrac parts must be monic")
         prod = prod * b
-    if prod != den:
+    if prod != f.den:
         raise DomainError("parfrac parts do not multiply to the denominator")
+    return _parfrac(f.num, parts, w)
+
+
+def _parfrac(num: Poly, parts: list[Poly], w: Poly) -> list[Poly]:
+    """`parfrac` of a num/D, maybe not in lowest terms, given w = 1/D' mod D and monic
+    parts known to multiply to D, so that callers splitting several numerators over
+    one D compute w and check the parts once."""
     nw = num * w
     return [(nw * b.derivative()) % b for b in parts]
 

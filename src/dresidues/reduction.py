@@ -5,26 +5,29 @@ f-bar either zero or of polar dispersion zero (at most one pole per
 Z-orbit, sitting at the leftmost pole of the orbit).  `simple_reduction`
 handles one function; `simple_reduction_multi` reduces several functions
 against one shared divisor of initial roots so that common orbits show up
-as common poles across the outputs.  Within one call (`_prelude`), inputs
-over one denominator D share its split over the shifted initial roots and
-the inverse 1/D' mod D of their partial fractions, and a zero input passes
-through with no gcd.
+as common poles across the outputs.  Within one `_reduce` call, inputs over
+one denominator D share its split over the shifted initial roots
+(`_orbit_split`, checked once to multiply to D) and the inverse 1/D' mod D
+of their partial fractions, and a zero input passes through with no gcd.
 
 The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) (`_certificate`, from a
 run's parts) takes one gcd-free `ratfun._over_product` per distinct l: every
 root of F_l lies l steps right of an initial root and no two initial roots
 share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  The
-pieces sigma^l(N_l/F_l) of a reduced form may share poles across l: `_reduce`
-adds them as RatFuns, `_reduced_numerators` as sum_l sigma^l(N_l) *
-initial/sigma^l(F_l) over initial, with no gcd, its inputs maybe not in lowest terms.
+pieces sigma^l(N_l/F_l) of a reduced form may share poles across l; `_reduce`
+adds them as RatFuns.  `_orbit_residues` builds no reduced form: from the
+Trager polynomial t = r/q' mod q of parts r/q, it takes the residue sum at
+each initial root u, sum_l t(u + l), modulo initial through the idempotents
+of the factors F_l(x + l) of initial.  Both take the orbits from `_orbits`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import polys, shiftset
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .polys import ONE, ZERO, Poly
 from .ratfun import RF_ZERO, RatFun, _over_product, _parfrac
 
@@ -62,45 +65,41 @@ def _validate_simple(f: RatFun, who: str) -> None:
         raise DomainError(f"{who} requires squarefree denominators")
 
 
-def _prelude(pairs: list[tuple[Poly, Poly]]) -> tuple[Poly, dict[int, Poly], Poly, list[tuple | None]]:
-    """What both finishers share, for num/den with squarefree den: initial, the
-    shift gcds, their lcm, and per input None (num = 0) or (F_l's, l's, N_l's)."""
-    b = polys.lcm_all(den for num, den in pairs if not num.is_zero)
+def _orbits(b: Poly) -> tuple[dict[int, Poly], Poly, Poly, dict[int, Poly]]:
+    """For squarefree b: the shift gcds, their lcm, initial, and initial(x - l) for l = 0 and each shift l."""
     shifts = shiftset.shift_set(b).shifts
     shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
     overlap = polys.lcm_all(shift_gcds.values())
     initial = b.exact_div(overlap)
-    moved = {ell: initial.shift(-ell) for ell in shifts}
-    splits: dict[Poly, tuple[dict[int, Poly], tuple[int, ...], Poly]] = {}
-    out: list[tuple | None] = []
-    for num, den in pairs:
-        if num.is_zero:
-            out.append(None)
-            continue
-        if den not in splits:
-            factors = {0: polys.gcd(initial, den)}
-            for ell in shifts:
-                bl = polys.gcd(moved[ell], den)
-                if not bl.is_constant:
-                    factors[ell] = bl
-            w = polys.inverse_mod(den.derivative(), den)
-            splits[den] = (factors, tuple(sorted(factors)), w)
-        factors, indices, w = splits[den]
-        out.append((factors, indices, dict(zip(indices, _parfrac(num, den, [factors[ell] for ell in indices], w)))))
-    return initial, shift_gcds, overlap, out
+    return shift_gcds, overlap, initial, {ell: initial.shift(-ell) for ell in (0, *shifts)}
+
+
+def _orbit_split(den: Poly, moved: dict[int, Poly]) -> dict[int, Poly]:
+    """F_l = gcd(initial(x - l), den) for l = 0 and each l where it is nonconstant, checked to
+    multiply to den: each root of a squarefree den | b lies l steps right of one initial root."""
+    factors = {ell: polys.gcd(m, den) for ell, m in moved.items()}
+    factors = {ell: f for ell, f in factors.items() if ell == 0 or not f.is_constant}
+    if math.prod(factors.values(), start=ONE) != den:
+        raise InternalError("the orbit split of a denominator does not multiply to it")
+    return factors
 
 
 def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     """Reduce each of fs against the divisor of initial roots of the lcm b of
     their denominators.  For one input, gcd(initial, f.den) = initial."""
-    initial, shift_gcds, overlap, splits = _prelude([(f.num, f.den) for f in fs])
+    shift_gcds, overlap, initial, moved = _orbits(polys.lcm_all(f.den for f in fs))
+    splits: dict[Poly, tuple[dict[int, Poly], tuple[int, ...], Poly]] = {}
     out: list[ReductionOutput] = []
-    for split in splits:
-        if split is None:
+    for f in fs:
+        if f.is_zero:
             parts = ReductionParts(initial, (0,), {0: ONE}, {0: ZERO}, shift_gcds, overlap)
             out.append(ReductionOutput(RF_ZERO, RF_ZERO if want_certificate else None, parts))
             continue
-        factors, indices, numerators = split
+        if f.den not in splits:
+            factors = _orbit_split(f.den, moved)
+            splits[f.den] = (factors, tuple(sorted(factors)), polys.inverse_mod(f.den.derivative(), f.den))
+        factors, indices, w = splits[f.den]
+        numerators = dict(zip(indices, _parfrac(f.num, [factors[ell] for ell in indices], w)))
         reduced = RF_ZERO
         for ell in indices:
             # f is in lowest terms with a squarefree denominator, so no residue is zero.
@@ -110,16 +109,23 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     return out
 
 
-def _reduced_numerators(pairs: list[tuple[Poly, Poly]]) -> tuple[Poly, list[Poly]]:
-    """(initial, each num/den's reduced form as one numerator over initial)."""
-    initial, _, _, splits = _prelude(pairs)
-    cofactors: dict[Poly, list[Poly]] = {}  # initial/sigma^l(F_l) per den, by l
+def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], b: Poly) -> tuple[Poly, list[Poly]]:
+    """(initial of squarefree b, per row R = sum over its parts (t, q), q | b, and over l of
+    sigma^l(t mod F_l) * e_l mod initial).  With G = F_l(x + l) and w = 1/initial' mod initial,
+    e_l = (initial/G) * w * G' is 1 mod G and 0 mod initial/G, so R(u) = sum_l t(u + l) at each root u of initial."""
+    _, _, initial, moved = _orbits(b)
+    w = polys.inverse_mod(initial.derivative(), initial)
+    splits: dict[Poly, list[tuple[int, Poly, Poly]]] = {}
     out: list[Poly] = []
-    for (_, den), split in zip(pairs, splits):
-        factors, indices, numerators = split or ({}, (), {})  # a zero num sums to ZERO
-        if split and den not in cofactors:
-            cofactors[den] = [initial.exact_div(factors[ell].shift(ell)) for ell in indices]
-        out.append(sum((numerators[ell].shift(ell) * cof for ell, cof in zip(indices, cofactors.get(den, ()))), ZERO))
+    for row in rows:
+        acc = ZERO
+        for t, q in (part for part in row if not part[0].is_zero):
+            if q not in splits:
+                gs = [(ell, f, f.shift(ell)) for ell, f in _orbit_split(q, moved).items() if not f.is_constant]
+                splits[q] = [(ell, f, (initial.exact_div(g) * w * g.derivative()) % initial) for ell, f, g in gs]
+            for ell, f, e in splits[q]:
+                acc = acc + (t if f == q else t % f).shift(ell) * e
+        out.append(acc % initial)
     return initial, out
 
 

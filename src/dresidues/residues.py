@@ -5,7 +5,7 @@ The roots of `places` mark where residues live, with exactly one
 representative per Z-orbit carrying a nonzero residue, and evaluating
 `values` at such a root gives the residue there.  No denominator is ever
 factored into linear factors; everything runs on gcds, partial fractions,
-resultants and modular inverses; `discrete_residues_multi` may read all inputs over one lcm.
+resultants and modular inverses; `discrete_residues_multi` builds no reduced form.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 from . import polys
 from .errors import DomainError
-from .hermite import _layers, hermite_list
+from .hermite import _remainders, hermite_list
 from .polys import ONE, ZERO, Poly
-from .ratfun import RF_ZERO, RatFun
-from .reduction import _reduce, _reduced_numerators
+from .ratfun import RatFun
+from .reduction import _orbit_residues, _reduce
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,9 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     polynomial, compatible across both functions and orders.
 
     Read over L = lcm of the denominators (`_over_lcm`) when the cofactors
-    L/den_i have lower total degree than the den_i; else each input's Hermite
-    layers, padded to one count, are reduced together and read through one
-    Trager inverse (`first_residues_multi`).  A zero input's row is all zero.
+    L/den_i have lower total degree than the den_i; else each distinct
+    denominator takes its own Hermite remainders (`_per_function`).  A zero
+    input's row is all zero.
     """
     if not fs:
         raise DomainError("discrete_residues_multi requires at least one function")
@@ -159,19 +159,29 @@ def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     degrees = [f.den.degree for f in fs if not f.is_zero]
     if len(degrees) * big.degree < 2 * sum(degrees):
         return _over_lcm(fs, big)
-    all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
-    m = max(len(layers) for layers in all_layers)
-    flat = [g for layers in all_layers for g in layers + [RF_ZERO] * (m - len(layers))]
-    places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
-    return MultiResidues(places, [ps[i * m : (i + 1) * m] for i in range(len(fs))])
+    return _per_function(fs)
 
 
 def _over_lcm(fs: list[RatFun], big: Poly) -> MultiResidues:
-    """Layer k of each num*(big/den)/big, reduced over initial, gives R = num*w mod initial, w = 1/initial'
-    mod initial: the residue at every root of initial.  places keeps the roots where some R is nonzero."""
-    dens, rows = _layers([f.num * big.exact_div(f.den) for f in fs], big)
-    initial, nums = _reduced_numerators([(num, den) for row in rows for num, den in zip(row, dens)])
-    w = polys.inverse_mod(initial.derivative(), initial)
-    rs = [(num * w) % initial for num in nums]
-    places, m = initial.exact_div(functools.reduce(polys.gcd, rs, initial)), len(dens)
+    """The Hermite remainders of every num*(big/den) over big, read at the orbits by `_read`."""
+    return _read(*_remainders([f.num * big.exact_div(f.den) for f in fs], big))
+
+
+def _per_function(fs: list[RatFun]) -> MultiResidues:
+    """The Hermite remainders of the inputs over each distinct denominator, read at the orbits by `_read`."""
+    rows, bs = {}, []
+    for den in dict.fromkeys(f.den for f in fs if not f.is_zero):
+        ids = [i for i, f in enumerate(fs) if f.den == den]
+        got, b = _remainders([fs[i].num for i in ids], den)
+        rows.update(zip(ids, got))
+        bs.append(b)
+    return _read([rows.get(i, []) for i in range(len(fs))], polys.lcm_all(bs))
+
+
+def _read(rows: list[list[list[tuple[Poly, Poly]]]], b: Poly) -> MultiResidues:
+    """Each input's layers, padded to one count, give R mod initial at every root of initial
+    (`_orbit_residues`); places keeps the roots where some R is nonzero, values = R mod places."""
+    m = max(len(row) for row in rows)
+    initial, rs = _orbit_residues([layer for row in rows for layer in row + [[]] * (m - len(row))], b)
+    places = initial.exact_div(functools.reduce(polys.gcd, rs, initial))
     return MultiResidues(places, [[r % places for r in rs[i : i + m]] for i in range(0, len(rs), m)])
