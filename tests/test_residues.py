@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ from conftest import (
     ref_discrete_residues_multi,
     ref_first_residues_multi,
 )
-from dresidues import polys, shiftset
+from dresidues import polys, reduction, shiftset
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.residues import (
     TRIVIAL_PAIR,
     _over_lcm,
+    _per_function,
     discrete_residues,
     discrete_residues_coordinated,
     discrete_residues_multi,
@@ -461,3 +463,94 @@ class TestCommonDenominator:
         fs = [RatFun(ONE, x**2 * (x + 1)), RatFun(x, (x**2 + 1) ** 3 * (x + 3)), RatFun(ONE, (x + Fraction(1, 2)) ** 2)]
         discrete_residues_multi(fs)
         assert calls == {"squarefree_decomposition": 3, "shift_set": 1}
+
+
+def _pole(rng, p, k):
+    """c/p^k with c nonzero of degree below deg p."""
+    num = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(p.degree - 1)] + [rng.randint(1, 4)])
+    return RatFun(num, p**k)
+
+
+def _remainder_families():
+    """Seeded (kind, family) pairs for the read-out of Hermite remainders at
+    the Z-orbits, one kind per case that read-out must keep exact."""
+    rng = random.Random(2424)
+    cubics = [b for b in _BASES if b.degree == 3]
+    out = []
+    for _ in range(4):
+        # split: the poles c/p(x+s)^k, s in shifts, fall in one Yun class
+        # whose roots lie at two or more shifts from initial roots
+        p, *rest = rng.sample(_BASES, 3)
+        shifts, k = rng.sample(range(5), rng.randint(2, 3)), rng.randint(1, 3)
+        fs = [sum((_pole(rng, p.shift(s), k) for s in shifts), _random_term(rng, rest)) for _ in range(rng.randint(2, 4))]
+        out.append(("split", fs))
+        # no-simple: every pole of order 2 or 3, so no class of multiplicity 1
+        fs = [sum((_pole(rng, rng.choice(_BASES).shift(rng.randint(0, 3)), rng.randint(2, 3)) for _ in range(2)), RF_ZERO) for _ in range(3)]
+        out.append(("no-simple", fs))
+        # cubic: irreducible cubic orbits only
+        out.append(("cubic", [_random_term(rng, cubics) + _random_term(rng, cubics) for _ in range(rng.randint(2, 4))]))
+        # zero: zero inputs among nonzero ones
+        fs = [_random_term(rng, _BASES) + _random_term(rng, _BASES) for _ in range(2)]
+        out.append(("zero", [RF_ZERO, fs[0], RF_ZERO, fs[1]]))
+        # same-den: two inputs over one denominator, two over orbits of their own
+        own = rng.sample(_BASES, 2)
+        other = [b for b in _BASES if b not in own]
+        den = _pole(rng, own[0], rng.randint(1, 3)).den * _pole(rng, own[1].shift(rng.randint(1, 3)), rng.randint(1, 3)).den
+        fs = [RatFun(_random_poly_below(rng, den.degree), den) for _ in range(2)]
+        out.append(("same-den", fs + [_random_term(rng, other) + _random_term(rng, other) for _ in range(2)]))
+    return out
+
+
+def _radical(p):
+    return math.prod((q for q, _ in polys.squarefree_decomposition(p).factors), start=ONE)
+
+
+class TestHermiteRemainders:
+    """Both branches of `discrete_residues_multi`, over the lcm (`_over_lcm`)
+    and per distinct denominator (`_per_function`), read each part r/q of a
+    Hermite remainder through its Trager polynomial and sum it over each
+    Z-orbit; places and values are canonical, so on every family both equal
+    the per-function reference pipeline's exactly."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        return _remainder_families()
+
+    def test_both_branches_match_reference(self, families):
+        for kind, fs in families:
+            ref = ref_discrete_residues_multi(fs)
+            big = polys.lcm_all(f.den for f in fs)
+            for md in (discrete_residues_multi(fs), _over_lcm(fs, big), _per_function(fs)):
+                assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
+
+    def test_families_cover_the_cases(self, families):
+        by_kind = {}
+        for kind, fs in families:
+            by_kind.setdefault(kind, []).append(fs)
+        for fs in by_kind["split"]:
+            big = polys.lcm_all(f.den for f in fs)
+            moved = reduction._orbits(_radical(big))[3]
+            splits = [reduction._orbit_split(q, moved) for q, _ in polys.squarefree_decomposition(big).factors]
+            assert any(sum(not f.is_constant for f in split.values()) >= 2 for split in splits)
+        for fs in by_kind["no-simple"]:
+            dens = [f.den for f in fs] + [polys.lcm_all(f.den for f in fs)]
+            assert all(i >= 2 for den in dens for _, i in polys.squarefree_decomposition(den).factors)
+        assert all(polys.lcm_all(f.den for f in fs).degree % 3 == 0 for fs in by_kind["cubic"])
+        assert any(discrete_residues_multi(fs).places.degree >= 3 for fs in by_kind["cubic"])
+        for fs in by_kind["zero"]:
+            md = discrete_residues_multi(fs)
+            assert md.values[0] == md.values[2] == [ZERO] * md.order_count
+        for fs in by_kind["same-den"]:
+            assert fs[0].den == fs[1].den != fs[2].den
+            # the path rule of `discrete_residues_multi` picks the per-function branch
+            assert len(fs) * polys.lcm_all(f.den for f in fs).degree >= 2 * sum(f.den.degree for f in fs)
+
+    def test_one_yun_per_distinct_denominator(self, families, monkeypatch):
+        calls = []
+        original = polys.squarefree_decomposition
+        monkeypatch.setattr(polys, "squarefree_decomposition", lambda p: calls.append(p) or original(p))
+        for kind, fs in families:
+            if kind == "same-den":
+                calls.clear()
+                discrete_residues_multi(fs)
+                assert len(calls) == len({f.den for f in fs}) == 3
