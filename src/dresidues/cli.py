@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--per-order",
         action="store_true",
-        help="reduce each order independently instead of against one shared divisor of initial roots",
+        help="represent each order at the leftmost poles of its own layer instead of at one shared divisor of initial roots",
     )
     p.set_defaults(handler=_cmd_dres)
 

@@ -15,10 +15,12 @@ run's parts) takes one gcd-free `ratfun._over_product` per distinct l: every
 root of F_l lies l steps right of an initial root and no two initial roots
 share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  The
 pieces sigma^l(N_l/F_l) of a reduced form may share poles across l; `_reduce`
-adds them as RatFuns.  `_orbit_residues` builds no reduced form: from the
-Trager polynomial t = r/q' mod q of parts r/q, it takes the residue sum at
-each initial root u, sum_l t(u + l), modulo initial through the idempotents
-of the factors F_l(x + l) of initial.  Both take the orbits from `_orbits`.
+adds them as RatFuns, for `simple_reduction*`, `is_summable` and `galois`.
+The residues of `residues` come from `_orbit_residues`, with no reduced form:
+from the Trager polynomial t = r/q' mod q of parts r/q, it takes the residue
+sum at each initial root u, sum_l t(u + l), modulo initial through the
+idempotents of the factors F_l(x + l) of initial.  Both take the orbits from
+`_orbits`.
 """
 
 from __future__ import annotations

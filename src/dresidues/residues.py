@@ -4,8 +4,9 @@ All outputs follow one convention: a pair of polynomials (places, values).
 The roots of `places` mark where residues live, with exactly one
 representative per Z-orbit carrying a nonzero residue, and evaluating
 `values` at such a root gives the residue there.  No denominator is ever
-factored into linear factors; everything runs on gcds, partial fractions,
-resultants and modular inverses; `discrete_residues_multi` builds no reduced form.
+factored into linear factors; everything runs on gcds, resultants and modular
+inverses, and discrete residues are read straight from the Hermite remainders
+(`_remainders`, `_orbit_residues`) with no reduced form.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import DomainError
 from .hermite import _remainders, hermite_list
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
-from .reduction import _orbit_residues, _reduce
+from .reduction import _orbit_residues
 
 
 @dataclass(frozen=True)
@@ -100,44 +101,29 @@ def first_residues_multi(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
 def discrete_residues(f: RatFun) -> list[ResiduePair]:
     """All discrete residues of a proper f, one ResiduePair per order k.
 
-    Pipeline: Hermite layers, then an independent shift-reduction of each
-    layer, then first residues of each reduced layer.  Pair k is (1, 0)
-    exactly when every order-k discrete residue of f vanishes.  The zero
-    function yields an empty list.
+    Pipeline: Hermite layers, then `discrete_residues_coordinated` of each
+    layer alone, so each order keeps its own leftmost representatives.  Pair
+    k is (1, 0) exactly when every order-k discrete residue of f vanishes.
+    The zero function yields an empty list.
     """
-    return _residues_of_layers(f, coordinated=False)
+    if f.is_zero or not f.is_proper:
+        return discrete_residues_coordinated(f)  # [] or a DomainError
+    return [TRIVIAL_PAIR if g.is_zero else discrete_residues_coordinated(g)[0] for g in hermite_list(f)]
 
 
 def discrete_residues_coordinated(f: RatFun) -> list[ResiduePair]:
-    """Like `discrete_residues`, but all layers are shift-reduced against one
-    shared divisor of initial roots, so the same orbit is represented by the
-    same root across different orders."""
-    return _residues_of_layers(f, coordinated=True)
-
-
-def _residues_of_layers(f: RatFun, coordinated: bool) -> list[ResiduePair]:
+    """Like `discrete_residues`, but every order is read at one shared divisor
+    of initial roots, so the same orbit is represented by the same root across
+    different orders: the Hermite remainders give each order's R at every root
+    of initial (`_orbit_residues`), places = initial / gcd(initial, R) and values = R mod places."""
     if not f.is_proper:
         raise DomainError("discrete_residues requires a proper rational function")
     if f.is_zero:
         return []
-    # Hermite layers are squarefree by construction: no public input checks.
-    layers = hermite_list(f)
-    if coordinated:
-        outs = _reduce(layers, False)
-    else:
-        outs = [_reduce([layer], False)[0] for layer in layers]
-    # first_residues per layer, with one inverse per distinct denominator.
-    inverses: dict[Poly, Poly] = {}
-    pairs = []
-    for out in outs:
-        f = out.reduced
-        if f.is_zero:
-            pairs.append(TRIVIAL_PAIR)
-            continue
-        if f.den not in inverses:
-            inverses[f.den] = polys.inverse_mod(f.den.derivative(), f.den)
-        pairs.append(ResiduePair(f.den, (f.num * inverses[f.den]) % f.den))
-    return pairs
+    (row,), b = _remainders([f.num], f.den)
+    initial, rs = _orbit_residues(row, b)
+    places = [initial.exact_div(polys.gcd(initial, r)) for r in rs]
+    return [ResiduePair(p, r % p) for p, r in zip(places, rs)]
 
 
 def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:

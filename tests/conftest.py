@@ -1,9 +1,10 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
 seeded random matrices, the per-function first-residues and multi-residues
-references, the per-part-inverse partial-fraction reference, the
-character-loop tokenizer and expression-tree parser references, the
-Fraction-tuple polynomial reference, the subresultant-PRS shift-resultant
-reference and the primitive-PRS gcd reference."""
+references, the reduced-layer discrete-residues reference, the
+per-part-inverse partial-fraction reference, the character-loop tokenizer
+and expression-tree parser references, the Fraction-tuple polynomial
+reference, the subresultant-PRS shift-resultant reference and the
+primitive-PRS gcd reference."""
 
 from __future__ import annotations
 
@@ -179,6 +180,36 @@ def ref_discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
     values = [ps[i * m : (i + 1) * m] for i in range(len(fs))]
     return MultiResidues(places, values)
+
+
+def ref_discrete_residues(f: RatFun, coordinated: bool) -> list[ResiduePair]:
+    """The layer pipeline that `discrete_residues` (coordinated=False) and
+    `discrete_residues_coordinated` ran before both read the Hermite
+    remainders at the orbits: `hermite_list`, one `_reduce` of the layer
+    RatFuns and one Trager inverse per reduced denominator, kept verbatim
+    apart from its name and this docstring; a test-only reference."""
+    if not f.is_proper:
+        raise DomainError("discrete_residues requires a proper rational function")
+    if f.is_zero:
+        return []
+    # Hermite layers are squarefree by construction: no public input checks.
+    layers = hermite_list(f)
+    if coordinated:
+        outs = _reduce(layers, False)
+    else:
+        outs = [_reduce([layer], False)[0] for layer in layers]
+    # first_residues per layer, with one inverse per distinct denominator.
+    inverses: dict[Poly, Poly] = {}
+    pairs = []
+    for out in outs:
+        f = out.reduced
+        if f.is_zero:
+            pairs.append(TRIVIAL_PAIR)
+            continue
+        if f.den not in inverses:
+            inverses[f.den] = polys.inverse_mod(f.den.derivative(), f.den)
+        pairs.append(ResiduePair(f.den, (f.num * inverses[f.den]) % f.den))
+    return pairs
 
 
 def ref_parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:

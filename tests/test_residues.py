@@ -7,11 +7,13 @@ import pytest
 from conftest import (
     assert_multi_matches_oracle,
     assert_pairs_match_oracle,
-    ref_first_residues,
+    ref_discrete_residues,
     ref_discrete_residues_multi,
+    ref_first_residues,
     ref_first_residues_multi,
 )
-from dresidues import polys, reduction, shiftset
+from dresidues import hermite, polys, reduction, residues, shiftset
+from dresidues.hermite import hermite_list
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
@@ -554,3 +556,87 @@ class TestHermiteRemainders:
                 calls.clear()
                 discrete_residues_multi(fs)
                 assert len(calls) == len({f.den for f in fs}) == 3
+
+
+def _readout_inputs():
+    """Seeded (kind, f) pairs for the two single-function pipelines, one kind
+    per case their read-out of the Hermite remainders must keep exact."""
+    rng = random.Random(2525)
+    quadratics = [b for b in _BASES if b.degree == 2]
+    cubics = [b for b in _BASES if b.degree == 3]
+    out = []
+    for _ in range(4):
+        # poles on orbits of irreducible quadratics and cubics, at two or more shifts each
+        for kind, bases in (("quadratic", quadratics), ("cubic", cubics)):
+            p = rng.choice(bases)
+            shifts = rng.sample(range(4), rng.randint(2, 3))
+            out.append((kind, sum((_pole(rng, p.shift(s), rng.randint(1, 3)) for s in shifts), _random_term(rng, bases))))
+        # interior zero layer: (r/q)'' has only order-3 poles, plus simple poles
+        g = _random_term(rng, _BASES, 1) + _random_term(rng, _BASES, 1)
+        out.append(("zero-layer", g.derivative().derivative() + _random_term(rng, _BASES, 1)))
+        # summable top layer: h = Delta(c/p) is summable and h'' has top layer 2h
+        h = _random_term(rng, _BASES, 1).delta()
+        out.append(("summable-top", h.derivative().derivative() + _random_term(rng, _BASES, 2)))
+        # the orbit's leftmost pole has order 1 only, so order 2 sits further right
+        p = rng.choice(_BASES)
+        s = rng.randint(1, 3)
+        other = _random_term(rng, [b for b in _BASES if b != p])
+        out.append(("leftmost", _pole(rng, p.shift(s), 1) + _pole(rng, p, 2) + other))
+        out.append(("random", build_from_spec(random_orbit_spec(rng, max_orbits=4, max_order=3))))
+    return out
+
+
+class TestOneResidueReadout:
+    """`discrete_residues` and `discrete_residues_coordinated` read the Hermite
+    remainders at the Z-orbits (`_orbit_residues`); places and values are
+    canonical, so on every input both equal the reduced-layer reference
+    pipeline's exactly."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _readout_inputs()
+
+    def test_matches_reference(self, inputs):
+        for kind, f in inputs:
+            assert discrete_residues(f) == ref_discrete_residues(f, False), (kind, f)
+            assert discrete_residues_coordinated(f) == ref_discrete_residues(f, True), (kind, f)
+
+    def test_inputs_cover_the_cases(self, inputs):
+        by_kind = {}
+        for kind, f in inputs:
+            by_kind.setdefault(kind, []).append(f)
+        for kind, degree in (("quadratic", 2), ("cubic", 3)):
+            assert all(f.den.degree % degree == 0 for f in by_kind[kind])
+            assert any(len(hermite_list(f)) >= 2 for f in by_kind[kind])
+        for f in by_kind["zero-layer"]:
+            layers = hermite_list(f)
+            assert len(layers) == 3 and layers[1].is_zero and not layers[0].is_zero
+        for f in by_kind["summable-top"]:
+            assert len(hermite_list(f)) == 3
+            assert discrete_residues(f)[2] == discrete_residues_coordinated(f)[2] == TRIVIAL_PAIR
+        for f in by_kind["leftmost"]:
+            assert discrete_residues(f)[1].places != discrete_residues_coordinated(f)[1].places
+        assert any(not pair.is_trivial for f in by_kind["random"] for pair in discrete_residues(f))
+
+    def test_one_yun_and_one_shift_set_per_call(self, monkeypatch, golden):
+        """The coordinated pipeline runs Yun and the shift set once each and
+        builds no Hermite layers."""
+        calls = {"squarefree_decomposition": 0, "shift_set": 0, "hermite_list": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(p):
+                calls[name] += 1
+                return original(p)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(polys, "squarefree_decomposition")
+        counted(shiftset, "shift_set")
+        counted(hermite, "hermite_list")
+        counted(residues, "hermite_list")
+        for f in (golden["f"], RatFun(x, (x**2 + 1) ** 3 * ((x + 2) ** 2 + 1) * x**2)):
+            calls.update(squarefree_decomposition=0, shift_set=0, hermite_list=0)
+            discrete_residues_coordinated(f)
+            assert calls == {"squarefree_decomposition": 1, "shift_set": 1, "hermite_list": 0}
