@@ -4,11 +4,14 @@ The expressions are the ones the `dres-oracle` perfbench workload hands to
 `dresidues dres --json`, at seeds 1 and 7 (105 each, about 430 characters:
 a sum of `c/d*x^k` terms over another).  They are regenerated by running
 the workload's own generator (`perfbench/workloads.py`, imported, not
-changed) with a stand-in for `cli.main` that records its argument.  For
-each seed the script times one pass of `cli.parse` and one of
-`cli._tokenize` over the corpus, keeps the best of 7 passes, and records a
-sha256 of the parsed values' text, so two checkouts can be compared for
-both time and result.
+changed) with stand-ins for `cli.main`, which records its argument, and for
+`testkit.build_from_spec`, which also writes the same function as its
+partial fractions, `c/(x - a)^k + ...`: a second corpus of the same values
+in which no polynomial has more than two terms.  For each seed the script
+times one pass of `cli.parse` over each corpus and one of `cli._tokenize`
+over the first, keeps the best of 7 passes, and records a sha256 of the
+parsed values' text for each corpus, so two checkouts can be compared for
+both time and result (the two corpora give the same digest).
 
 Run from a checkout, with no arguments:
 
@@ -40,18 +43,30 @@ PASSES = 7
 OUT = ROOT / "BENCH_parser.json"
 
 
-def corpus(seed: int) -> list[str]:
-    """The `dres-oracle` expressions of one seed, in workload order."""
+def corpus(seed: int) -> tuple[list[str], list[str]]:
+    """The `dres-oracle` expressions of one seed, in workload order, and the
+    same functions written as sums of partial fractions."""
     exprs: list[str] = []
+    fractions: list[str] = []
 
     def record(argv: list[str]) -> int:
         exprs.append(argv[-1])
         return 0
 
-    lib = SimpleNamespace(testkit=testkit, cli=SimpleNamespace(main=record))
+    def build(spec: testkit.OrbitSpec):
+        terms = [f"{c}/(x {'-' if a >= 0 else '+'} {abs(a)})^{k}" for a, k, c in spec.terms]
+        fractions.append(" + ".join(terms).replace("+ -", "- "))
+        return testkit.build_from_spec(spec)
+
+    kit = SimpleNamespace(random_orbit_spec=testkit.random_orbit_spec, build_from_spec=build)
+    lib = SimpleNamespace(testkit=kit, cli=SimpleNamespace(main=record))
     for item in workloads.dres_oracle(lib, random.Random(seed)):
         item.run()
-    return exprs
+    return exprs, fractions
+
+
+def digest(exprs: list[str]) -> str:
+    return hashlib.sha256("\n".join(str(cli.parse(e)) for e in exprs).encode()).hexdigest()
 
 
 def best_pass(fn, exprs: list[str]) -> float:
@@ -68,15 +83,17 @@ def best_pass(fn, exprs: list[str]) -> float:
 def main() -> int:
     rows = []
     for seed in SEEDS:
-        exprs = corpus(seed)
-        values = "\n".join(str(cli.parse(e)) for e in exprs)
+        exprs, fractions = corpus(seed)
         row = {
             "seed": seed,
             "exprs": len(exprs),
             "chars": sum(map(len, exprs)),
             "parse_s": round(best_pass(cli.parse, exprs), 4),
             "tokenize_s": round(best_pass(cli._tokenize, exprs), 4),
-            "parse_digest": hashlib.sha256(values.encode()).hexdigest(),
+            "parse_digest": digest(exprs),
+            "partial_fractions_chars": sum(map(len, fractions)),
+            "partial_fractions_parse_s": round(best_pass(cli.parse, fractions), 4),
+            "partial_fractions_digest": digest(fractions),
         }
         print(json.dumps(row), flush=True)
         rows.append(row)

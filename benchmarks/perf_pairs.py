@@ -12,8 +12,10 @@ inclusive method), the pairs the change won (ties count for neither), the
 relative worsening of the change's median against the BENCHMARK.json bound,
 and whether the medians differ by more than the parent's interquartile
 range.  It also records both sides' output digests from `--seconds 1` runs
-at seeds 1 and 7, and the best of 3 `hermite_list` times on two
-high-multiplicity inputs.
+at seeds 1 and 7, and `hermite_list` times on two high-multiplicity inputs:
+HERMITE_ROUNDS alternated rounds, each side's best of 3 in a fresh
+interpreter per round, kept with each side's quartiles (one interpreter per
+side swung by about 20% between runs on unchanged code).
 
 The result is merged into OUT_NAME at the checkout root by `benchfile.record`,
 under the key "comparison seed SEED", so runs at several seeds sit side by side.
@@ -32,6 +34,7 @@ from pathlib import Path
 from benchfile import ROOT, git, record
 
 DIGEST_SEEDS = (1, 7)
+HERMITE_ROUNDS = 5
 HIGH_MULTIPLICITY = ("1/(x^300*(x+2)^300)", "1/(x^100*(x^2+1)^60*(x+3)^40)")
 HERMITE_TIMER = """
 import sys, time
@@ -65,6 +68,15 @@ def hermite_best(tree: Path, expr: str) -> float:
         [sys.executable, "-c", HERMITE_TIMER, expr], env={**os.environ, "PYTHONPATH": str(tree / "src")}, capture_output=True, text=True, check=True
     )
     return float(out.stdout)
+
+
+def hermite_rounds(trees: dict[str, Path], expr: str) -> dict:
+    """Both sides' `hermite_best` on expr in HERMITE_ROUNDS alternated rounds."""
+    times: dict[str, list[float]] = {side: [] for side in trees}
+    for i in range(HERMITE_ROUNDS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            times[side].append(hermite_best(trees[side], expr))
+    return {side: {"q1_med_q3": quartiles(ts), "rounds": [round(t, 3) for t in ts]} for side, ts in times.items()}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -128,7 +140,7 @@ def main() -> None:
             digests[f"{workload['name']} seed {seed}"] = {
                 side: perfbench(tree, workload["name"], seed, 1)["report"]["output_digest"] for side, tree in trees.items()
             }
-    hermite = {expr: {side: round(hermite_best(tree, expr), 3) for side, tree in trees.items()} for expr in HIGH_MULTIPLICITY}
+    hermite = {expr: hermite_rounds(trees, expr) for expr in HIGH_MULTIPLICITY}
     record(
         ROOT / args.out,
         args.title,
@@ -138,7 +150,7 @@ def main() -> None:
             "seed": args.seed,
             "summary": summary,
             "output_digests": digests,
-            "hermite_list_best_of_3_s": hermite,
+            "hermite_list_s": hermite,
             "untraced_runs": runs,
         },
     )

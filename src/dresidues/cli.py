@@ -8,12 +8,17 @@ integer ^, parentheses, unary minus.  Precedence is ^ before unary - before
 multiplication is rejected.  The parser is one recursive descent whose rules
 return the exact value of the text they consumed: a Poly while it is a
 polynomial, lifted to a RatFun only by a division by a nonconstant
-polynomial, a negative power or a RatFun operand.  The guards read both
-alike, at the same tokens.  Each guard is a parse error raised before its
-value is computed: an exponent literal above MAX_DEGREE (at the literal); a
-power of degree above MAX_DEGREE, a negative power of zero, or a power whose
-coefficients are estimated longer than Python's integer string conversion
-limit (sys.get_int_max_str_digits; |exponent| times the largest coefficient
+polynomial, a negative power or a RatFun operand.  A monomial (a literal, x,
+x^k, their products and quotients by constants) is a (coefficient, degree)
+pair, and each run of them under + - is summed once into one Poly.  The
+guards a pair skips cannot fire: a sum of polynomials has no larger degree
+than its terms, and x^k is within the power's caps when k is within the
+literal's.  The guards read Polys and RatFuns alike, at the same tokens.
+Each guard is a parse error raised before its value is computed: an exponent
+literal above MAX_DEGREE (at the literal); a power of degree above
+MAX_DEGREE, a negative power of zero, or a power whose coefficients are
+estimated longer than Python's integer string conversion limit
+(sys.get_int_max_str_digits; |exponent| times the largest coefficient
 bit-length of the base), at the ^; a + - * / whose numerator or denominator
 before cancellation would exceed MAX_DEGREE, or a division by zero, at the
 operator.  Unknown characters and literals longer than that limit are found
@@ -37,7 +42,7 @@ import sys
 from . import __version__, galois, residues, shiftset, summability, testkit
 from .errors import DomainError, InexactDivisionError, InternalError, ParseError
 from .hermite import hermite_list
-from .polys import ONE, X, Poly, _new, poly_str
+from .polys import ONE, Poly, _new, poly_str
 from .ratfun import RatFun
 from .reduction import simple_reduction
 
@@ -80,8 +85,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     """Recursive descent that evaluates as it goes: every rule returns the
-    exact Poly or RatFun of the text it consumed, and every guard fires at
-    the token where its value is formed."""
+    exact value of the text it consumed, and every guard fires at the token
+    where its value is formed.  A (coefficient, degree) pair (n, d, k) is
+    n/d*x^k, the fraction not reduced.  `atom` and `power` return one for a
+    literal, x or x^k; `term` multiplies pairs or divides one by a constant
+    pair (a zero coefficient has degree 0, as `_deg` reads the zero Poly); and
+    `expr` sums each run of pair terms once, over one common denominator.  A
+    pair becomes a Poly only at another operand, a RatFun or its run's end."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -105,30 +115,41 @@ class _Parser:
         return value
 
     def expr(self) -> Poly | RatFun:
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
+        value, run, op, off = None, [], "+", 0  # run: the pairs after value
+        while True:
+            right = self.term()
+            if type(right) is tuple and not isinstance(value, RatFun):
+                run.append(right if op == "+" else (-right[0], right[1], right[2]))
+            else:
+                left, run = _sum(value, run), []
+                value = _value(right) if left is None else _apply(op, left, _value(right), off)
+            if self.peek()[0] not in ("+", "-"):
+                return _sum(value, run)
             op, _, off = self.take()
-            value = _apply(op, value, self.term(), off)
-        return value
 
-    def term(self) -> Poly | RatFun:
-        value = self.unary()
+    def term(self) -> tuple | Poly | RatFun:
+        value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, off = self.take()
-            value = _apply(op, value, self.unary(), off)
+            right = self.factor()
+            if type(value) is tuple and type(right) is tuple and (op == "*" or not right[2]):
+                value = _pair_op(op, value, right, off)
+            else:
+                value = _apply(op, _value(value), _value(right), off)
         return value
 
-    def unary(self) -> Poly | RatFun:
+    def factor(self) -> tuple | Poly | RatFun:
         tok = self.peek()
         if tok[0] == "-":
             self.take()
-            return -self.unary()
+            value = self.factor()
+            return (-value[0], value[1], value[2]) if type(value) is tuple else -value
         if tok[0] == "+":
             self.take()
-            return self.unary()
+            return self.factor()
         return self.power()
 
-    def power(self) -> Poly | RatFun:
+    def power(self) -> tuple | Poly | RatFun:
         base = self.atom()
         if self.peek()[0] != "^":
             return base
@@ -141,6 +162,12 @@ class _Parser:
         exponent = int(tok[1])
         if exponent > MAX_DEGREE:
             raise ParseError(f"exponent {exponent} exceeds the cap {MAX_DEGREE}", tok[2])
+        if base == (1, 1, 1) and sign > 0:
+            # x^k: the degree guard reads k <= MAX_DEGREE, checked above, and
+            # the coefficient guard k*log10(2) < 302 digits, below 640, the
+            # least nonzero digit limit (sys.int_info.str_digits_check_threshold).
+            return (1, 1, exponent)
+        base = _value(base)
         num, den = _num_den(base)
         if base.is_zero and sign * exponent < 0:
             raise ParseError("negative power of zero", off)
@@ -160,17 +187,50 @@ class _Parser:
             base = _lift(base)
         return base ** (sign * exponent)
 
-    def atom(self) -> Poly | RatFun:
+    def atom(self) -> tuple | Poly | RatFun:
         tok = self.take()
         if tok[0] == "int":
-            return _new([int(tok[1])], 1)
+            return (int(tok[1]), 1, 0)
         if tok[0] == "var":
-            return X
+            return (1, 1, 1)
         if tok[0] == "(":
             value = self.expr()
             self.take(")")
             return value
         raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}", tok[2])
+
+
+def _value(value: tuple | Poly | RatFun) -> Poly | RatFun:
+    """A pair as a Poly; any other value as it is."""
+    if type(value) is not tuple:
+        return value
+    n, d, k = value
+    return _new([0] * k + [n], d)
+
+
+def _pair_op(op: str, left: tuple, right: tuple, offset: int) -> tuple:
+    """left * right, or left / right for a constant right, with `_apply`'s guards."""
+    (a, d, j), (b, e, k) = left, right
+    if op == "/":
+        if not b:
+            raise ParseError("division by zero", offset)
+        return (a * e, d * b, j)
+    if j + k > MAX_DEGREE:
+        raise ParseError(f"result of '*' exceeds the degree cap {MAX_DEGREE}", offset)
+    return (a * b, d * e, j + k) if a and b else (0, 1, 0)
+
+
+def _sum(value: Poly | RatFun | None, run: list[tuple]) -> Poly | RatFun | None:
+    """value (None for nothing) plus the pairs of run, summed over their
+    common denominator into one Poly."""
+    if not run:
+        return value
+    den = math.lcm(*(d for _, d, _ in run))
+    cs = [0] * (1 + max(k for _, _, k in run))
+    for n, d, k in run:
+        cs[k] += n * (den // d)
+    total = _new(cs, den)
+    return total if value is None else value + total
 
 
 def _deg(p: Poly) -> int:

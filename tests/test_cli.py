@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import ref_parse, ref_tokenize
 
-from dresidues import cli, testkit
+from dresidues import cli, polys, testkit
 from dresidues.cli import MAX_DEGREE, _tokenize, main, parse, parse_poly
 from dresidues.errors import ParseError
 from dresidues.polys import ONE, Poly, X
@@ -316,12 +316,38 @@ class TestParserDifferential:
             ("(x^2 + 1)/2^0", None),
             ("(9^1000*x + 1)^5", 14),
             ("(9^1000*x + 1)^4", None),
+            # (coefficient, degree) pairs at their guards' boundaries
+            ("0*x^600*x^600", None),
+            ("x^0*x^1000", None),
+            ("3/4/x^2", None),
+            ("x^600*x^401", 5),
+            ("x^1000*x^1000*x^1000", 6),
+            ("2/0*x", 1),
+            ("x^2/0", 3),
+            ("-x^1001", 3),
+            ("x^500*x^500 + 1/x", 12),
+            ("-3/4*x^2 + 1/x^1000", 9),
         ],
     )
     def test_guards_on_polynomial_operands(self, text, offset):
         got = _outcome(parse, text)
         assert got == _outcome(ref_parse, text)
         assert got == (ParseError, offset) if offset is not None else isinstance(got, RatFun)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string conversion limit")
+    def test_power_of_x_within_least_digit_limit(self):
+        # x^k is a pair and skips the coefficient guard, which reads
+        # k*log10(2) < 302 digits: within 640, the least limit Python allows.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+        try:
+            assert sys.get_int_max_str_digits() == 640
+            for text, offset in (("x^1000", None), ("(2*x)^1000", None), ("(4*x)^1000", 5)):
+                got = _outcome(parse, text)
+                assert got == _outcome(ref_parse, text)
+                assert got == (ParseError, offset) if offset is not None else isinstance(got, RatFun)
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_coefficient_limit_reads_lowest_terms(self):
         # x/2^(b-1) + 1/3 is (3x + 2^(b-1)) / (3*2^(b-1)) over one common
@@ -344,6 +370,31 @@ class TestParserDifferential:
             f = testkit.build_from_spec(testkit.random_orbit_spec(rng))
             text = str(f)
             assert parse(text) == f == ref_parse(text), text
+
+    def test_polys_built_independent_of_term_count(self, monkeypatch):
+        # (p)/(q), with p and q written out term by term as in the dres-oracle
+        # inputs: the parser builds one Poly per run of monomial terms, not
+        # one per factor and per +.
+        original = polys._new
+        built = []
+
+        def counted(cs, d):
+            built.append(len(cs))
+            return original(cs, d)
+
+        counts = []
+        for terms in (4, 32):
+            rng = random.Random(terms)
+            p, q = (Poly([Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(terms)]) for _ in range(2))
+            text, want = f"({p})/({q})", RatFun(p, q)
+            assert text.count("+") == 2 * (terms - 1)
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(polys, "_new", counted)
+                m.setattr(cli, "_new", counted)
+                assert parse(text) == want
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_error_order(self):
         # The one behaviour that moved: an evaluation error left of a syntax
