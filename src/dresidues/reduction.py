@@ -13,14 +13,14 @@ of their partial fractions, and a zero input passes through with no gcd.
 The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) (`_certificate`, from a
 run's parts) takes one gcd-free `ratfun._over_product` per distinct l: every
 root of F_l lies l steps right of an initial root and no two initial roots
-share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  The
-pieces sigma^l(N_l/F_l) of a reduced form may share poles across l; `_reduce`
-adds them as RatFuns, for `simple_reduction*`, `is_summable` and `galois`.
-The residues of `residues` come from `_orbit_residues`, with no reduced form:
-from the Trager polynomial t = r/q' mod q of parts r/q, it takes the residue
-sum at each initial root u, sum_l t(u + l), modulo initial through the
-idempotents of the factors F_l(x + l) of initial.  Both take the orbits from
-`_orbits`.
+share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  `_reduce`
+adds the pieces sigma^l(N_l/F_l) of a reduced form as RatFuns.  `residues` and
+`is_summable` build no reduced form: `_orbit_residues` gives per shift l a term
+T_l whose value at each root u of initial I is the residue at u + l, and a
+summable row's certificate, with residue -rho_j(u) at u + j for rho_j =
+sum_(l>=j) T_l mod I, is -sum_j sigma^(-j)(P_j/I_j) with I_j = I/gcd(I, rho_j)
+and P_j = rho_j I_j' mod I_j, summed by one `_over_product` (`_suffix_certificate`):
+the I_j(x - j) are pairwise coprime, as no two roots of I share a Z-orbit.
 """
 
 from __future__ import annotations
@@ -111,24 +111,40 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     return out
 
 
-def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], b: Poly) -> tuple[Poly, list[Poly]]:
-    """(initial of squarefree b, per row R = sum over its parts (t, q), q | b, and over l of
-    sigma^l(t mod F_l) * e_l mod initial).  With G = F_l(x + l) and w = 1/initial' mod initial,
-    e_l = (initial/G) * w * G' is 1 mod G and 0 mod initial/G, so R(u) = sum_l t(u + l) at each root u of initial."""
+def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], b: Poly) -> tuple[Poly, list[list[tuple[int, Poly]]]]:
+    """(initial of squarefree b, per row its terms (l, sigma^l(t mod F_l) * e_l), not reduced mod initial, one per part
+    (t, q), q | b, and l).  With G = F_l(x + l) and w = 1/initial' mod initial, e_l = (initial/G) * w * G' is 1 mod G
+    and 0 mod initial/G, so T_l, the sum of a row's terms at l, takes t(u + l) at each root u of initial."""
     _, _, initial, moved = _orbits(b)
     w = polys.inverse_mod(initial.derivative(), initial)
     splits: dict[Poly, list[tuple[int, Poly, Poly]]] = {}
-    out: list[Poly] = []
+    out: list[list[tuple[int, Poly]]] = []
     for row in rows:
-        acc = ZERO
+        terms: list[tuple[int, Poly]] = []
         for t, q in (part for part in row if not part[0].is_zero):
             if q not in splits:
                 gs = [(ell, f, f.shift(ell)) for ell, f in _orbit_split(q, moved).items() if not f.is_constant]
                 splits[q] = [(ell, f, (initial.exact_div(g) * w * g.derivative()) % initial) for ell, f, g in gs]
-            for ell, f, e in splits[q]:
-                acc = acc + (t if f == q else t % f).shift(ell) * e
-        out.append(acc % initial)
+            terms += [(ell, (t if f == q else t % f).shift(ell) * e) for ell, f, e in splits[q]]
+        out.append(terms)
     return initial, out
+
+
+def _suffix_certificate(terms: list[tuple[int, Poly]], initial: Poly) -> RatFun:
+    """-sum_j sigma^(-j)(P_j/I_j), j = 1..max l, for a summable row of `_orbit_residues` (module
+    docstring); rho_j changes only at a j with a term, so P_j and I_j are recomputed only there."""
+    entering: dict[int, list[Poly]] = {}
+    for ell, t in terms:
+        entering.setdefault(ell, []).append(t)
+    pieces, acc = [], ZERO
+    for j in range(max(entering, default=0), 0, -1):
+        if j in entering:
+            acc = sum(entering[j], acc)
+            rho = acc % initial
+            den = initial.exact_div(polys.gcd(initial, rho))
+            num = -(rho * den.derivative()) % den
+        pieces.append((num.shift(-j), den.shift(-j)))
+    return RatFun.from_lowest_terms(*_over_product(pieces))
 
 
 def _certificate(parts: ReductionParts) -> RatFun:

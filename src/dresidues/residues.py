@@ -12,11 +12,12 @@ inverses, and discrete residues are read straight from the Hermite remainders
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import polys
 from .errors import DomainError
-from .hermite import _remainders, hermite_list
+from .hermite import _remainders
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
 from .reduction import _orbit_residues
@@ -101,27 +102,33 @@ def first_residues_multi(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
 def discrete_residues(f: RatFun) -> list[ResiduePair]:
     """All discrete residues of a proper f, one ResiduePair per order k.
 
-    Pipeline: Hermite layers, then `discrete_residues_coordinated` of each
-    layer alone, so each order keeps its own leftmost representatives.  Pair
+    Pipeline: one pass of Hermite remainders, then `_read` of each layer alone
+    in lowest terms (parts with t = 0 dropped, each q cut to q / gcd(t, q)),
+    so each order keeps its own leftmost representatives.  Pair
     k is (1, 0) exactly when every order-k discrete residue of f vanishes.
     The zero function yields an empty list.
     """
     if f.is_zero or not f.is_proper:
         return discrete_residues_coordinated(f)  # [] or a DomainError
-    return [TRIVIAL_PAIR if g.is_zero else discrete_residues_coordinated(g)[0] for g in hermite_list(f)]
+    out = []
+    for layer in _remainders([f.num], f.den)[0][0]:
+        cuts = [(t, q.exact_div(polys.gcd(t, q))) for t, q in layer if not t.is_zero]
+        md = _read([[[(t % c, c) for t, c in cuts]]], math.prod((c for _, c in cuts), start=ONE)) if cuts else None
+        out.append(ResiduePair(md.places, md.values[0][0]) if md else TRIVIAL_PAIR)
+    return out
 
 
 def discrete_residues_coordinated(f: RatFun) -> list[ResiduePair]:
-    """Like `discrete_residues`, but every order is read at one shared divisor
-    of initial roots, so the same orbit is represented by the same root across
-    different orders: the Hermite remainders give each order's R at every root
-    of initial (`_orbit_residues`), places = initial / gcd(initial, R) and values = R mod places."""
+    """Like `discrete_residues`, but every order is read at one shared divisor of initial roots, so the
+    same orbit is represented by the same root across orders: the Hermite remainders give each order's
+    R at every root of initial (`_orbit_residues`), places = initial / gcd(initial, R), values = R mod places."""
     if not f.is_proper:
         raise DomainError("discrete_residues requires a proper rational function")
     if f.is_zero:
         return []
     (row,), b = _remainders([f.num], f.den)
-    initial, rs = _orbit_residues(row, b)
+    initial, terms = _orbit_residues(row, b)
+    rs = [sum((t for _, t in ts), ZERO) % initial for ts in terms]
     places = [initial.exact_div(polys.gcd(initial, r)) for r in rs]
     return [ResiduePair(p, r % p) for p, r in zip(places, rs)]
 
@@ -168,6 +175,7 @@ def _read(rows: list[list[list[tuple[Poly, Poly]]]], b: Poly) -> MultiResidues:
     """Each input's layers, padded to one count, give R mod initial at every root of initial
     (`_orbit_residues`); places keeps the roots where some R is nonzero, values = R mod places."""
     m = max(len(row) for row in rows)
-    initial, rs = _orbit_residues([layer for row in rows for layer in row + [[]] * (m - len(row))], b)
+    initial, terms = _orbit_residues([layer for row in rows for layer in row + [[]] * (m - len(row))], b)
+    rs = [sum((t for _, t in ts), ZERO) % initial for ts in terms]
     places = initial.exact_div(functools.reduce(polys.gcd, rs, initial))
     return MultiResidues(places, [[r % places for r in rs[i : i + m]] for i in range(0, len(rs), m)])

@@ -15,10 +15,10 @@ from fractions import Fraction
 from . import polys, residues
 from .errors import DomainError
 from .galois import _integer_row, hermite_normal_form
-from .hermite import hermite_list
+from .hermite import _remainders
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
-from .reduction import _certificate, _reduce
+from .reduction import _orbit_residues, _suffix_certificate
 
 
 def poly_antidifference(p: Poly) -> Poly:
@@ -38,25 +38,21 @@ def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun
     """Decide whether f = g(x+1) - g(x) for some rational g.
 
     Polynomial parts never block a yes: they always admit a polynomial
-    antidifference.  All Hermite layers are shift-reduced together, against
-    one divisor of initial roots; a reduced form is zero exactly when its
-    layer is summable, whichever divisor is used.  With `want_certificate`,
-    and only once every reduced form is zero, the layer certificates are
-    built (`reduction._certificate`) and a witness g is assembled from them
-    through the layer reconstruction identity, over one known denominator and
-    with no gcd (`_assemble`); each layer's proper antidifference is unique,
-    as Delta(h) = 0 forces h constant, so the shared divisor does not change
-    g.  Otherwise the second component is None.
-    """
+    antidifference.  A Hermite layer is summable exactly when its residue sum
+    sum_l T_l at the roots of initial is 0 (`reduction._orbit_residues`).  With
+    `want_certificate`, and only once every layer passes, a witness g is
+    assembled over one known denominator, with no gcd (`_assemble`), from the
+    layer certificates (`reduction._suffix_certificate`); otherwise None."""
     poly_part, fp = f.proper_part()
     cert = RatFun(poly_antidifference(poly_part)) if want_certificate else None
     if fp.is_zero:
         return True, cert
-    outs = _reduce(hermite_list(fp), False)
-    if any(not out.reduced.is_zero for out in outs):
+    (row,), b = _remainders([fp.num], fp.den)
+    initial, layers = _orbit_residues(row, b)
+    if any(not (sum((t for _, t in terms), ZERO) % initial).is_zero for terms in layers):
         return False, None
     if want_certificate:
-        num, den = _assemble([_certificate(out.parts) for out in outs])
+        num, den = _assemble([_suffix_certificate(terms, initial) for terms in layers])
         cert = RatFun.from_lowest_terms(cert.num * den + num, den)
     return True, cert
 

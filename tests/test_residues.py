@@ -583,6 +583,10 @@ def _readout_inputs():
         other = _random_term(rng, [b for b in _BASES if b != p])
         out.append(("leftmost", _pole(rng, p.shift(s), 1) + _pole(rng, p, 2) + other))
         out.append(("random", build_from_spec(random_orbit_spec(rng, max_orbits=4, max_order=3))))
+    for p in _BASES:
+        # (c/q)' has no order-1 residue, so on the class p(x+s)·p the order-1 t vanishes at the roots of p(x+s)
+        g = _pole(rng, p.shift(rng.randint(1, 3)), 1) + _pole(rng, p, 1)
+        out.append(("cut", g.derivative() + _pole(rng, p, 1)))
     return out
 
 
@@ -617,10 +621,15 @@ class TestOneResidueReadout:
         for f in by_kind["leftmost"]:
             assert discrete_residues(f)[1].places != discrete_residues_coordinated(f)[1].places
         assert any(not pair.is_trivial for f in by_kind["random"] for pair in discrete_residues(f))
+        for f in by_kind["cut"]:
+            (row,), _ = hermite._remainders([f.num], f.den)
+            assert any(not t.is_zero and not polys.gcd(t, q).is_constant for t, q in row[0])
+            assert discrete_residues(f)[0].places != discrete_residues_coordinated(f)[0].places
 
-    def test_one_yun_and_one_shift_set_per_call(self, monkeypatch, golden):
-        """The coordinated pipeline runs Yun and the shift set once each and
-        builds no Hermite layers."""
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count Yun, the shift set and Hermite layers, `hermite_list` also by
+        name in `residues` should it be imported there again."""
         calls = {"squarefree_decomposition": 0, "shift_set": 0, "hermite_list": 0}
 
         def counted(module, name):
@@ -635,8 +644,26 @@ class TestOneResidueReadout:
         counted(polys, "squarefree_decomposition")
         counted(shiftset, "shift_set")
         counted(hermite, "hermite_list")
-        counted(residues, "hermite_list")
+        monkeypatch.setattr(residues, "hermite_list", hermite.hermite_list, raising=False)
+        return calls
+
+    def test_one_yun_and_one_shift_set_per_call(self, monkeypatch, golden):
+        """The coordinated pipeline runs Yun and the shift set once each and
+        builds no Hermite layers."""
+        calls = self._counted(monkeypatch)
         for f in (golden["f"], RatFun(x, (x**2 + 1) ** 3 * ((x + 2) ** 2 + 1) * x**2)):
             calls.update(squarefree_decomposition=0, shift_set=0, hermite_list=0)
             discrete_residues_coordinated(f)
             assert calls == {"squarefree_decomposition": 1, "shift_set": 1, "hermite_list": 0}
+
+    def test_per_order_one_yun_per_call(self, monkeypatch, golden, inputs):
+        """The per-order pipeline runs Yun once, builds no Hermite layers and
+        takes one shift set per nonzero layer."""
+        fs = [golden["f"]] + [f for _, f in inputs]
+        rows = [hermite._remainders([f.num], f.den)[0][0] for f in fs]
+        nonzero = [sum(any(not t.is_zero for t, _ in layer) for layer in row) for row in rows]
+        calls = self._counted(monkeypatch)
+        for f, layers in zip(fs, nonzero):
+            calls.update(squarefree_decomposition=0, shift_set=0, hermite_list=0)
+            discrete_residues(f)
+            assert calls == {"squarefree_decomposition": 1, "shift_set": layers, "hermite_list": 0}, f

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_matrices
 
-from dresidues import reduction, shiftset, summability
+from dresidues import hermite, polys, reduction, shiftset, summability
 from dresidues.errors import DomainError
 from dresidues.hermite import hermite_list
 from dresidues.polys import ONE, ZERO, Poly, X, integer_roots, lcm_all
@@ -176,8 +176,8 @@ def ref_is_summable(f, want_certificate=False):
 
 def _summability_inputs():
     """Seeded summable and blocked inputs: delta images with rational and
-    irreducible-quadratic poles, polynomial parts, rational numerators, and
-    summable parts spoiled at one pole order."""
+    irreducible-quadratic poles, polynomial parts, rational numerators,
+    summable parts spoiled at one pole order, and orbits with gaps."""
     rng = random.Random(2026)
     quadratics = [x**2 + 1, x**2 + x + 1, x**2 - 3]
     fs = [RF_ZERO, RatFun(x**2 - 1), RatFun(ONE, x**2), RatFun(ONE, x**3).delta()]
@@ -195,6 +195,15 @@ def _summability_inputs():
             continue
         fs.append(g.delta())
         fs.append(g.delta() + RatFun(ONE, quadratics[0].shift(rng.randint(-2, 2)) ** rng.randint(1, 3)))
+    # Orbits with poles at shifts 0, 3 and 7 only, so the certificate has poles
+    # at shifts where f has none.
+    for q in (x**2 + x + 1, x**3 - x + 2):
+        h = [RatFun(ONE, q.shift(c)) for c in (0, 3, 7)]
+        g = RatFun(x, q**2)
+        fs.append(h[0] + h[1] - h[2] * 2)
+        fs.append(g.shift(7) - g + (g.shift(3) - g) * 2 + h[1] - h[0])
+        fs.append(h[0] + h[1] - h[2])
+    fs.append(RatFun(ONE, x) - RatFun(ONE, x + 5))
     return fs
 
 
@@ -224,6 +233,14 @@ class TestOneReduction:
         assert any(ok and len(hermite_list(p)) >= 3 for ok, p in zip(decided, proper) if not p.is_zero)
         assert any(not ok and len(hermite_list(p)) >= 2 for ok, p in zip(decided, proper) if not p.is_zero)
         assert any(not f.proper_part()[0].is_zero and not p.is_zero for f, p in zip(inputs, proper))
+        # a summable layer with terms at shifts l > 1 but none at some 0 < j < l
+        gaps = []
+        for ok, p in zip(decided, proper):
+            if ok and not p.is_zero:
+                (row,), b = hermite._remainders([p.num], p.den)
+                shifts = [{ell for ell, _ in ts} for ts in reduction._orbit_residues(row, b)[1]]
+                gaps += [set(range(1, max(ls, default=0))) - ls for ls in shifts]
+        assert any(gaps)
 
     def test_one_shift_set_per_call(self, monkeypatch, inputs):
         calls = []
@@ -240,10 +257,12 @@ class TestOneReduction:
             assert len(calls) == (0 if f.proper_part()[1].is_zero else 1), f
 
     def test_certificates_only_for_summable_inputs(self, monkeypatch, inputs):
-        # The certificate helper as is_summable calls it, and the coprime sum
-        # under it by its name in `reduction` (hermite_list calls it too).
-        calls = {"_certificate": 0, "_over_product": 0}
-        for module, name in ((summability, "_certificate"), (reduction, "_over_product")):
+        # The layer certificate and the assembly as is_summable calls them, and
+        # the coprime sum under the certificate by its name in `reduction`
+        # (the Hermite core calls it by its own name).
+        calls = {"_suffix_certificate": 0, "_over_product": 0, "_assemble": 0}
+        targets = ((summability, "_suffix_certificate"), (reduction, "_over_product"), (summability, "_assemble"))
+        for module, name in targets:
             original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
@@ -253,16 +272,64 @@ class TestOneReduction:
             monkeypatch.setattr(module, name, counted)
         seen = set()
         for f in inputs:
+            p = f.proper_part()[1]
+            layers = 0 if p.is_zero else len(hermite_list(p))
             for name in calls:
                 calls[name] = 0
             ok, _ = is_summable(f, want_certificate=True)
-            layers = len(hermite_list(f.proper_part()[1])) if not f.proper_part()[1].is_zero else 0
             if ok:
-                assert calls["_certificate"] == layers, f
+                assert calls == {"_suffix_certificate": layers, "_over_product": layers, "_assemble": min(layers, 1)}, f
             else:
-                assert calls == {"_certificate": 0, "_over_product": 0}, f
+                assert calls == {"_suffix_certificate": 0, "_over_product": 0, "_assemble": 0}, f
             seen.add(ok)
         assert seen == {True, False}
+
+    def test_one_pass_per_call(self, monkeypatch, inputs):
+        """One Yun and one shift set per call on a nonzero proper part, and no
+        Hermite layers or reduced forms, also by name in `summability` should
+        either be imported there again."""
+        calls = {"squarefree_decomposition": 0, "shift_set": 0, "hermite_list": 0, "_reduce": 0}
+        targets = (
+            (polys, "squarefree_decomposition"),
+            (shiftset, "shift_set"),
+            (hermite, "hermite_list"),
+            (reduction, "_reduce"),
+        )
+        for module, name in targets:
+            original = getattr(module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+            if module in (hermite, reduction):
+                monkeypatch.setattr(summability, name, counted, raising=False)
+        for i, f in enumerate(inputs):
+            one = 0 if f.proper_part()[1].is_zero else 1
+            for name in calls:
+                calls[name] = 0
+            is_summable(f, want_certificate=i % 2 == 1)
+            assert calls == {"squarefree_decomposition": one, "shift_set": one, "hermite_list": 0, "_reduce": 0}, f
+
+
+class TestThreeOrbitCertificate:
+    """The degree-30 three-orbit input of `benchmarks/high_degree.py`:
+    1/Q(x) + 1/Q(x+3) - 2/Q(x+7) with Q of degree 10, the family whose
+    degree-60 and degree-90 certificates CI pins by sha256."""
+
+    def test_degree_30_against_reference(self):
+        rng = random.Random(11)
+        q = Poly([rng.randint(-9, 9) for _ in range(10)] + [1])
+        f = RatFun(ONE, q) + RatFun(ONE, q.shift(3)) - RatFun(Poly([2]), q.shift(7))
+        assert f.den.degree == 30
+        ok, cert = is_summable(f, want_certificate=True)
+        ref_ok, ref = ref_is_summable(f, want_certificate=True)
+        assert ok and ref_ok
+        assert (cert.num.coeffs, cert.den.coeffs) == (ref.num.coeffs, ref.den.coeffs)
+        # Delta(cert) = f, cross-multiplied: no gcd of the degree-70 denominators
+        num, den = cert.num, cert.den
+        assert (num.shift(1) * den - num * den.shift(1)) * f.den == f.num * den * den.shift(1)
 
 
 def ref_assemble(certs):
