@@ -57,21 +57,40 @@ def record(out: Path, title: str, key: str, fields: dict) -> None:
     out.write_text(json.dumps(data, indent=1) + "\n")
 
 
-def time_cli(tree: Path, argv: list[str], budget: float) -> dict:
-    """Median wall time and stdout sha256 of `python -m dresidues.cli *argv`
-    with `tree`'s src first on the path, each run in a fresh interpreter: up
-    to REPEATS runs, one when it takes over SLOW_S seconds.  A run past
-    `budget` seconds is stopped and recorded as timed out."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    times, digests = [], set()
-    while len(times) < REPEATS and not (times and times[-1] > SLOW_S):
-        t0 = time.perf_counter()
-        try:
-            out = subprocess.run([sys.executable, "-m", "dresidues.cli", *argv], env=env, capture_output=True, timeout=budget, check=True)
-        except subprocess.TimeoutExpired:
-            return {"timed_out_s": budget}
-        times.append(time.perf_counter() - t0)
-        digests.add(hashlib.sha256(out.stdout).hexdigest())
-    if len(digests) != 1:
-        raise SystemExit(f"{tree}: {argv[0]} gave different outputs on repeated runs")
-    return {"median_s": round(statistics.median(times), 4), "runs": len(times), "sha256": digests.pop()}
+def warm(tree: Path) -> None:
+    """One untimed import of the package in `tree`, which writes its bytecode
+    cache, so that no timed run compiles it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-c", "import dresidues.cli"], env={**env, "PYTHONPATH": str(tree / "src")}, check=True)
+
+
+def time_cli(trees: dict[str, Path], argv: list[str], budget: float) -> dict[str, dict]:
+    """Per side of `trees`, the median wall time and stdout sha256 of
+    `python -m dresidues.cli *argv` with that tree's src first on the path,
+    each run in a fresh interpreter.  The sides alternate run by run, the
+    first side swapping every round, for up to REPEATS rounds; a side stops
+    after a run over SLOW_S seconds, and a run past `budget` seconds is
+    stopped and recorded as timed out.  Callers `warm` each tree once first."""
+    times: dict[str, list[float]] = {side: [] for side in trees}
+    digests: dict[str, set[str]] = {side: set() for side in trees}
+    out: dict[str, dict] = {}
+    for i in range(REPEATS):
+        for side in list(trees)[:: 1 if i % 2 == 0 else -1]:
+            if side in out or (times[side] and times[side][-1] > SLOW_S):
+                continue
+            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
+            t0 = time.perf_counter()
+            try:
+                run = subprocess.run([sys.executable, "-m", "dresidues.cli", *argv], env=env, capture_output=True, timeout=budget, check=True)
+            except subprocess.TimeoutExpired:
+                out[side] = {"timed_out_s": budget}
+                continue
+            times[side].append(time.perf_counter() - t0)
+            digests[side].add(hashlib.sha256(run.stdout).hexdigest())
+    for side, ts in times.items():
+        if side in out:
+            continue
+        if len(digests[side]) != 1:
+            raise SystemExit(f"{trees[side]}: {argv[0]} gave different outputs on repeated runs")
+        out[side] = {"median_s": round(statistics.median(ts), 4), "runs": len(ts), "sha256": digests[side].pop()}
+    return {side: out[side] for side in trees}

@@ -21,9 +21,10 @@ Commands on each b (Q(x+c) is written as the text of q with x replaced by
 Each input runs through `python -m dresidues.cli` in a fresh interpreter, so
 a time includes start-up and parsing.  Per side, input and command the script
 keeps the median wall time of up to 3 runs (one run when it takes over 5 s),
-the number of runs and the sha256 of the stdout (`benchfile.time_cli`).  A
-run past the per-input budget is stopped and recorded as not finished
-(`timed_out_s`).
+the number of runs and the sha256 of the stdout; the two sides alternate run
+by run, each after one untimed import that writes its bytecode cache
+(`benchfile.time_cli`).  A run past the per-input budget is stopped and
+recorded as not finished (`timed_out_s`).
 
 Run from a checkout, optionally with a checkout of the parent commit:
 
@@ -41,7 +42,7 @@ import random
 import sys
 from pathlib import Path
 
-from benchfile import ROOT, git, record, time_cli
+from benchfile import ROOT, git, record, time_cli, warm
 
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -84,13 +85,13 @@ def main() -> int:
     parser.add_argument("--budget", type=float, default=120.0, help="seconds per run before it is stopped")
     args = parser.parse_args()
     trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
+    for tree in trees.values():
+        warm(tree)
     rows = []
     for family in ("three-orbit", "square"):
         for n in DEGREES:
             for command, argv in commands(family, n).items():
-                row = {"family": family, "degree": 3 * n, "command": command}
-                for side, tree in trees.items():
-                    row[side] = time_cli(tree, argv, args.budget)
+                row = {"family": family, "degree": 3 * n, "command": command, **time_cli(trees, argv, args.budget)}
                 if "sha256" in row.get("parent", {}):
                     row["same_output"] = row["parent"]["sha256"] == row["change"].get("sha256")
                 print(json.dumps(row), flush=True)

@@ -10,13 +10,19 @@ Inputs:
   three poles per orbit at distinct shifts s in 0..25 and numerator
   coefficients in {-2, -1, 1, 2}.  Each orbit then holds up to six poles,
   whose certificate pieces at distinct l share poles, and both commands
-  return the certificate g.
+  return the certificate g;
+- two inputs with three or more poles far apart in one orbit, neither
+  summable: `far-apart`, poles at shifts 0, 20, 23 of x^2+1 and 0, 15 of
+  x^3-2 (reduction indices 0, 3, 15, 23), and `far-apart-40`, the same with
+  a third x^3-2 pole at shift 40.
 
 Each input runs through `python -m dresidues.cli COMMAND --certificate --json`
 in a fresh interpreter, so a time includes start-up and parsing.  Per side,
 input and command the script keeps the median wall time of up to 3 runs (one
-run when it takes over 5 s), the number of runs and the sha256 of the stdout.
-A run past the per-input budget is stopped and recorded as timed out.
+run when it takes over 5 s), the number of runs and the sha256 of the stdout;
+the two sides alternate run by run, each after one untimed import that
+writes its bytecode cache (`benchfile.time_cli`).  A run past the per-input
+budget is stopped and recorded as timed out.
 
 Run from a checkout, optionally with a checkout of the parent commit:
 
@@ -35,7 +41,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from benchfile import ROOT, git, record, time_cli
+from benchfile import ROOT, git, record, time_cli, warm
 
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -43,6 +49,7 @@ from dresidues.polys import Poly, X  # noqa: E402
 from dresidues.ratfun import RF_ZERO, RatFun  # noqa: E402
 
 SHIFTS = (50, 100, 200, 300)
+FAR_APART = "1/(x^2+1) + 2/((x+20)^2+1) - 1/((x+23)^2+1) + 1/(x^3-2) + x/((x+15)^3-2)"
 FAMILY = 8
 COMMANDS = ("reduce", "summable")
 OUT = ROOT / "BENCH_long_shift.json"
@@ -63,7 +70,8 @@ def family() -> list[str]:
 
 def inputs() -> list[tuple[str, str]]:
     pairs = [(f"shift-{n}", f"1/x - 1/(x+{n})") for n in SHIFTS]
-    return pairs + [(f"family-{i}", e) for i, e in enumerate(family(), 1)]
+    pairs += [(f"family-{i}", e) for i, e in enumerate(family(), 1)]
+    return pairs + [("far-apart", FAR_APART), ("far-apart-40", f"{FAR_APART} - 3/((x+40)^3-2)")]
 
 
 def main() -> int:
@@ -72,12 +80,12 @@ def main() -> int:
     parser.add_argument("--budget", type=float, default=60.0, help="seconds per run before it is stopped")
     args = parser.parse_args()
     trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
+    for tree in trees.values():
+        warm(tree)
     rows = []
     for label, expr in inputs():
         for command in COMMANDS:
-            row = {"input": label, "command": command, "expr": expr}
-            for side, tree in trees.items():
-                row[side] = time_cli(tree, [command, "--certificate", "--json", expr], args.budget)
+            row = {"input": label, "command": command, "expr": expr, **time_cli(trees, [command, "--certificate", "--json", expr], args.budget)}
             if "parent" in row and "sha256" in row["parent"]:
                 row["same_output"] = row["parent"]["sha256"] == row["change"].get("sha256")
             print(json.dumps({k: v for k, v in row.items() if k != "expr"}), flush=True)

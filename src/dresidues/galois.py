@@ -4,9 +4,10 @@ For nonzero rational functions r_1, ..., r_n, the lattice of integer vectors
 e with r_1^e_1 ... r_n^e_n a shift-quotient sigma(p)/p determines the
 difference Galois group of the diagonal system sigma(Y) = diag(r_i) Y.  It is
 computed factorization-free: log-derivatives turn the multiplicative problem
-into a summability problem with integer residues, an integer kernel gives the
-candidate lattice, and exact constants gamma_j decide which candidates are
-genuine relations.
+into a summability problem with integer residues, the integer kernel of their
+residue sums over the orbits (`reduction._simple_readout`) gives the candidate
+lattice, and exact constants gamma_j decide which candidates are genuine
+relations.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import math
 from fractions import Fraction
 from dataclasses import dataclass
 
-from . import polys, residues
+from . import polys
 from .errors import DomainError, InternalError
-from .polys import ONE, Poly
-from .ratfun import RF_ZERO, RatFun
-from .reduction import _reduce
+from .polys import ONE, ZERO, Poly
+from .ratfun import RatFun
+from .reduction import _simple_readout, _suffix_certificate
 
 
 def log_derivative(r: RatFun) -> RatFun:
@@ -161,24 +162,24 @@ def integer_lattice_solutions(fs: list[RatFun]) -> list[list[int]]:
     """Z-basis of the integer vectors e with e . f summable, for proper
     simple-pole inputs (log-derivative shaped, with integer residues).
 
-    The rational solution space is cut out by the shared residue-value
-    polynomials; intersecting with Z^n is an integer kernel computation, done
-    on the denominators-cleared coefficient matrix.  The result is returned in
-    Hermite normal form."""
+    e . f is summable exactly when sum e_i R_i = 0 for the residue sums
+    R_i = sum_l T_l mod initial of the orbit read-out
+    (`reduction._simple_readout`), so the lattice is the integer kernel of
+    their denominators-cleared coefficient rows, returned in Hermite normal
+    form."""
     if not fs:
         raise DomainError("integer_lattice_solutions requires at least one function")
     for f in fs:
         if not f.is_proper or not polys.is_squarefree(f.den):
             raise DomainError("inputs must be proper with simple poles")
-    return _solution_lattice([out.reduced for out in _reduce(fs, False)])
+    (_, _, initial, _), _, _, terms = _simple_readout(fs)
+    return _solution_lattice([sum((t for _, t in ts), ZERO) % initial for ts in terms])
 
 
-def _solution_lattice(reduced: list[RatFun]) -> list[list[int]]:
-    """`integer_lattice_solutions` read off compatible reduced forms: one
-    integer row per power of x in their first-residue polynomials."""
-    big, ps = residues.first_residues_multi(reduced)
-    rows = [_integer_row([p.coeff(power) for p in ps]) for power in range(len(big.coeffs) - 1)]
-    return integer_kernel([row for row in rows if any(row)], len(reduced))
+def _solution_lattice(sums: list[Poly]) -> list[list[int]]:
+    """The integer kernel of the residue sums R_i, one integer row per power of x."""
+    rows = [_integer_row([r.coeff(power) for r in sums]) for power in range(max(len(r._c) for r in sums))]
+    return integer_kernel([row for row in rows if any(row)], len(sums))
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,10 @@ class RelationLattice:
 def multiplicative_relations(rs: list[RatFun]) -> RelationLattice:
     """The lattice of integer e with r^e a shift-quotient sigma(p)/p.
 
+    Each candidate e must have sum e_i R_i = 0 for the residue sums R_i of
+    the log-derivatives; its witness p comes through `exp_log_derivative`
+    from one `_suffix_certificate` of the e-weighted terms.
+
     >>> x = Poly([0, 1])
     >>> multiplicative_relations([RatFun(x), RatFun(2 * x)]).gammas
     [Fraction(1, 2)]
@@ -208,22 +213,17 @@ def multiplicative_relations(rs: list[RatFun]) -> RelationLattice:
         raise DomainError("multiplicative_relations requires at least one function")
     if any(r.is_zero for r in rs):
         raise DomainError("multiplicative_relations requires nonzero functions")
-    fs = [log_derivative(r) for r in rs]
-    outs = _reduce(fs, True)
-    candidates = _solution_lattice([out.reduced for out in outs])
+    (_, _, initial, _), _, _, terms = _simple_readout([log_derivative(r) for r in rs])
+    sums = [sum((t for _, t in ts), ZERO) % initial for ts in terms]
+    candidates = _solution_lattice(sums)
     gammas: list[Fraction] = []
     witnesses: list[RatFun] = []
     for e in candidates:
-        reduced = certificate = RF_ZERO
-        power = RatFun(ONE)
-        for ei, out, ri in zip(e, outs, rs):
-            reduced = reduced + out.reduced * ei
-            certificate = certificate + out.certificate * ei
-            power = power * ri**ei
-        if not reduced.is_zero:
+        if not sum((r * ei for ei, r in zip(e, sums)), ZERO).is_zero:
             raise InternalError("candidate relation is not summable")
-        p = exp_log_derivative(certificate)
-        gamma_fun = power * p / p.sigma()
+        weighted = [(ell, t * ei) for ei, ts in zip(e, terms) if ei for ell, t in ts]
+        p = exp_log_derivative(_suffix_certificate(weighted, initial))
+        gamma_fun = math.prod((ri**ei for ei, ri in zip(e, rs)), start=RatFun(ONE)) * p / p.sigma()
         if not (gamma_fun.num.is_constant and gamma_fun.den.is_constant):
             raise InternalError("relation constant is not constant")
         gammas.append(gamma_fun.num.coeff(0))

@@ -220,14 +220,7 @@ def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
         prod = prod * b
     if prod != f.den:
         raise DomainError("parfrac parts do not multiply to the denominator")
-    return _parfrac(f.num, parts, w)
-
-
-def _parfrac(num: Poly, parts: list[Poly], w: Poly) -> list[Poly]:
-    """`parfrac` of a num/D, maybe not in lowest terms, given w = 1/D' mod D and monic
-    parts known to multiply to D, so that callers splitting several numerators over
-    one D compute w and check the parts once."""
-    nw = num * w
+    nw = f.num * w
     return [(nw * b.derivative()) % b for b in parts]
 
 

@@ -1,26 +1,25 @@
-"""Shift-reduction of simple-pole rational functions to reduced forms.
+"""Shift-reduction of simple-pole rational functions, and the orbit read-out under it.
 
-A reduced form of f is an f-bar with f - f-bar rationally summable and
-f-bar either zero or of polar dispersion zero (at most one pole per
-Z-orbit, sitting at the leftmost pole of the orbit).  `simple_reduction`
-handles one function; `simple_reduction_multi` reduces several functions
-against one shared divisor of initial roots so that common orbits show up
-as common poles across the outputs.  Within one `_reduce` call, inputs over
-one denominator D share its split over the shifted initial roots
-(`_orbit_split`, checked once to multiply to D) and the inverse 1/D' mod D
-of their partial fractions, and a zero input passes through with no gcd.
+A reduced form of f is an f-bar with f - f-bar summable and f-bar either zero
+or of polar dispersion zero (at most one pole per Z-orbit, at the leftmost
+pole of the orbit).  `simple_reduction` handles one function;
+`simple_reduction_multi` reduces several against the one divisor I of initial
+roots of the lcm b of their denominators, so common orbits give common poles.
 
-The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) (`_certificate`, from a
-run's parts) takes one gcd-free `ratfun._over_product` per distinct l: every
-root of F_l lies l steps right of an initial root and no two initial roots
-share a Z-orbit, so the sigma^i(F_l), i < l, are pairwise coprime.  `_reduce`
-adds the pieces sigma^l(N_l/F_l) of a reduced form as RatFuns.  `residues` and
-`is_summable` build no reduced form: `_orbit_residues` gives per shift l a term
-T_l whose value at each root u of initial I is the residue at u + l, and a
-summable row's certificate, with residue -rho_j(u) at u + j for rho_j =
-sum_(l>=j) T_l mod I, is -sum_j sigma^(-j)(P_j/I_j) with I_j = I/gcd(I, rho_j)
-and P_j = rho_j I_j' mod I_j, summed by one `_over_product` (`_suffix_certificate`):
-the I_j(x - j) are pairwise coprime, as no two roots of I share a Z-orbit.
+Everything is read off one orbit read-out, `_orbit_residues`: per shift l a
+term T_l whose value at each root u of I is the residue at u + l, from Trager
+polynomials t over divisors q of b, each distinct q split over the moved
+copies of I once (`_orbit_split`, checked to multiply to q): Hermite
+remainders for the residue pipelines and `is_summable`, and
+(`_simple_readout`) t = num * (1/D' mod D) mod D, one inverse per distinct D,
+for simple poles.  With R = sum_l T_l mod I and P = I/gcd(I, R), the reduced
+form is (R P' mod P)/P, the proper simple-pole function with residue R(u) at
+each root u of I.  The certificate g, f = f-bar + g(x+1) - g(x), moves the
+pole at u + l to u through u + l - 1, ..., u + 1, so it has residue
+-rho_j(u) at u + j for rho_j = sum_(l>=j) T_l mod I, summable f or not: it is
+-sum_j sigma^(-j)(P_j/I_j), I_j = I/gcd(I, rho_j), P_j = rho_j I_j' mod I_j, by
+one gcd-free `_over_product` (`_suffix_certificate`), as no two roots of I
+share a Z-orbit and so the I_j(x - j) are pairwise coprime.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from . import polys, shiftset
 from .errors import DomainError, InternalError
 from .polys import ONE, ZERO, Poly
-from .ratfun import RF_ZERO, RatFun, _over_product, _parfrac
+from .ratfun import RatFun, _over_product
 
 
 @dataclass(frozen=True)
@@ -86,53 +85,59 @@ def _orbit_split(den: Poly, moved: dict[int, Poly]) -> dict[int, Poly]:
     return factors
 
 
+def _simple_readout(fs: list[RatFun]) -> tuple[tuple, list[tuple[Poly, Poly]], dict[Poly, dict[int, Poly]], list]:
+    """For proper fs with squarefree denominators: `_orbits` of the lcm b of the denominators, per input
+    its Trager pair (t, den), t = num * (1/den' mod den) mod den with one inverse per distinct den ((0, 1)
+    for zero), each den's `_orbit_split` and per input its `_orbit_residues` terms."""
+    orbits = _orbits(polys.lcm_all(f.den for f in fs))
+    ws = {den: polys.inverse_mod(den.derivative(), den) for den in dict.fromkeys(f.den for f in fs if not f.is_zero)}
+    pairs = [((f.num * ws[f.den]) % f.den if f.den in ws else ZERO, f.den) for f in fs]
+    splits: dict[Poly, dict[int, Poly]] = {}
+    _, terms = _orbit_residues([[pair] for pair in pairs], orbits, splits)
+    return orbits, pairs, splits, terms
+
+
 def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
-    """Reduce each of fs against the divisor of initial roots of the lcm b of
-    their denominators.  For one input, gcd(initial, f.den) = initial."""
-    shift_gcds, overlap, initial, moved = _orbits(polys.lcm_all(f.den for f in fs))
-    splits: dict[Poly, tuple[dict[int, Poly], tuple[int, ...], Poly]] = {}
+    """Reduce each of fs against the divisor of initial roots of the lcm of their denominators, from
+    `_simple_readout` (module docstring); a zero input has the one part {0: 1} with numerator 0."""
+    (shift_gcds, overlap, initial, _), pairs, splits, terms = _simple_readout(fs)
     out: list[ReductionOutput] = []
-    for f in fs:
-        if f.is_zero:
-            parts = ReductionParts(initial, (0,), {0: ONE}, {0: ZERO}, shift_gcds, overlap)
-            out.append(ReductionOutput(RF_ZERO, RF_ZERO if want_certificate else None, parts))
-            continue
-        if f.den not in splits:
-            factors = _orbit_split(f.den, moved)
-            splits[f.den] = (factors, tuple(sorted(factors)), polys.inverse_mod(f.den.derivative(), f.den))
-        factors, indices, w = splits[f.den]
-        numerators = dict(zip(indices, _parfrac(f.num, [factors[ell] for ell in indices], w)))
-        reduced = RF_ZERO
-        for ell in indices:
-            # f is in lowest terms with a squarefree denominator, so no residue is zero.
-            reduced = reduced + RatFun.from_lowest_terms(numerators[ell], factors[ell]).sigma(ell)
-        parts = ReductionParts(initial, indices, dict(factors), numerators, shift_gcds, overlap)
-        out.append(ReductionOutput(reduced, _certificate(parts) if want_certificate else None, parts))
+    for (t, den), ts in zip(pairs, terms):
+        factors = splits.get(den, {0: ONE})
+        numerators = {ell: (t % q) * q.derivative() % q for ell, q in sorted(factors.items())}
+        r = sum((term for _, term in ts), ZERO) % initial
+        p = initial.exact_div(polys.gcd(initial, r))
+        parts = ReductionParts(initial, tuple(numerators), dict(factors), numerators, shift_gcds, overlap)
+        certificate = _suffix_certificate(ts, initial) if want_certificate else None
+        out.append(ReductionOutput(RatFun.from_lowest_terms(r * p.derivative() % p, p), certificate, parts))
     return out
 
 
-def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], b: Poly) -> tuple[Poly, list[list[tuple[int, Poly]]]]:
-    """(initial of squarefree b, per row its terms (l, sigma^l(t mod F_l) * e_l), not reduced mod initial, one per part
-    (t, q), q | b, and l).  With G = F_l(x + l) and w = 1/initial' mod initial, e_l = (initial/G) * w * G' is 1 mod G
-    and 0 mod initial/G, so T_l, the sum of a row's terms at l, takes t(u + l) at each root u of initial."""
-    _, _, initial, moved = _orbits(b)
+def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], orbits: tuple, splits: dict | None = None) -> tuple[Poly, list]:
+    """(initial of the squarefree b of `orbits` = `_orbits(b)`, per row its terms (l, sigma^l(t mod F_l) * e_l), not
+    reduced mod initial, one per part (t, q), q | b, and l).  With G = F_l(x + l) and w = 1/initial' mod initial,
+    e_l = (initial/G) * w * G' is 1 mod G and 0 mod initial/G, so T_l, the sum of a row's terms at l, takes t(u + l)
+    at each root u of initial.  Each distinct q is split once, into `splits` when it is given."""
+    _, _, initial, moved = orbits
     w = polys.inverse_mod(initial.derivative(), initial)
-    splits: dict[Poly, list[tuple[int, Poly, Poly]]] = {}
+    splits = {} if splits is None else splits
+    idempotents: dict[Poly, list[tuple[int, Poly, Poly]]] = {}
     out: list[list[tuple[int, Poly]]] = []
     for row in rows:
         terms: list[tuple[int, Poly]] = []
         for t, q in (part for part in row if not part[0].is_zero):
-            if q not in splits:
-                gs = [(ell, f, f.shift(ell)) for ell, f in _orbit_split(q, moved).items() if not f.is_constant]
-                splits[q] = [(ell, f, (initial.exact_div(g) * w * g.derivative()) % initial) for ell, f, g in gs]
-            terms += [(ell, (t if f == q else t % f).shift(ell) * e) for ell, f, e in splits[q]]
+            if q not in idempotents:
+                splits[q] = _orbit_split(q, moved)
+                gs = [(ell, f, f.shift(ell)) for ell, f in splits[q].items() if not f.is_constant]
+                idempotents[q] = [(ell, f, (initial.exact_div(g) * w * g.derivative()) % initial) for ell, f, g in gs]
+            terms += [(ell, (t if f == q else t % f).shift(ell) * e) for ell, f, e in idempotents[q]]
         out.append(terms)
     return initial, out
 
 
 def _suffix_certificate(terms: list[tuple[int, Poly]], initial: Poly) -> RatFun:
-    """-sum_j sigma^(-j)(P_j/I_j), j = 1..max l, for a summable row of `_orbit_residues` (module
-    docstring); rho_j changes only at a j with a term, so P_j and I_j are recomputed only there."""
+    """-sum_j sigma^(-j)(P_j/I_j), j = 1..max l, for a row of `_orbit_residues` (module docstring);
+    rho_j changes only at a j with a term, so P_j and I_j are recomputed only there."""
     entering: dict[int, list[Poly]] = {}
     for ell, t in terms:
         entering.setdefault(ell, []).append(t)
@@ -145,18 +150,6 @@ def _suffix_certificate(terms: list[tuple[int, Poly]], initial: Poly) -> RatFun:
             num = -(rho * den.derivative()) % den
         pieces.append((num.shift(-j), den.shift(-j)))
     return RatFun.from_lowest_terms(*_over_product(pieces))
-
-
-def _certificate(parts: ReductionParts) -> RatFun:
-    """The certificate -sum_l sum_(i<l) sigma^i(N_l/F_l) of one reduction,
-    from its parts: exact with no gcd inside each l, as the sigma^i(F_l),
-    i < l, are pairwise coprime (see the module docstring)."""
-    certificate = RF_ZERO
-    for ell in parts.indices:
-        num, den = parts.numerators[ell], parts.factors[ell]
-        steps = _over_product([(num.shift(i), den.shift(i)) for i in range(ell)])
-        certificate = certificate - RatFun.from_lowest_terms(*steps)
-    return certificate
 
 
 def simple_reduction(f: RatFun, want_certificate: bool = False) -> ReductionOutput:

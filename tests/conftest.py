@@ -1,10 +1,11 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
-seeded random matrices, the per-function first-residues and multi-residues
-references, the reduced-layer discrete-residues reference, the
-per-part-inverse partial-fraction reference, the character-loop tokenizer
-and expression-tree parser references, the Fraction-tuple polynomial
-reference, the subresultant-PRS shift-resultant reference and the
-primitive-PRS gcd reference."""
+seeded random matrices, a call counter, the per-function first-residues and
+multi-residues references, the per-input shift-reduction reference, the
+reduced-layer discrete-residues reference, the per-part-inverse
+partial-fraction reference, the character-loop tokenizer and expression-tree
+parser references, the Fraction-tuple polynomial reference, the
+subresultant-PRS shift-resultant reference and the primitive-PRS gcd
+reference."""
 
 from __future__ import annotations
 
@@ -13,12 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from dresidues import cli, polys
+from dresidues import cli, polys, shiftset
 from dresidues.errors import DomainError, InexactDivisionError, ParseError
 from dresidues.polys import _COEF_TYPES, ONE, ZERO, Poly, X, _as_rat, _taylor_shift, poly_str
 from dresidues.hermite import hermite_list
 from dresidues.ratfun import RF_ZERO, RatFun
-from dresidues.reduction import _reduce
+from dresidues.reduction import ReductionOutput, ReductionParts
 from dresidues.residues import TRIVIAL_PAIR, MultiResidues, ResiduePair, first_residues_multi
 from dresidues.testkit import OrbitSpec, dres_by_definition, rational_roots
 
@@ -140,6 +141,21 @@ def random_matrices(rng, count, rational):
     return out
 
 
+def count_calls(monkeypatch, targets) -> dict[str, int]:
+    """Wrap each function `module.name`, for (module, name) in `targets`, to
+    count its calls into the returned dict under `name`."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def ref_first_residues(f):
     """One Trager inverse modulo f's own denominator; a test-only reference."""
     if f.is_zero:
@@ -168,16 +184,56 @@ def ref_first_residues_multi(fs):
     return big, ps
 
 
+def _ref_add(f, g):
+    """f + g by cross-multiplication and a gcd, with no zero shortcut."""
+    return RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ref_reduce(fs, want_certificate):
+    """The shared reduction core with every input reduced on its own: shifts
+    of `initial`, gcds, partial fractions and sums recomputed per input; a
+    test-only reference."""
+    b = ONE
+    for f in fs:
+        b = polys.lcm(b, f.den)
+    shifts = shiftset.shift_set(b).shifts
+    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
+    overlap = ONE
+    for g in shift_gcds.values():
+        overlap = polys.lcm(overlap, g)
+    initial = b.exact_div(overlap)
+    out = []
+    for f in fs:
+        factors = {0: polys.gcd(initial, f.den)}
+        for ell in shifts:
+            bl = polys.gcd(initial.shift(-ell), f.den)
+            if not bl.is_constant:
+                factors[ell] = bl
+        indices = tuple(sorted(factors))
+        numerators = dict(zip(indices, ref_parfrac(f, [factors[ell] for ell in indices])))
+        reduced = RF_ZERO
+        certificate = RF_ZERO if want_certificate else None
+        for ell in indices:
+            piece = RatFun(numerators[ell], factors[ell])
+            reduced = _ref_add(reduced, piece.sigma(ell))
+            if want_certificate:
+                for i in range(ell):
+                    certificate = _ref_add(certificate, -piece.sigma(i))
+        parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
+        out.append(ReductionOutput(reduced, certificate, parts))
+    return out
+
+
 def ref_discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     """The per-function `discrete_residues_multi`, as it was before inputs
     could be read over one common denominator: `hermite_list` of each
-    function, padding to a common layer count, one joint `_reduce` of the
-    layer RatFuns and `first_residues_multi` of the reduced forms; a
-    test-only reference."""
+    function, padding to a common layer count, one joint reduction of the
+    layer RatFuns (`ref_reduce`) and `first_residues_multi` of the reduced
+    forms; a test-only reference."""
     all_layers = [[] if f.is_zero else hermite_list(f) for f in fs]
     m = max(len(layers) for layers in all_layers)
     flat = [g for layers in all_layers for g in layers + [RF_ZERO] * (m - len(layers))]
-    places, ps = first_residues_multi([out.reduced for out in _reduce(flat, False)])
+    places, ps = first_residues_multi([out.reduced for out in ref_reduce(flat, False)])
     values = [ps[i * m : (i + 1) * m] for i in range(len(fs))]
     return MultiResidues(places, values)
 
@@ -185,9 +241,10 @@ def ref_discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
 def ref_discrete_residues(f: RatFun, coordinated: bool) -> list[ResiduePair]:
     """The layer pipeline that `discrete_residues` (coordinated=False) and
     `discrete_residues_coordinated` ran before both read the Hermite
-    remainders at the orbits: `hermite_list`, one `_reduce` of the layer
+    remainders at the orbits: `hermite_list`, one reduction of the layer
     RatFuns and one Trager inverse per reduced denominator, kept verbatim
-    apart from its name and this docstring; a test-only reference."""
+    apart from its name, this docstring and the reduction, now `ref_reduce`
+    in place of the package's own; a test-only reference."""
     if not f.is_proper:
         raise DomainError("discrete_residues requires a proper rational function")
     if f.is_zero:
@@ -195,9 +252,9 @@ def ref_discrete_residues(f: RatFun, coordinated: bool) -> list[ResiduePair]:
     # Hermite layers are squarefree by construction: no public input checks.
     layers = hermite_list(f)
     if coordinated:
-        outs = _reduce(layers, False)
+        outs = ref_reduce(layers, False)
     else:
-        outs = [_reduce([layer], False)[0] for layer in layers]
+        outs = [ref_reduce([layer], False)[0] for layer in layers]
     # first_residues per layer, with one inverse per distinct denominator.
     inverses: dict[Poly, Poly] = {}
     pairs = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrices, ref_first_residues_multi
+from conftest import random_matrices, ref_first_residues_multi, ref_reduce
 
 from dresidues import galois, polys, shiftset
 from dresidues.errors import DomainError, FactorLimitError, InternalError
@@ -21,7 +21,7 @@ from dresidues.galois import (
 )
 from dresidues.polys import ONE, Poly, X
 from dresidues.ratfun import RatFun
-from dresidues.reduction import simple_reduction, simple_reduction_multi
+from dresidues.reduction import simple_reduction
 from dresidues.testkit import random_poly
 
 x = X
@@ -416,10 +416,10 @@ class TestUnitProductKernel:
 
 def ref_multiplicative_relations(rs):
     """The candidate lattice from per-function first residues and CRT, then
-    one `simple_reduction` of the summed log-derivatives per candidate; a
-    test-only reference."""
+    one reduction of the summed log-derivatives per candidate, both by the
+    per-input `ref_reduce`; a test-only reference."""
     fs = [log_derivative(r) for r in rs]
-    big, ps = ref_first_residues_multi(simple_reduction_multi(fs))
+    big, ps = ref_first_residues_multi([out.reduced for out in ref_reduce(fs, False)])
     rows = []
     for power in range(len(big.coeffs) - 1):
         frow = [p.coeff(power) for p in ps]
@@ -437,7 +437,7 @@ def ref_multiplicative_relations(rs):
         for ei, fi, ri in zip(e, fs, rs):
             combo = combo + fi * ei
             power = power * ri**ei
-        out = simple_reduction(combo, want_certificate=True)
+        out = ref_reduce([combo], True)[0]
         assert out.reduced.is_zero
         p = exp_log_derivative(out.certificate)
         gamma_fun = power * p / p.sigma()
@@ -450,7 +450,9 @@ def ref_multiplicative_relations(rs):
 def _relation_inputs():
     """Seeded tuples of nonzero rational functions built from shifted powers
     of a few linear and irreducible quadratic factors, times rational
-    constants; constant functions included."""
+    constants; constant functions included; then shift quotients, r against
+    a constant times r(x + s) with s in 1..4, whose candidates carry terms at
+    shifts l > 0."""
     rng = random.Random(2027)
     pool = [x, x - Fraction(1, 2), x**2 + 1, x**2 + x + 1]
     consts = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-4, 9), Fraction(6)]
@@ -463,6 +465,11 @@ def _relation_inputs():
                 r = r * RatFun(q.shift(rng.randint(-2, 2))) ** rng.choice((-2, -1, 1, 2))
             rs.append(r)
         tuples.append(rs)
+    for _ in range(6):
+        r = RatFun(Poly([rng.choice(consts)]))
+        for q in rng.sample(pool, rng.randint(1, 2)):
+            r = r * RatFun(q.shift(rng.randint(-2, 2))) ** rng.choice((-2, -1, 1, 2))
+        tuples.append([r, r.shift(rng.randint(1, 4)) * rng.choice(consts), RatFun(rng.choice(pool))])
     return tuples
 
 
@@ -492,6 +499,7 @@ class TestOneRelationReduction:
         assert any(not ref.candidate_basis for ref in refs)
         assert any(r.num.is_constant and r.den.is_constant for rs in inputs for r in rs)
         assert any(any(q.degree == 2 for q in (r.num, r.den)) for rs in inputs for r in rs)
+        assert sum(any(not w.den.is_constant or not w.num.is_constant for w in ref.witnesses) for ref in refs) >= 4
 
     def test_one_shift_set_per_call(self, monkeypatch, inputs):
         calls = []

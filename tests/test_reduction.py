@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ref_parfrac
+from conftest import count_calls, ref_parfrac, ref_reduce
 
-from dresidues import polys, shiftset
+from dresidues import galois, hermite, polys, reduction, shiftset
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, Poly, X, gcd, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
@@ -128,46 +128,6 @@ class TestDifferential:
         assert sum(map(overlaps, parts)) >= 10
 
 
-def _ref_add(f, g):
-    """f + g by cross-multiplication and a gcd, with no zero shortcut."""
-    return RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
-
-
-def ref_reduce(fs, want_certificate):
-    """The shared reduction core with every input reduced on its own: shifts
-    of `initial`, gcds, partial fractions and sums recomputed per input; a
-    test-only reference."""
-    b = ONE
-    for f in fs:
-        b = polys.lcm(b, f.den)
-    shifts = shiftset.shift_set(b).shifts
-    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
-    overlap = ONE
-    for g in shift_gcds.values():
-        overlap = polys.lcm(overlap, g)
-    initial = b.exact_div(overlap)
-    out = []
-    for f in fs:
-        factors = {0: polys.gcd(initial, f.den)}
-        for ell in shifts:
-            bl = polys.gcd(initial.shift(-ell), f.den)
-            if not bl.is_constant:
-                factors[ell] = bl
-        indices = tuple(sorted(factors))
-        numerators = dict(zip(indices, ref_parfrac(f, [factors[ell] for ell in indices])))
-        reduced = RF_ZERO
-        certificate = RF_ZERO if want_certificate else None
-        for ell in indices:
-            piece = RatFun(numerators[ell], factors[ell])
-            reduced = _ref_add(reduced, piece.sigma(ell))
-            if want_certificate:
-                for i in range(ell):
-                    certificate = _ref_add(certificate, -piece.sigma(i))
-        parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
-        out.append(ReductionOutput(reduced, certificate, parts))
-    return out
-
-
 def _multi_input_lists():
     """Seeded input lists with zero inputs, several numerators over one
     denominator and repeated inputs."""
@@ -231,10 +191,96 @@ class TestMultiInputDifferential:
 
         monkeypatch.setattr(polys, "inverse_mod", counted)
         outs = _reduce(fs + [RF_ZERO], True)
-        assert calls == [den]
+        # one inverse per distinct denominator, then the read-out's 1/initial' mod initial
+        assert calls == [den, outs[0].parts.initial]
         assert len(outs[0].parts.indices) >= 3
         factors = [out.parts.factors for out in outs]
         assert len({id(d) for d in factors}) == len(factors)
+
+
+def _cost_targets():
+    """The read-out stages and the Hermite stages, which no simple-pole call should reach."""
+    return (
+        (reduction, "_orbits"),
+        (reduction, "_orbit_residues"),
+        (reduction, "_orbit_split"),
+        (reduction, "_suffix_certificate"),
+        (galois, "_suffix_certificate"),
+        (polys, "squarefree_decomposition"),
+        (hermite, "_remainders"),
+    )
+
+
+class TestOneReadoutPerCall:
+    """Each reduction and lattice call runs one `_orbits` and one `_orbit_residues`, splits each
+    distinct denominator once, runs no Yun and no Hermite remainders, and takes one
+    `_suffix_certificate` per certificate or candidate."""
+
+    def expect(self, certificates, dens):
+        return {"_orbits": 1, "_orbit_residues": 1, "_orbit_split": dens, "_suffix_certificate": certificates,
+                "squarefree_decomposition": 0, "_remainders": 0}
+
+    def test_reductions(self, monkeypatch):
+        inputs = _differential_inputs()[::3]
+        lists = _multi_input_lists()[::2]
+        calls = count_calls(monkeypatch, _cost_targets())
+        for f in inputs:
+            for want in (False, True):
+                calls.update(dict.fromkeys(calls, 0))
+                simple_reduction(f, want)
+                assert calls == self.expect(int(want), 1), (f, want)
+        for fs in lists:
+            calls.update(dict.fromkeys(calls, 0))
+            simple_reduction_multi(fs)
+            assert calls == self.expect(0, len({f.den for f in fs if not f.is_zero})), fs
+
+    def test_lattices(self, monkeypatch):
+        pool = [x, x + 1, x - Fraction(1, 2), x**2 + 1, (x + 2) ** 2 + 1, x**2 - 3]
+        rng = random.Random(3030)
+        tuples = [[RatFun(x), RatFun(2 * x), RatFun(4 * x)], [RatFun(x), RatFun(x**2 + 1)], [RatFun(Poly([3])), RatFun(x)]]
+        for _ in range(8):
+            rs = []
+            for _ in range(rng.randint(2, 4)):
+                r = RatFun(Poly([rng.choice((1, -2, 3))]))
+                for q in rng.sample(pool, rng.randint(1, 2)):
+                    r = r * RatFun(q.shift(rng.randint(-2, 2))) ** rng.choice((-2, -1, 1, 2))
+                rs.append(r)
+            tuples.append(rs)
+        calls = count_calls(monkeypatch, _cost_targets())
+        seen = set()
+        for rs in tuples:
+            fs = [galois.log_derivative(r) for r in rs]
+            dens = len({f.den for f in fs if not f.is_zero})
+            calls.update(dict.fromkeys(calls, 0))
+            galois.integer_lattice_solutions(fs)
+            assert calls == self.expect(0, dens), rs
+            calls.update(dict.fromkeys(calls, 0))
+            rel = galois.multiplicative_relations(rs)
+            assert calls == self.expect(len(rel.candidate_basis), dens), rs
+            seen.add(min(len(rel.candidate_basis), 2))
+        assert seen == {0, 1, 2}
+
+
+class TestFarApartPoles:
+    """The far-apart inputs of `benchmarks/long_shift.py`: poles of the x^2+1 orbit at shifts 0,
+    20, 23 and of the x^3-2 orbit at 0, 15 (and 40), whose certificates have denominators of
+    degree 90 and more."""
+
+    f = (RatFun(ONE, x**2 + 1) + RatFun(Poly([2]), (x + 20) ** 2 + 1) - RatFun(ONE, (x + 23) ** 2 + 1)
+         + RatFun(ONE, x**3 - 2) + RatFun(x, (x + 15) ** 3 - 2))
+
+    def test_against_reference(self):
+        got, ref = simple_reduction(self.f, True), ref_reduce([self.f], True)[0]
+        assert got.parts.indices == (0, 3, 15, 23) and got.certificate.den.degree >= 90
+        assert (got.reduced, got.certificate) == (ref.reduced, ref.certificate)
+
+    def test_shift_40_by_delta(self):
+        f = self.f - RatFun(Poly([3]), (x + 40) ** 3 - 2)
+        out = simple_reduction(f, True)
+        assert not out.reduced.is_zero and max(out.parts.indices) == 40
+        # f - reduced = g(x+1) - g(x), cross-multiplied: no gcd of the certificate's denominators
+        h, num, den = f - out.reduced, out.certificate.num, out.certificate.den
+        assert (num.shift(1) * den - num * den.shift(1)) * h.den == h.num * den * den.shift(1)
 
 
 def simple_instance(rng):

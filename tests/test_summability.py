@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrices
+from conftest import random_matrices, ref_reduce
 
 from dresidues import hermite, polys, reduction, shiftset, summability
 from dresidues.errors import DomainError
 from dresidues.hermite import hermite_list
 from dresidues.polys import ONE, ZERO, Poly, X, integer_roots, lcm_all
 from dresidues.ratfun import RF_ZERO, RatFun
-from dresidues.reduction import _reduce, simple_reduction
 from dresidues.summability import _assemble, is_summable, nullspace, poly_antidifference, vspace
 from dresidues.testkit import (
     build_from_spec,
@@ -156,13 +155,13 @@ class TestIsSummable:
 
 
 def ref_is_summable(f, want_certificate=False):
-    """One `simple_reduction` per Hermite layer, each against its own shift
-    set; a test-only reference."""
+    """One reduction per Hermite layer (`ref_reduce`), each against its own
+    shift set; a test-only reference."""
     poly_part, fp = f.proper_part()
     cert = RatFun(poly_antidifference(poly_part)) if want_certificate else None
     if fp.is_zero:
         return True, cert
-    outs = [simple_reduction(layer, want_certificate) for layer in hermite_list(fp)]
+    outs = [ref_reduce([layer], want_certificate)[0] for layer in hermite_list(fp)]
     if any(not out.reduced.is_zero for out in outs):
         return False, None
     if want_certificate:
@@ -238,7 +237,7 @@ class TestOneReduction:
         for ok, p in zip(decided, proper):
             if ok and not p.is_zero:
                 (row,), b = hermite._remainders([p.num], p.den)
-                shifts = [{ell for ell, _ in ts} for ts in reduction._orbit_residues(row, b)[1]]
+                shifts = [{ell for ell, _ in ts} for ts in reduction._orbit_residues(row, reduction._orbits(b))[1]]
                 gaps += [set(range(1, max(ls, default=0))) - ls for ls in shifts]
         assert any(gaps)
 
@@ -371,7 +370,7 @@ class TestCertificateAssembly:
     def cases(self):
         out = []
         for f in _certificate_inputs():
-            outs = _reduce(hermite_list(f.proper_part()[1]), True)
+            outs = ref_reduce(hermite_list(f.proper_part()[1]), True)
             out.append((f, [o.certificate for o in outs]))
         return out
 
