@@ -318,7 +318,9 @@ def _vec_str(vec) -> str:
 def _cmd_dres(args) -> tuple[list[str], dict]:
     _, f = parse(args.expr).proper_part()
     pairs = (residues.discrete_residues if args.per_order else residues.discrete_residues_coordinated)(f)
-    if args.pretty:
+    if args.json:  # main prints the payload alone
+        lines = []
+    elif args.pretty:
         lines = [f"k={k}: B = {poly_str(p.places)}, D = {poly_str(p.values)}" for k, p in enumerate(pairs, 1)]
     else:
         lines = [f"k={k} B{_fmt_poly(p.places, False)} D{_fmt_poly(p.values, False)}" for k, p in enumerate(pairs, 1)]

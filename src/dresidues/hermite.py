@@ -29,12 +29,12 @@ squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
 or share a factor with q_i, is normalised, by one gcd per layer; `_remainders`, for several
 numerators over one den, skips it and gives each r_i/q_i as r_i/q_i' mod q_i.
 
-The split and the steps run on the integer-list kernels of `polys`, each
-digit, q' and s a Poly's (integers, denominator) pair in lowest terms; a Poly
-is built only for each layer's r and for `_in_base`.  Exact divisions divide
-by the primitive integer form q._c of the monic q = q._c / q._d, so by
-Gauss's lemma the quotient is integral, and a remainder or a scale raises
-InexactDivisionError.
+The set-up (Yun, q^i, den/q^i and the inverses), the split and the steps run
+on the integer-list kernels of `polys`, each digit, q' and s a Poly's
+(integers, denominator) pair in lowest terms; a Poly is built only for each
+class with its den/q^i, t and s, each layer's r and `_in_base`.  Exact divisions (`_exact_int`) divide
+by the primitive integer form q._c of the monic q = q._c / q._d, so by Gauss's
+lemma the quotient is integral, and a remainder or a scale raises InexactDivisionError.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 from typing import Sequence
 
 from . import polys
-from .errors import DomainError, InexactDivisionError, InternalError
+from .errors import DomainError, InternalError
 from .polys import ONE, ZERO, Poly
 from .ratfun import RF_ZERO, RatFun, _over_product
 
@@ -69,29 +69,30 @@ def _mod(a: list[int], d: int, big: Sequence[int]) -> _Pair:
     return polys._norm(r, m * d)
 
 
-def _exact(a: list[int], big: Sequence[int]) -> list[int]:
-    """a/big for a primitive big that divides a over Q: by Gauss's lemma the
-    quotient is integral, so `_divrem_int` never scales."""
-    quo, r, m = polys._divrem_int(a, big)
-    if m != 1 or any(r):
-        raise InexactDivisionError("inexact division by a squarefree factor")
-    return quo
-
-
 def _setup(den: Poly) -> tuple[list[tuple], tuple[Poly, Poly] | None]:
     """What `_split` needs of den = prod q_i^i, from one Yun: per class with i >= 2, by increasing i,
-    (q, i, C = den/q^i, q', t = w*q' = 1/C, s = w*C = 1/q' mod q), w = 1/(C*q') mod q; (q_1, den/q_1) if any."""
+    (q, i, C = den/q^i, q', t = w*q' = 1/C, s = w*C = 1/q' mod q), w = 1/(C*q') mod q; (q_1, den/q_1) if any.
+    Each is found on the primitive integer forms: q^i by binary powering, C by one exact division,
+    C mod q, w by one `_ext_subresultant` and t, s by `_mod`; a Poly is built only for C, t and s."""
     decomp = polys.squarefree_decomposition(den)
     if decomp.unit != 1:
         raise InternalError("denominator of a RatFun must be monic")
-    classes, setup, high = decomp.factors, [], ONE
+    classes, setup = decomp.factors, []
     for q, i in (c for c in classes if c[1] > 1):
-        power = q**i
-        high, cof = high * power, den.exact_div(power)
-        dq, cof_q = q.derivative(), cof % q
-        w = polys.inverse_mod(cof_q * dq, q)
-        setup.append((q, i, cof, (dq._c, dq._d), (w * dq) % q, (w * cof_q) % q))
-    return setup, ((classes[0][0], high) if classes[0][1] == 1 else None)
+        big = q._c
+        cof = polys._exact_int(den._c, polys._pow_int(big, i))
+        (cc, cd), dq = _mod(cof, cof[-1], big), polys._norm([k * c for k, c in enumerate(big[1:], 1)], q._d)
+        pc, pd = _mod(polys._mul_int(cc, dq[0]), cd * dq[1], big)  # C q' mod q = pc/pd
+        rem, u = polys._ext_subresultant(big, pc)  # u pc = rem mod q, so w = u pd / rem
+        if len(rem) != 1:
+            raise DomainError(f"{polys._new(pc, pd)} is not invertible modulo {q}")
+        w = [c * pd for c in u]
+        t, s = (polys._new(*_mod(polys._mul_int(w, a), rem[0] * d, big)) for a, d in (dq, (cc, cd)))
+        setup.append((q, i, polys._new(cof, cof[-1]), dq, t, s))
+    if classes[0][1] > 1:
+        return setup, None
+    rest = polys._exact_int(den._c, classes[0][0]._c)
+    return setup, (classes[0][0], polys._new(rest, rest[-1]))
 
 
 def _split(num: Poly, setup: tuple[list[tuple], tuple[Poly, Poly] | None]) -> list[_State]:
@@ -114,7 +115,7 @@ def _split(num: Poly, setup: tuple[list[tuple], tuple[Poly, Poly] | None]) -> li
             # the next n is quo qd/e1 + (r/e1 - cof d)/q, over lcm(e1, e2) = e1 h
             e2 = cof._d * dd
             h = e2 // math.gcd(e1, e2)
-            top = _exact(polys._lin_int(r, h, polys._mul_int(cof._c, dc), -(e1 * h // e2)), big)
+            top = polys._exact_int(polys._lin_int(r, h, polys._mul_int(cof._c, dc), -(e1 * h // e2)), big)
             n, nd = polys._norm(polys._lin_int(quo, qd * h, top, qd), e1 * h)
         if simple:
             rest = rest - _in_base(digits, q) * cof
@@ -137,7 +138,7 @@ def _reduce(q: Poly, e: int, digits: list[_Pair], dq: _Pair | None, s: _Pair | N
         # low is that + b'/k + the next digit: over den = ld*bd*pd*k, then
         # over its lcm with dd.
         pd = dq[1]
-        quo = _exact(polys._lin_int(low, bd * pd, polys._mul_int(bc, dq[0]), -ld), big)
+        quo = polys._exact_int(polys._lin_int(low, bd * pd, polys._mul_int(bc, dq[0]), -ld), big)
         den = ld * bd * pd * k
         top = polys._lin_int(quo, qd * k, [j * c for j, c in enumerate(bc[1:], 1)], ld * pd)
         g = math.gcd(dd, den)

@@ -10,10 +10,11 @@ Gathen & Gerhard, *Modern Computer Algebra*, §6.2).  The zero polynomial is
 arithmetic could silently consume.
 
 The arithmetic is one set of kernels on integer lists (`_mul_int`,
-`_divrem_int`, `_lin_int` and `_norm`, one gcd per result), where a tuple of
-`Fraction`s pays a gcd on every coefficient operation.  The Poly operators
-wrap them; the Hermite steps run them on (list, denominator) pairs, and every
-modular inverse is one extended subresultant PRS on integers.  Division is
+`_divrem_int`, `_lin_int`, `_pow_int` and `_norm`, one gcd per result), where a
+tuple of `Fraction`s pays a gcd on every coefficient operation.  The Poly
+operators wrap them; Yun's algorithm (`_yun`, on `_gcd_int` and `_exact_int`)
+and the Hermite set-up and steps run them on primitive lists or (list,
+denominator) pairs, and every modular inverse is one extended subresultant PRS.  Division is
 fraction-free, and it scales the remainder (by lc / gcd(top, lc)) only at a
 step where the divisor's leading integer lc does not divide the top
 coefficient: an integer-monic divisor or an integral quotient never scales,
@@ -163,19 +164,7 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise DomainError("negative power of a polynomial")
-        c = self._c
-        if len(c) == 2 and not c[0]:
-            # (c x / d)^n has one coefficient: no squarings.
-            return _new([0] * n + [c[1] ** n], self._d**n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _new(_pow_int(self._c, n), self._d**n)
 
     # -- division ----------------------------------------------------------
 
@@ -299,6 +288,20 @@ def _lin_int(a: Sequence[int], ma: int, b: Sequence[int], mb: int) -> list[int]:
     return out
 
 
+def _pow_int(a: Sequence[int], n: int) -> list[int]:
+    """a^n for an integer list a, by binary powering; (c x)^n has one coefficient: no squarings."""
+    if len(a) == 2 and not a[0]:
+        return [0] * n + [a[1] ** n]
+    out = [1]
+    while n:
+        if n & 1:
+            out = _mul_int(out, a)
+        n >>= 1
+        if n:
+            a = _mul_int(a, a)
+    return out
+
+
 def _divrem_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """(q, r, s) with s*a = q*b + r, s > 0 and r (which may end in zeros)
     shorter than b, for integer lists a and b, b ending in a nonzero entry;
@@ -326,6 +329,15 @@ def _divrem_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
             r[k] -= c * bc
     del r[db:]
     return q, r, s
+
+
+def _exact_int(a: Sequence[int], big: Sequence[int]) -> list[int]:
+    """a/big for a primitive big that divides a over Q: by Gauss's lemma the
+    quotient is integral, so `_divrem_int` never scales."""
+    quo, r, m = _divrem_int(a, big)
+    if m != 1 or any(r):
+        raise InexactDivisionError("inexact division by a primitive factor")
+    return quo
 
 
 # The slot setters, which bypass Poly.__setattr__.
@@ -421,31 +433,32 @@ def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
     return math.gcd(_horner(a, xi), _horner(b, xi)) < xi - m
 
 
+def _gcd_int(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd, with a positive leading coefficient, of primitive integer
+    lists a and b, not both empty: [1] when `_coprime` certifies it (most calls),
+    otherwise by primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    if b and _coprime(a, b):
+        return [1]
+    # Primitive PRS, for the pairs not certified coprime: on the gcd calls of the perfbench
+    # workloads the subresultant PRS gave the same gcds ~10% slower, and lazy scaling (as
+    # in divrem) was no faster.
+    while b:
+        a, b = b, _int_primitive(_int_prem(a, b))
+    return a
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor: ONE when `_coprime` certifies it (most
-    calls), otherwise by primitive PRS over the integers.
+    """Monic greatest common divisor, by `_gcd_int` on the primitive integer parts.
 
     >>> gcd(Poly([-1, 0, 1]), Poly([1, -2, 1]))
     Poly('x - 1')
     """
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    aa, bb = _to_int_primitive(a), _to_int_primitive(b)
-    if len(aa) < len(bb):
-        aa, bb = bb, aa
-    if _coprime(aa, bb):
-        return ONE
-    # Primitive PRS, for the pairs not certified coprime: on the gcd calls of the perfbench
-    # workloads the subresultant PRS gave the same gcds ~10% slower, and lazy scaling (as
-    # in divrem) was no faster.
-    while bb:
-        rr = _int_primitive(_int_prem(aa, bb))
-        aa, bb = bb, rr
-    return _new(aa, aa[-1])
+    g = _gcd_int(_to_int_primitive(a), _to_int_primitive(b))
+    return ONE if len(g) == 1 else _new(g, g[-1])
 
 
 def lcm(a: Poly, b: Poly) -> Poly:
@@ -560,32 +573,36 @@ class SquarefreeDecomposition:
         return max((m for _, m in self.factors), default=0)
 
 
+def _yun(p: list[int]) -> list[list[int]]:
+    """Yun's algorithm on a primitive integer list p of positive degree: primitive
+    f_1, ..., f_m with p = prod f_i^i, f_i = [1] for each multiplicity i < m that does
+    not occur.  Every divisor is primitive, so each quotient is integral (`_exact_int`)."""
+    dp = [k * c for k, c in enumerate(p[1:], 1)]
+    u = _gcd_int(p, _int_primitive(dp))
+    v, w, out = _exact_int(p, u), _exact_int(dp, u), []
+    while len(v) > 1:
+        w = _lin_int(w, 1, [k * c for k, c in enumerate(v[1:], 1)], -1)  # W - V'
+        while w and not w[-1]:
+            w.pop()
+        q = _gcd_int(v, _int_primitive(w))
+        if len(q) > 1:
+            v, w = _exact_int(v, q), _exact_int(w, q)
+        out.append(q)
+    return out
+
+
 def squarefree_decomposition(p: Poly) -> SquarefreeDecomposition:
-    """Yun's algorithm.
+    """Yun's algorithm (`_yun`) on the primitive integer form of p, one monic Poly per class.
 
     >>> squarefree_decomposition(Poly([1, -2, 1])).factors
     ((Poly('x - 1'), 2),)
     """
     if p.is_zero:
         raise DomainError("squarefree decomposition of the zero polynomial")
-    unit = p.lc
     if p.is_constant:
-        return SquarefreeDecomposition(unit, ())
-    p = p.monic()
-    dp = p.derivative()
-    u = gcd(p, dp)
-    v, w = p.exact_div(u), dp.exact_div(u)
-    factors: list[tuple[Poly, int]] = []
-    i = 1
-    while not v.is_constant:
-        dv = v.derivative()
-        q = gcd(v, w - dv)
-        if not q.is_constant:
-            factors.append((q, i))
-        v = v.exact_div(q)
-        w = (w - dv).exact_div(q)
-        i += 1
-    return SquarefreeDecomposition(unit, tuple(factors))
+        return SquarefreeDecomposition(p.lc, ())
+    classes = _yun(_to_int_primitive(p))
+    return SquarefreeDecomposition(p.lc, tuple((_new(q, q[-1]), i) for i, q in enumerate(classes, 1) if len(q) > 1))
 
 
 # -- resultants ----------------------------------------------------------------

@@ -4,12 +4,14 @@ multi-residues references, the per-input shift-reduction reference, the
 reduced-layer discrete-residues reference, the per-part-inverse
 partial-fraction reference, the character-loop tokenizer and expression-tree
 parser references, the Fraction-tuple polynomial reference, the
-subresultant-PRS shift-resultant reference and the primitive-PRS gcd
-reference."""
+subresultant-PRS shift-resultant reference, the primitive-PRS gcd
+reference, the Poly Yun and Hermite set-up references and their seeded
+inputs."""
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -184,9 +186,16 @@ def ref_first_residues_multi(fs):
     return big, ps
 
 
-def _ref_add(f, g):
-    """f + g by cross-multiplication and a gcd, with no zero shortcut."""
-    return RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
+def _ref_sum(terms):
+    """The sum of RatFuns: the numerators over each distinct denominator added,
+    those sums cross-multiplied, and one gcd at the end."""
+    by_den = {}
+    for t in terms:
+        by_den[t.den] = by_den.get(t.den, ZERO) + t.num
+    num, den = ZERO, ONE
+    for d, n in by_den.items():
+        num, den = num * d + n * den, den * d
+    return RatFun(num, den)
 
 
 def ref_reduce(fs, want_certificate):
@@ -211,14 +220,11 @@ def ref_reduce(fs, want_certificate):
                 factors[ell] = bl
         indices = tuple(sorted(factors))
         numerators = dict(zip(indices, ref_parfrac(f, [factors[ell] for ell in indices])))
-        reduced = RF_ZERO
-        certificate = RF_ZERO if want_certificate else None
-        for ell in indices:
-            piece = RatFun(numerators[ell], factors[ell])
-            reduced = _ref_add(reduced, piece.sigma(ell))
-            if want_certificate:
-                for i in range(ell):
-                    certificate = _ref_add(certificate, -piece.sigma(i))
+        pieces = {ell: RatFun(numerators[ell], factors[ell]) for ell in indices}
+        reduced = _ref_sum(piece.sigma(ell) for ell, piece in pieces.items())
+        certificate = None
+        if want_certificate:
+            certificate = _ref_sum(-piece.sigma(i) for ell, piece in pieces.items() for i in range(ell))
         parts = ReductionParts(initial, indices, factors, numerators, shift_gcds, overlap)
         out.append(ReductionOutput(reduced, certificate, parts))
     return out
@@ -764,3 +770,59 @@ def gcd_prs(a: Poly, b: Poly) -> Poly:
         rr = _int_prem_ref(aa, bb)
         aa, bb = bb, _primitive(rr) if rr else rr
     return Poly(aa).monic()
+
+
+def ref_squarefree_decomposition(p: Poly) -> polys.SquarefreeDecomposition:
+    """Yun's algorithm on Polys, which the integer-list `polys._yun` replaced,
+    kept verbatim apart from its name and `gcd_prs` in place of `polys.gcd`; a
+    test-only reference."""
+    if p.is_zero:
+        raise DomainError("squarefree decomposition of the zero polynomial")
+    unit = p.lc
+    if p.is_constant:
+        return polys.SquarefreeDecomposition(unit, ())
+    p = p.monic()
+    dp = p.derivative()
+    u = gcd_prs(p, dp)
+    v, w = p.exact_div(u), dp.exact_div(u)
+    factors: list[tuple[Poly, int]] = []
+    i = 1
+    while not v.is_constant:
+        dv = v.derivative()
+        q = gcd_prs(v, w - dv)
+        if not q.is_constant:
+            factors.append((q, i))
+        v = v.exact_div(q)
+        w = (w - dv).exact_div(q)
+        i += 1
+    return polys.SquarefreeDecomposition(unit, tuple(factors))
+
+
+def ref_setup(den: Poly) -> tuple[list[tuple], tuple[Poly, Poly] | None]:
+    """The Poly-built `hermite._setup` that the integer-list one replaced, on
+    `ref_squarefree_decomposition`, with the same outputs (q' as a (tuple,
+    denominator) pair); a test-only reference."""
+    classes, setup, high = ref_squarefree_decomposition(den).factors, [], ONE
+    for q, i in (c for c in classes if c[1] > 1):
+        power = q**i
+        high, cof = high * power, den.exact_div(power)
+        dq, cof_q = q.derivative(), cof % q
+        w = polys.inverse_mod(cof_q * dq, q)
+        setup.append((q, i, cof, (dq._c, dq._d), (w * dq) % q, (w * cof_q) % q))
+    return setup, ((classes[0][0], high) if classes[0][1] == 1 else None)
+
+
+def yun_inputs(count: int = 40, seed: int = 20261020) -> list[Poly]:
+    """Constants, x^300 (x+2)^300 and seeded c * prod q_j^(m_j): c a rational
+    other than 1, each q_j of degree 1-3 with rational, non-monic coefficients
+    and m_j up to 12, the largest m_j cycling through 1..12; shared by the Yun
+    and Hermite set-up differential tests."""
+    rng = random.Random(seed)
+    out = [Poly([Fraction(-3, 7)]), Poly([5]), x**300 * (x + 2) ** 300]
+    for k in range(count):
+        p, top = Poly([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))]), k % 12 + 1
+        for j in range(rng.randint(1, 3)):
+            low = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(j + 1 if k % 4 else rng.randint(1, 3))]
+            p = p * Poly(low + [Fraction(rng.randint(2, 5), rng.randint(1, 3))]) ** (top if j == 0 else rng.randint(1, top))
+        out.append(p)
+    return out

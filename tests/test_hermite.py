@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import ref_setup, yun_inputs
 
 from dresidues import hermite, polys
 from dresidues.errors import DomainError, InternalError
@@ -241,6 +242,19 @@ class TestDifferential:
         assert any(c.denominator != 1 for f in inputs for c in f.num.coeffs)
         assert any(len(s) == 1 and s[0][1] >= 20 for s in shapes)
         assert any(len(s) > 1 and max(m for _, m in s) >= 20 for s in shapes)
+
+
+class TestSetupOnIntegerLists:
+    @staticmethod
+    def _tuples(setup):
+        per_class, simple = setup
+        return [(q, i, cof, (tuple(dq[0]), dq[1]), t, s) for q, i, cof, dq, t, s in per_class], simple
+
+    def test_matches_reference(self, golden):
+        dens = [golden["f"].den] + [f.den for f in _differential_inputs()]
+        dens += [p.monic() for p in yun_inputs() if not p.is_constant]
+        for den in dens:
+            assert self._tuples(hermite._setup(den)) == self._tuples(ref_setup(den)), den
 
 
 class TestSmallDivisions:

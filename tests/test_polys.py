@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import RefPoly, gcd_prs, resultant_shift_prs
+from conftest import RefPoly, gcd_prs, ref_squarefree_decomposition, resultant_shift_prs, yun_inputs
 
 from dresidues import polys
 from dresidues.errors import DomainError, FactorLimitError, InexactDivisionError
@@ -18,8 +18,10 @@ from dresidues.polys import (
     _horner,
     _mul_int,
     _newton,
+    _pow_int,
     _subresultant,
     _to_int_primitive,
+    _yun,
     divisors_upto,
     ext_gcd,
     factor_int,
@@ -275,6 +277,49 @@ class TestSquarefree:
             for i in range(len(d.factors)):
                 for j in range(i + 1, len(d.factors)):
                     assert gcd(d.factors[i][0], d.factors[j][0]) == ONE
+
+
+class TestYunOnIntegerLists:
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return yun_inputs()
+
+    def test_matches_reference(self, inputs):
+        for p in inputs:
+            assert squarefree_decomposition(p) == ref_squarefree_decomposition(p), p
+
+    def test_kernel_multiplies_back(self, inputs):
+        for p in inputs:
+            if p.is_constant:
+                continue
+            prim = _to_int_primitive(p)
+            classes = _yun(prim)
+            assert len(classes[-1]) > 1 and all(f == _to_int_primitive(Poly(f)) for f in classes)
+            prod = [1]
+            for i, f in enumerate(classes, 1):
+                prod = _mul_int(prod, _pow_int(f, i))
+            assert prod == prim, p
+
+    def test_inputs_cover_the_cases(self, inputs):
+        decomps = [squarefree_decomposition(p) for p in inputs]
+        assert any(d.unit.denominator != 1 for d in decomps) and any(d.unit < 0 for d in decomps)
+        assert any(not d.factors for d in decomps)
+        assert {q.degree for d in decomps for q, _ in d.factors} >= {1, 2, 3}
+        assert {d.max_multiplicity() for d in decomps} >= set(range(1, 13)) | {300}
+
+    def test_one_poly_per_class(self, monkeypatch, inputs):
+        built = []
+        original = polys._new
+
+        def counted(cs, d):
+            built.append(1)
+            return original(cs, d)
+
+        monkeypatch.setattr(polys, "_new", counted)
+        for p in inputs + [x * (x + 1) ** 3, (x**2 + 1) ** 5]:
+            built.clear()
+            d = squarefree_decomposition(p)
+            assert len(built) == len(d.factors), p
 
 
 class TestResultantShift:
