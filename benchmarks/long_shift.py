@@ -16,43 +16,35 @@ Inputs:
   x^3-2 (reduction indices 0, 3, 15, 23), and `far-apart-40`, the same with
   a third x^3-2 pole at shift 40.
 
-Each input runs through `python -m dresidues.cli COMMAND --certificate --json`
-in a fresh interpreter, so a time includes start-up and parsing.  Per side,
-input and command the script keeps the median wall time of up to 3 runs (one
-run when it takes over 5 s), the number of runs and the sha256 of the stdout;
-the two sides alternate run by run, each after one untimed import that
-writes its bytecode cache (`benchfile.time_cli`).  A run past the per-input
-budget is stopped and recorded as timed out.
+Each input runs as `dresidues COMMAND --certificate --json` through
+`benchfile.table` and `benchfile.cli_wall`: every run is a fresh interpreter, so a time includes
+start-up and parsing; per side, input and command the row has the
+q1/median/q3 wall time over up to 5 alternated rounds (one when a run takes
+over 5 s), the runs, the sha256 of the stdout and, with a parent, the
+change's wins and `same_output`.  A run past the per-input budget is stopped
+and its side recorded as timed out.
 
 Run from a checkout, optionally with a checkout of the parent commit:
 
     python3 benchmarks/long_shift.py [PARENT_DIR] [--budget 60]
 
-The result, with `same_output` per row when both sides finished, is merged
-into BENCH_long_shift.json at the checkout root by `benchfile.record`.
+The rows are merged into BENCH_long_shift.json at the checkout root under
+the key "pair loop" by `benchfile.record`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
-from benchfile import ROOT, git, record, time_cli, warm
-
-sys.path.insert(0, str(ROOT / "src"))
-
-from dresidues.polys import Poly, X  # noqa: E402
-from dresidues.ratfun import RF_ZERO, RatFun  # noqa: E402
+from benchfile import cli_wall, table
+from dresidues.polys import Poly, X
+from dresidues.ratfun import RF_ZERO, RatFun
 
 SHIFTS = (50, 100, 200, 300)
 FAR_APART = "1/(x^2+1) + 2/((x+20)^2+1) - 1/((x+23)^2+1) + 1/(x^3-2) + x/((x+15)^3-2)"
 FAMILY = 8
 COMMANDS = ("reduce", "summable")
-OUT = ROOT / "BENCH_long_shift.json"
 
 
 def family() -> list[str]:
@@ -68,37 +60,12 @@ def family() -> list[str]:
     return exprs
 
 
-def inputs() -> list[tuple[str, str]]:
-    pairs = [(f"shift-{n}", f"1/x - 1/(x+{n})") for n in SHIFTS]
-    pairs += [(f"family-{i}", e) for i, e in enumerate(family(), 1)]
-    return pairs + [("far-apart", FAR_APART), ("far-apart-40", f"{FAR_APART} - 3/((x+40)^3-2)")]
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, nargs="?", help="a checkout of the parent commit")
-    parser.add_argument("--budget", type=float, default=60.0, help="seconds per run before it is stopped")
-    args = parser.parse_args()
-    trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
-    for tree in trees.values():
-        warm(tree)
-    rows = []
-    for label, expr in inputs():
-        for command in COMMANDS:
-            row = {"input": label, "command": command, "expr": expr, **time_cli(trees, [command, "--certificate", "--json", expr], args.budget)}
-            if "parent" in row and "sha256" in row["parent"]:
-                row["same_output"] = row["parent"]["sha256"] == row["change"].get("sha256")
-            print(json.dumps({k: v for k, v in row.items() if k != "expr"}), flush=True)
-            rows.append(row)
-    record(
-        OUT,
-        "reduce --certificate and summable --certificate on long shifts and seeded multi-orbit inputs "
-        "(benchmarks/long_shift.py); CLI wall times in seconds, median of up to 3 runs, with the sha256 of stdout",
-        "inputs",
-        {"parent_commit": git("-C", str(args.parent), "rev-parse", "HEAD") if args.parent else None, "budget_s": args.budget, "rows": rows},
-    )
-    return 0
+def inputs() -> list[tuple[dict, list[str]]]:
+    exprs = [(f"shift-{n}", f"1/x - 1/(x+{n})") for n in SHIFTS]
+    exprs += [(f"family-{i}", e) for i, e in enumerate(family(), 1)]
+    exprs += [("far-apart", FAR_APART), ("far-apart-40", f"{FAR_APART} - 3/((x+40)^3-2)")]
+    return [({"input": label, "command": c, "expr": e}, [c, "--certificate", "--json", e]) for label, e in exprs for c in COMMANDS]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    table(__doc__, inputs, cli_wall, "BENCH_long_shift.json", 60.0)

@@ -18,41 +18,40 @@ path:
   n*deg L lies on both sides of, and near, twice the total degree of the
   denominators, where `discrete_residues_multi` chooses its path.
 
-Per side and corpus the script runs one pass over the families in a fresh
-interpreter to take the sha256 of every (places, values), then REPEATS timed
-passes, and keeps the best pass time in milliseconds.
+Per side and corpus each `benchfile.pair_loop` round is a fresh interpreter
+(`benchfile.run`) that builds the families with the side's own code, times
+passes of `discrete_residues_multi` over them and keeps the best
+(`benchfile.best`: up to 5 passes, stopping once a second is spent) and the
+sha256 of every (places, values).  A row has each side's q1/median/q3 of
+that best time over 5 alternated rounds, its runs and sha256 and, with a
+parent, the change's wins and `same_output`.
 
 Run from a checkout, optionally with a checkout of the parent commit:
 
     python3 benchmarks/multi_residues.py OUT_NAME [PARENT_DIR]
 
-The result, with `same_output` per corpus when both sides ran, is merged into
-OUT_NAME at the checkout root by `benchfile.record`.
+The rows are merged into OUT_NAME at the checkout root under the key
+"pair loop" by `benchfile.record`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-from benchfile import ROOT, git, record
-
-SEEDS = (1, 5)
-REPEATS = 12
-TIMER = """
-import argparse, hashlib, importlib, json, random, sys, time
+import importlib
+import random
 from fractions import Fraction
-sys.path.insert(0, sys.argv[1])
+
+from benchfile import best, digest, table
 import workloads
-from dresidues.polys import Poly
+from dresidues.polys import Poly, X
 from dresidues.ratfun import RatFun
 from dresidues.residues import discrete_residues_multi
 
-def vspace(seed):
+SEEDS = (1, 5)
+CORPORA = [f"vspace seed {seed}" for seed in SEEDS] + ["disjoint", "mixed"]
+
+
+def vspace(seed: int) -> list[list[RatFun]]:
     names = ("cli", "galois", "polys", "ratfun", "summability", "testkit")
     lib = argparse.Namespace(**{m: importlib.import_module(f"dresidues.{m}") for m in names})
     # A vspace item runs lib.summability.vspace on its family, so with this
@@ -61,22 +60,24 @@ def vspace(seed):
     items = workloads.WORKLOADS["vspace-relations"](lib, random.Random(seed))
     return [item.run() for item in items if item.label.startswith("vspace")]
 
-X = Poly([0, 1])
 
-# A linear or irreducible quadratic p, on a Z-orbit of its own per orbit number.
-def base(rng, orbit):
+def base(rng: random.Random, orbit: int) -> Poly:
+    """A linear or irreducible quadratic p, on a Z-orbit of its own per orbit number."""
     return X - Fraction(1, orbit + 7) if rng.random() < 0.5 else X**2 + X * Fraction(1, orbit + 3) + (orbit + 2)
 
-# A nonzero c with deg c < deg p.
-def coef(rng, p):
+
+def coef(rng: random.Random, p: Poly) -> Poly:
+    """A nonzero c with deg c < deg p."""
     return Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(p.degree - 1)] + [rng.randint(1, 4)])
 
-# c/p(x+s)^k with s <= 3 and k <= 3.
-def term(rng, p):
+
+def term(rng: random.Random, p: Poly) -> RatFun:
+    """c/p(x+s)^k with s <= 3 and k <= 3."""
     num = coef(rng, p)
     return RatFun(num, p.shift(rng.randint(0, 3)) ** rng.randint(1, 3))
 
-def disjoint():
+
+def disjoint() -> list[list[RatFun]]:
     rng, orbit, families = random.Random(0), 0, []
     for i in range(30):
         fs = []
@@ -87,8 +88,9 @@ def disjoint():
         families.append(fs)
     return families
 
-# Each shared orbit holds one pole p(x+s)^k per family.
-def mixed():
+
+def mixed() -> list[list[RatFun]]:
+    """Each shared orbit holds one pole p(x+s)^k per family."""
     rng, orbit, families = random.Random(1), 0, []
     for i in range(30):
         shared = []
@@ -106,58 +108,13 @@ def mixed():
         families.append(fs)
     return families
 
-corpus = sys.argv[2]
-families = vspace(int(corpus.split()[-1])) if corpus.startswith("vspace") else {"disjoint": disjoint, "mixed": mixed}[corpus]()
-digest = hashlib.sha256()
-for fs in families:
-    md = discrete_residues_multi(fs)
-    digest.update(repr((md.places, md.values)).encode())
-best = float("inf")
-for _ in range(int(sys.argv[3])):
-    t0 = time.perf_counter()
-    for fs in families:
-        discrete_residues_multi(fs)
-    best = min(best, time.perf_counter() - t0)
-print(json.dumps({"families": len(families), "best_ms": round(best * 1000, 1), "sha256": digest.hexdigest()}))
-"""
 
-
-def best_pass(tree: Path, corpus: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    argv = [sys.executable, "-c", TIMER, str(ROOT / "perfbench"), corpus, str(REPEATS)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", help="file name of the BENCH_*.json at the checkout root")
-    parser.add_argument("parent", type=Path, nargs="?", help="a checkout of the parent commit")
-    args = parser.parse_args()
-    trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
-    rows = []
-    for corpus in [f"vspace seed {seed}" for seed in SEEDS] + ["disjoint", "mixed"]:
-        row: dict = {"corpus": corpus}
-        for side, tree in trees.items():
-            row[side] = best_pass(tree, corpus)
-        if "parent" in row:
-            row["same_output"] = row["parent"]["sha256"] == row["change"]["sha256"]
-        print(json.dumps(row), flush=True)
-        rows.append(row)
-    record(
-        ROOT / args.out,
-        "discrete_residues_multi on the perfbench vspace families and on families with disjoint or partly shared denominators "
-        "(benchmarks/multi_residues.py); "
-        f"best of {REPEATS} in-process passes in ms, with the sha256 of the outputs",
-        "in_process_discrete_residues_multi",
-        {
-            "parent_commit": git("-C", str(args.parent), "rev-parse", "HEAD") if args.parent else None,
-            "repeats": REPEATS,
-            "rows": rows,
-        },
-    )
-    return 0
+def corpus_pass(corpus: str) -> tuple[dict[str, float], str]:
+    """Run in a child: the best time of one pass over the corpus's families, and the outputs' sha256."""
+    families = vspace(int(corpus.split()[-1])) if corpus.startswith("vspace") else {"disjoint": disjoint, "mixed": mixed}[corpus]()
+    seconds, outs = best(lambda: [discrete_residues_multi(fs) for fs in families])
+    return {"best_s": seconds}, digest(repr([(md.places, md.values) for md in outs]))
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    table(__doc__, lambda: [({"corpus": c}, ["multi_residues", "corpus_pass", c]) for c in CORPORA])

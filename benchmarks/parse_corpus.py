@@ -7,40 +7,35 @@ the workload's own generator (`perfbench/workloads.py`, imported, not
 changed) with stand-ins for `cli.main`, which records its argument, and for
 `testkit.build_from_spec`, which also writes the same function as its
 partial fractions, `c/(x - a)^k + ...`: a second corpus of the same values
-in which no polynomial has more than two terms.  For each seed the script
-times one pass of `cli.parse` over each corpus and one of `cli._tokenize`
-over the first, keeps the best of 7 passes, and records a sha256 of the
-parsed values' text for each corpus, so two checkouts can be compared for
-both time and result (the two corpora give the same digest).
+in which no polynomial has more than two terms.  Both corpora are built
+once, in this checkout, and handed to both sides.
 
-Run from a checkout, with no arguments:
+Per seed each `benchfile.pair_loop` round is a fresh interpreter
+(`benchfile.run`) that times passes of `cli.parse` over each corpus and of
+`cli._tokenize` over the first, keeping the best of each (`benchfile.best`:
+up to 5 passes, stopping once a second is spent), and takes the sha256 of
+the parsed values' text and the tokens.  A row has each side's q1/median/q3
+of the three times over 5 alternated rounds, its runs and sha256 and, with
+a parent, the change's wins and `same_output`.
 
-    python3 benchmarks/parse_corpus.py
+Run from a checkout, optionally with a checkout of the parent commit:
 
-The result is merged into BENCH_parser.json at the checkout root by
-`benchfile.record`.
+    python3 benchmarks/parse_corpus.py [PARENT_DIR]
+
+The rows are merged into BENCH_parser.json at the checkout root under the
+key "pair loop" by `benchfile.record`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-import sys
-import time
 from types import SimpleNamespace
 
-from benchfile import ROOT, record
-
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import workloads  # noqa: E402
-
-from dresidues import cli, testkit  # noqa: E402
+from benchfile import best, digest, table
+import workloads
+from dresidues import cli, testkit
 
 SEEDS = (1, 7)
-PASSES = 7
-OUT = ROOT / "BENCH_parser.json"
 
 
 def corpus(seed: int) -> tuple[list[str], list[str]]:
@@ -65,47 +60,23 @@ def corpus(seed: int) -> tuple[list[str], list[str]]:
     return exprs, fractions
 
 
-def digest(exprs: list[str]) -> str:
-    return hashlib.sha256("\n".join(str(cli.parse(e)) for e in exprs).encode()).hexdigest()
+def passes(exprs: list[str], fractions: list[str]) -> tuple[dict[str, float], str]:
+    """Run in a child: the best pass times over both corpora, and the sha256 of the outputs."""
+    values, texts = {}, []
+    for name, fn, corpus in (("parse_s", cli.parse, exprs), ("tokenize_s", cli._tokenize, exprs), ("partial_fractions_parse_s", cli.parse, fractions)):
+        values[name], out = best(lambda: [fn(e) for e in corpus])
+        texts += map(str, out)
+    return values, digest("\n".join(texts))
 
 
-def best_pass(fn, exprs: list[str]) -> float:
-    """Minimum over PASSES of the time to call fn on every expression."""
-    times = []
-    for _ in range(PASSES):
-        t0 = time.perf_counter()
-        for e in exprs:
-            fn(e)
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
-
-def main() -> int:
+def inputs() -> list[tuple[dict, list]]:
     rows = []
     for seed in SEEDS:
         exprs, fractions = corpus(seed)
-        row = {
-            "seed": seed,
-            "exprs": len(exprs),
-            "chars": sum(map(len, exprs)),
-            "parse_s": round(best_pass(cli.parse, exprs), 4),
-            "tokenize_s": round(best_pass(cli._tokenize, exprs), 4),
-            "parse_digest": digest(exprs),
-            "partial_fractions_chars": sum(map(len, fractions)),
-            "partial_fractions_parse_s": round(best_pass(cli.parse, fractions), 4),
-            "partial_fractions_digest": digest(fractions),
-        }
-        print(json.dumps(row), flush=True)
-        rows.append(row)
-    record(
-        OUT,
-        "cli.parse and cli._tokenize on the dres-oracle expressions of seeds 1 and 7 "
-        "(benchmarks/parse_corpus.py); times are the best of 7 passes over a seed's corpus, in seconds",
-        "seeds",
-        {"rows": rows},
-    )
-    return 0
+        labels = {"seed": seed, "exprs": len(exprs), "chars": sum(map(len, exprs)), "partial_fractions_chars": sum(map(len, fractions))}
+        rows.append((labels, ["parse_corpus", "passes", exprs, fractions]))
+    return rows
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    table(__doc__, inputs, out="BENCH_parser.json")

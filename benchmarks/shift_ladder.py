@@ -3,38 +3,37 @@
 For each degree in 5, 8, ..., 23 the ladder draws three squarefree products
 from `random.Random(20240601 + degree)`: random quadratics q (`testkit.
 random_poly`), each paired with q(x + s) for a random s in 1..3, plus one
-linear factor when the degree is odd.  For each product it times
-`shift_set(b)`, and separately the two stages of the interpolation route,
-`polys.resultant_shift(b)` and `polys.integer_roots` on that resultant,
-and records the shift set.
+linear factor when the degree is odd.  Per degree each `benchfile.pair_loop`
+round is a fresh interpreter (`benchfile.run`) that draws the products with
+the side's own code and times, per product, `shift_set(b)` and separately
+the two stages of the interpolation route, `polys.resultant_shift(b)` and
+`polys.integer_roots` on that resultant, keeping the best of each
+(`benchfile.best`: up to 5 calls, stopping once a second is spent), summed
+over the three products; the sha256 covers the shift sets, resultants and
+roots.  A row has each side's q1/median/q3 of the three sums over up to 5
+alternated rounds (one when a sum is over 5 s), its runs and sha256 and,
+with a parent, the change's wins and `same_output`.
 
-Run from a checkout, with no arguments:
+Run from a checkout, optionally with a checkout of the parent commit:
 
-    python3 benchmarks/shift_ladder.py
+    python3 benchmarks/shift_ladder.py [PARENT_DIR]
 
-The result is merged into BENCH_shiftset.json at the checkout root by
-`benchfile.record`.
+The rows are merged into BENCH_shiftset.json at the checkout root under the
+key "pair loop" by `benchfile.record`.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
-import time
 
-from benchfile import ROOT, record
-
-sys.path.insert(0, str(ROOT / "src"))
-
-from dresidues import polys  # noqa: E402
-from dresidues.polys import Poly  # noqa: E402
-from dresidues.shiftset import shift_set  # noqa: E402
-from dresidues.testkit import random_poly  # noqa: E402
+from benchfile import best, digest, table
+from dresidues import polys
+from dresidues.polys import Poly
+from dresidues.shiftset import shift_set
+from dresidues.testkit import random_poly
 
 DEGREES = (5, 8, 11, 14, 17, 20, 23)
 CASES = 3
-OUT = ROOT / "BENCH_shiftset.json"
 
 
 def ladder_poly(rng: random.Random, degree: int) -> Poly:
@@ -60,39 +59,20 @@ def ladder_cases(degree: int) -> list[Poly]:
     return cases
 
 
-def best_time(fn) -> float:
-    """Minimum over up to three runs, stopping once one second is spent."""
-    times: list[float] = []
-    while len(times) < 3 and sum(times) < 1.0:
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
-
-def main() -> int:
-    rows = []
-    for degree in DEGREES:
-        row = {"degree": degree, "shift_set_s": 0.0, "resultant_shift_s": 0.0, "integer_roots_s": 0.0, "shifts": []}
-        for b in ladder_cases(degree):
-            row["shift_set_s"] += best_time(lambda: shift_set(b))
-            row["resultant_shift_s"] += best_time(lambda: polys.resultant_shift(b))
-            r = polys.resultant_shift(b)
-            row["integer_roots_s"] += best_time(lambda: polys.integer_roots(r))
-            row["shifts"].append(list(shift_set(b).shifts))
-        for key in ("shift_set_s", "resultant_shift_s", "integer_roots_s"):
-            row[key] = round(row[key], 4)
-        print(json.dumps(row), flush=True)
-        rows.append(row)
-    record(
-        OUT,
-        "shift_set by degree: sums over 3 squarefree products of shifted random quadratics per degree "
-        "(benchmarks/shift_ladder.py); times are the minimum of up to 3 runs, in seconds",
-        "ladder",
-        {"rows": rows},
-    )
-    return 0
+def stages(degree: int) -> tuple[dict[str, float], str]:
+    """Run in a child: the summed best times of the three stages at one degree, and the outputs' sha256."""
+    values = {"shift_set_s": 0.0, "resultant_shift_s": 0.0, "integer_roots_s": 0.0}
+    texts = []
+    for b in ladder_cases(degree):
+        seconds, shifts = best(lambda: shift_set(b))
+        values["shift_set_s"] += seconds
+        seconds, r = best(lambda: polys.resultant_shift(b))
+        values["resultant_shift_s"] += seconds
+        seconds, roots = best(lambda: polys.integer_roots(r))
+        values["integer_roots_s"] += seconds
+        texts += [str(shifts.shifts), str(r), str(sorted(roots))]
+    return values, digest("\n".join(texts))
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    table(__doc__, lambda: [({"degree": d}, ["shift_ladder", "stages", d]) for d in DEGREES], out="BENCH_shiftset.json")

@@ -610,7 +610,8 @@ def squarefree_decomposition(p: Poly) -> SquarefreeDecomposition:
 
 def _subresultant(a: list[int], b: list[int]) -> int:
     """Res_x of two nonzero integer polynomials, as coefficient lists ending in
-    a nonzero entry, by the subresultant PRS."""
+    a nonzero entry, by the subresultant PRS; each division by g h^delta, and
+    h's update, is exact, and a remainder raises InexactDivisionError."""
     sign = 1
     if len(a) < len(b):
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
@@ -625,18 +626,17 @@ def _subresultant(a: list[int], b: list[int]) -> int:
         if not r:
             return 0
         a = b
-        factor = g * h**delta
-        b = [c // factor for c in r]  # exact
+        b = _exact_quo(r, g * h**delta)
         g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = g**delta // h ** (delta - 1)
+            h = _exact_quo([g**delta], h ** (delta - 1))[0]
     # b is now a nonzero constant
     da = len(a) - 1
     if da == 0:
         return sign
-    return sign * b[0] ** da // h ** (da - 1)
+    return sign * _exact_quo([b[0] ** da], h ** (da - 1))[0]
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:

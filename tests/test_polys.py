@@ -429,6 +429,23 @@ class TestResultantCores:
         assert type(zero) is int and zero == 0
         assert type(two) is int and two == 2
 
+    def test_corrupted_remainder_raises(self, monkeypatch):
+        # With 1 added to the constant term of the second pseudo-remainder, the
+        # division by g h^delta leaves -791 / 4: a floor division would have
+        # returned a wrong resultant.
+        prem, calls = polys._int_prem, []
+
+        def corrupt(a, b):
+            r = prem(a, b)
+            calls.append(r)
+            if len(calls) == 2:
+                r = [r[0] + 1, *r[1:]]
+            return r
+
+        monkeypatch.setattr(polys, "_int_prem", corrupt)
+        with pytest.raises(InexactDivisionError):
+            _subresultant([1, -3, 4, 0, 7, 3], [2, 5, -1, 6, 2])
+
     def test_root_product(self):
         a = (x - 1) * (x - 2) * (x + 3)
         b = (x - 5) * (x + 7)
