@@ -18,12 +18,12 @@ Commands on each b (Q(x+c) is written as the text of q with x replaced by
 - `vspace --json` on 1/Q(x), 1/Q(x+3), 1/Q(x+7) (`three-orbit`) and on
   1/Q(x)^2, 1/Q(x), 1/Q(x+2) (`square`), whose denominators have lcm b.
 
-Each input runs through `benchfile.table` and `benchfile.cli_wall`: every run is a fresh
-interpreter, so a time includes start-up and parsing; per side, input and
-command the row has the q1/median/q3 wall time over up to 5 alternated
-rounds (one when a run takes over 5 s), the runs, the sha256 of the stdout
-and, with a parent, the change's wins and `same_output`.  A run past the
-per-input budget is stopped and its side recorded as not finished
+Each input runs through `benchfile.table` and `benchfile.cli_wall`: every
+run is a fresh interpreter, so a time includes start-up and parsing; per
+side, input and command the row has the q1/median/q3 wall time over up to 5
+alternated rounds (one when a run takes over 5 s), the runs, the sha256 of
+the stdout and, with a parent, the change's wins and `same_output`.  A run
+past the per-input budget is stopped and its side recorded as not finished
 (`timed_out_s`).
 
 Run from a checkout, optionally with a checkout of the parent commit:

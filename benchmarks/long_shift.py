@@ -17,12 +17,12 @@ Inputs:
   a third x^3-2 pole at shift 40.
 
 Each input runs as `dresidues COMMAND --certificate --json` through
-`benchfile.table` and `benchfile.cli_wall`: every run is a fresh interpreter, so a time includes
-start-up and parsing; per side, input and command the row has the
-q1/median/q3 wall time over up to 5 alternated rounds (one when a run takes
-over 5 s), the runs, the sha256 of the stdout and, with a parent, the
-change's wins and `same_output`.  A run past the per-input budget is stopped
-and its side recorded as timed out.
+`benchfile.table` and `benchfile.cli_wall`: every run is a fresh
+interpreter, so a time includes start-up and parsing; per side, input and
+command the row has the q1/median/q3 wall time over up to 5 alternated
+rounds (one when a run takes over 5 s), the runs, the sha256 of the stdout
+and, with a parent, the change's wins and `same_output`.  A run past the
+per-input budget is stopped and its side recorded as timed out.
 
 Run from a checkout, optionally with a checkout of the parent commit:
 
