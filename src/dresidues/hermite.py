@@ -27,7 +27,7 @@ whose digits are the -b/(e-1) of the steps: in lowest terms, and again
 coprime to q for the next layer, which starts from them with no second
 squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
 or share a factor with q_i, is normalised, by one gcd per layer; `_remainders`, for several
-numerators over one den, skips it and gives each r_i/q_i as r_i/q_i' mod q_i.
+numerators over one den, skips it and gives each r_i/q_i as it is, with no inverse.
 
 The set-up (Yun, q^i, den/q^i and the inverses), the split and the steps run
 on the integer-list kernels of `polys`, each digit, q' and s a Poly's
@@ -204,19 +204,17 @@ def hermite_list(f: RatFun) -> list[RatFun]:
 
 
 def _remainders(nums: list[Poly], den: Poly) -> tuple[list[list[list[tuple[Poly, Poly]]]], Poly]:
-    """(per proper num/den and layer k, the (t, q) of each class q: with r/q its part of
-    the k-th Hermite remainder and s = 1/q' mod q, t = (-1)^(k-1) (k-1)! r s mod q takes
-    the order-k coefficient of num/den at every root of q; and b = prod q).  A zero num has no layers."""
+    """(per proper num/den and layer k, the part ((-1)^(k-1) (k-1)! r, q) of each class q, with r/q
+    its part of the k-th Hermite remainder, so the residue of the part at each root of q is the order-k
+    coefficient of num/den there; and b = prod q).  A zero num has no layers.  The parts are plain
+    proper fractions: `reduction._orbit_residues` reads their residues per orbit piece."""
     setup = _setup(den)
-    inverses = {q: s for q, _, _, _, _, s in setup[0]}
-    for q, _ in filter(None, setup[1:]):  # the class of multiplicity 1, if any
-        inverses[q] = polys.inverse_mod(q.derivative(), q)
     rows = []
     for num in nums:
         states, row = ([] if num.is_zero else _split(num, setup)), []
         while states:
             states, parts = _step(states)
             scale = (-1) ** len(row) * math.factorial(len(row))
-            row.append([((r * inverses[q]) % q * scale, q) for r, q in parts])
+            row.append([(r * scale, q) for r, q in parts])
         rows.append(row)
-    return rows, math.prod(inverses, start=ONE)
+    return rows, math.prod((c[0] for c in [*setup[0], setup[1]] if c), start=ONE)

@@ -24,8 +24,8 @@ Every private kernel runs on integer lists.  One Newton kernel (`_newton`, then
 `galois.exp_log_derivative` and `summability.poly_antidifference`.
 Most gcds are coprimality questions: `_coprime` settles those by one integer
 gcd of values at a power of 2 beyond a root bound (the coprime half of Char,
-Geddes & Gonnet's heuristic gcd), ahead of `gcd`'s primitive PRS and of each
-resultant of `shiftset.shift_set`'s scan.
+Geddes & Gonnet's heuristic gcd), ahead of the primitive PRS of `_gcd_int`,
+under `gcd`, Yun and each candidate of `shiftset.shift_set`.
 At the API coefficients are exact rationals (``.coeffs``, ``.lc`` and
 ``.coeff(k)`` are `Fraction` views); there is no floating point anywhere.
 """

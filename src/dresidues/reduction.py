@@ -7,12 +7,12 @@ pole of the orbit).  `simple_reduction` handles one function;
 roots of the lcm b of their denominators, so common orbits give common poles.
 
 Everything is read off one orbit read-out, `_orbit_residues`: per shift l a
-term T_l whose value at each root u of I is the residue at u + l, from Trager
-polynomials t over divisors q of b, each distinct q split over the moved
-copies of I once (`_orbit_split`, checked to multiply to q): Hermite
-remainders for the residue pipelines and `is_summable`, and
-(`_simple_readout`) t = num * (1/D' mod D) mod D, one inverse per distinct D,
-for simple poles.  With R = sum_l T_l mod I and P = I/gcd(I, R), the reduced
+term T_l whose value at each root u of I is the residue at u + l, from proper
+fractions num/q, q | b (Hermite remainder parts for the residue pipelines and
+`is_summable`, each input itself for simple poles), each distinct q split
+over the moved copies of I once (`_orbit_split`, checked to multiply to q)
+with one inverse per piece and none modulo a whole q; the shift gcds come
+from the shift set.  With R = sum_l T_l mod I and P = I/gcd(I, R), the reduced
 form is (R P' mod P)/P, the proper simple-pole function with residue R(u) at
 each root u of I.  The certificate g, f = f-bar + g(x+1) - g(x), moves the
 pole at u + l to u through u + l - 1, ..., u + 1, so it has residue
@@ -67,12 +67,13 @@ def _validate_simple(f: RatFun, who: str) -> None:
 
 
 def _orbits(b: Poly) -> tuple[dict[int, Poly], Poly, Poly, dict[int, Poly]]:
-    """For squarefree b: the shift gcds, their lcm, initial, and initial(x - l) for l = 0 and each shift l."""
-    shifts = shiftset.shift_set(b).shifts
-    shift_gcds = {ell: polys.gcd(b, b.shift(-ell)) for ell in shifts}
+    """For squarefree b: the shift gcds gcd(b, b(x - l)), `shift_set`'s gcd(b, b(x + l)) moved by sigma^(-l),
+    their lcm, initial, and initial(x - l) for l = 0 and each shift l."""
+    found = shiftset.shift_set(b)
+    shift_gcds = {ell: g.shift(-ell) for ell, g in zip(found.shifts, found.gcds)}
     overlap = polys.lcm_all(shift_gcds.values())
     initial = b.exact_div(overlap)
-    return shift_gcds, overlap, initial, {ell: initial.shift(-ell) for ell in (0, *shifts)}
+    return shift_gcds, overlap, initial, {ell: initial.shift(-ell) for ell in (0, *found.shifts)}
 
 
 def _orbit_split(den: Poly, moved: dict[int, Poly]) -> dict[int, Poly]:
@@ -85,39 +86,38 @@ def _orbit_split(den: Poly, moved: dict[int, Poly]) -> dict[int, Poly]:
     return factors
 
 
-def _simple_readout(fs: list[RatFun]) -> tuple[tuple, list[tuple[Poly, Poly]], dict[Poly, dict[int, Poly]], list]:
-    """For proper fs with squarefree denominators: `_orbits` of the lcm b of the denominators, per input
-    its Trager pair (t, den), t = num * (1/den' mod den) mod den with one inverse per distinct den ((0, 1)
-    for zero), each den's `_orbit_split` and per input its `_orbit_residues` terms."""
-    orbits = _orbits(polys.lcm_all(f.den for f in fs))
-    ws = {den: polys.inverse_mod(den.derivative(), den) for den in dict.fromkeys(f.den for f in fs if not f.is_zero)}
-    pairs = [((f.num * ws[f.den]) % f.den if f.den in ws else ZERO, f.den) for f in fs]
-    splits: dict[Poly, dict[int, Poly]] = {}
-    _, terms = _orbit_residues([[pair] for pair in pairs], orbits, splits)
-    return orbits, pairs, splits, terms
+def _simple_readout(fs: list[RatFun]) -> tuple[tuple, dict[Poly, dict[int, tuple[Poly, Poly]]], list]:
+    """For proper fs with squarefree denominators: `_orbits` of the lcm b of the denominators, each
+    distinct denominator's pieces {l: (F_l, c_l)} (`_orbit_residues`) and per input, read as its one
+    part (num, den), its `_orbit_residues` terms."""
+    orbits, splits = _orbits(polys.lcm_all(f.den for f in fs)), {}
+    _, terms = _orbit_residues([[(f.num, f.den)] for f in fs], orbits, splits)
+    return orbits, splits, terms
 
 
 def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     """Reduce each of fs against the divisor of initial roots of the lcm of their denominators, from
     `_simple_readout` (module docstring); a zero input has the one part {0: 1} with numerator 0."""
-    (shift_gcds, overlap, initial, _), pairs, splits, terms = _simple_readout(fs)
+    (shift_gcds, overlap, initial, _), splits, terms = _simple_readout(fs)
     out: list[ReductionOutput] = []
-    for (t, den), ts in zip(pairs, terms):
-        factors = splits.get(den, {0: ONE})
-        numerators = {ell: (t % q) * q.derivative() % q for ell, q in sorted(factors.items())}
+    for f, ts in zip(fs, terms):
+        pieces = sorted(splits.get(f.den, {0: (ONE, ONE)}).items())
+        numerators = {ell: f.num * c % q for ell, (q, c) in pieces}
         r = sum((term for _, term in ts), ZERO) % initial
         p = initial.exact_div(polys.gcd(initial, r))
-        parts = ReductionParts(initial, tuple(numerators), dict(factors), numerators, shift_gcds, overlap)
+        factors = {ell: q for ell, (q, _) in pieces}
+        parts = ReductionParts(initial, tuple(numerators), factors, numerators, shift_gcds, overlap)
         certificate = _suffix_certificate(ts, initial) if want_certificate else None
         out.append(ReductionOutput(RatFun.from_lowest_terms(r * p.derivative() % p, p), certificate, parts))
     return out
 
 
 def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], orbits: tuple, splits: dict | None = None) -> tuple[Poly, list]:
-    """(initial of the squarefree b of `orbits` = `_orbits(b)`, per row its terms (l, sigma^l(t mod F_l) * e_l), not
-    reduced mod initial, one per part (t, q), q | b, and l).  With G = F_l(x + l) and w = 1/initial' mod initial,
-    e_l = (initial/G) * w * G' is 1 mod G and 0 mod initial/G, so T_l, the sum of a row's terms at l, takes t(u + l)
-    at each root u of initial.  Each distinct q is split once, into `splits` when it is given."""
+    """(initial of the squarefree b of `orbits` = `_orbits(b)`, per row its terms (l, sigma^l(num mod F_l) * e_l), not
+    reduced mod initial, one per part, a proper num/q with q | b, and l).  Each distinct q is split once, into `splits`
+    when given, as {l: (F_l, c_l)}, c_l = 1/(q/F_l) mod F_l.  With G = F_l(x + l) and w = 1/initial' mod initial,
+    e_l = (initial/G) * (sigma^l(c_l) * w mod G) is 0 mod initial/G and 1/q'(u + l) at each root u of G, so T_l,
+    the sum of a row's terms at l, takes num/q'(u + l), the residue of num/q at u + l, at each root u of initial."""
     _, _, initial, moved = orbits
     w = polys.inverse_mod(initial.derivative(), initial)
     splits = {} if splits is None else splits
@@ -125,12 +125,12 @@ def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], orbits: tuple, splits: 
     out: list[list[tuple[int, Poly]]] = []
     for row in rows:
         terms: list[tuple[int, Poly]] = []
-        for t, q in (part for part in row if not part[0].is_zero):
+        for num, q in (part for part in row if not part[0].is_zero):
             if q not in idempotents:
-                splits[q] = _orbit_split(q, moved)
-                gs = [(ell, f, f.shift(ell)) for ell, f in splits[q].items() if not f.is_constant]
-                idempotents[q] = [(ell, f, (initial.exact_div(g) * w * g.derivative()) % initial) for ell, f, g in gs]
-            terms += [(ell, (t if f == q else t % f).shift(ell) * e) for ell, f, e in idempotents[q]]
+                splits[q] = {ell: (f, polys.inverse_mod(q.exact_div(f), f)) for ell, f in _orbit_split(q, moved).items()}
+                gs = [(ell, f, c, f.shift(ell)) for ell, (f, c) in splits[q].items() if not f.is_constant]
+                idempotents[q] = [(ell, f, initial.exact_div(g) * (c.shift(ell) * w % g)) for ell, f, c, g in gs]
+            terms += [(ell, (num % f).shift(ell) * e) for ell, f, e in idempotents[q]]
         out.append(terms)
     return initial, out
 

@@ -103,7 +103,7 @@ def discrete_residues(f: RatFun) -> list[ResiduePair]:
     """All discrete residues of a proper f, one ResiduePair per order k.
 
     Pipeline: one pass of Hermite remainders, then `_read` of each layer alone
-    in lowest terms (parts with t = 0 dropped, each q cut to q / gcd(t, q)),
+    in lowest terms (zero parts dropped, each part r/q as RatFun(r, q)),
     so each order keeps its own leftmost representatives.  Pair
     k is (1, 0) exactly when every order-k discrete residue of f vanishes.
     The zero function yields an empty list.
@@ -112,8 +112,8 @@ def discrete_residues(f: RatFun) -> list[ResiduePair]:
         return discrete_residues_coordinated(f)  # [] or a DomainError
     out = []
     for layer in _remainders([f.num], f.den)[0][0]:
-        cuts = [(t, q.exact_div(polys.gcd(t, q))) for t, q in layer if not t.is_zero]
-        md = _read([[[(t % c, c) for t, c in cuts]]], math.prod((c for _, c in cuts), start=ONE)) if cuts else None
+        cuts = [RatFun(r, q) for r, q in layer if not r.is_zero]
+        md = _read([[[(g.num, g.den) for g in cuts]]], math.prod((g.den for g in cuts), start=ONE)) if cuts else None
         out.append(ResiduePair(md.places, md.values[0][0]) if md else TRIVIAL_PAIR)
     return out
 

@@ -10,6 +10,7 @@ from dresidues.errors import DomainError
 from dresidues.polys import ONE, Poly, X, gcd, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.reduction import ReductionOutput, ReductionParts, _reduce, simple_reduction, simple_reduction_multi
+from dresidues.residues import discrete_residues_coordinated
 from dresidues.shiftset import dispersion
 from dresidues.summability import is_summable
 from dresidues.testkit import build_from_spec, orbit_spec, random_orbit_spec
@@ -178,24 +179,55 @@ class TestMultiInputDifferential:
         assert sum(any(fs.count(f) > 1 for f in fs if not f.is_zero) for fs in lists) >= 5
         assert any(len(ref_reduce(fs, False)[0].parts.shift_gcds) >= 2 for fs in lists)
 
-    def test_one_inverse_per_denominator(self, monkeypatch):
-        den = x * (x + 1) * (x + 3) * (x**2 + 1) * ((x + 2) ** 2 + 1)
-        fs = [RatFun(Poly(range(k, k + den.degree)), den) for k in range(1, 5)]
-        assert all(f.den == den for f in fs)
-        calls = []
-        original = polys.inverse_mod
+    def test_inverses_and_prs_at_orbit_size(self, monkeypatch):
+        """On the three-orbit b = q(x) q(x+3) q(x+7) of degree 30 and 60 (`benchmarks/high_degree.py`),
+        a reduction of several numerators over b, the coordinated residues of 1/b and the summability
+        certificate of 1/q(x) + 1/q(x+3) - 2/q(x+7) take no modular inverse modulo anything larger than
+        initial or an orbit piece, and one PRS per shift: one pseudo-division of two operands of
+        degree deg b each, and no subresultant."""
+        moduli, full, calls = [], [], []
+        inverse_mod, ext, prem = polys.inverse_mod, polys._ext_subresultant, polys._int_prem
 
-        def counted(a, m):
-            calls.append(m)
-            return original(a, m)
+        def counted_inverse(a, m):
+            moduli.append(m.degree)
+            return inverse_mod(a, m)
 
-        monkeypatch.setattr(polys, "inverse_mod", counted)
-        outs = _reduce(fs + [RF_ZERO], True)
-        # one inverse per distinct denominator, then the read-out's 1/initial' mod initial
-        assert calls == [den, outs[0].parts.initial]
-        assert len(outs[0].parts.indices) >= 3
-        factors = [out.parts.factors for out in outs]
-        assert len({id(d) for d in factors}) == len(factors)
+        def counted_ext(m, a):
+            moduli.append(len(m) - 1)
+            return ext(m, a)
+
+        def counted_prem(a, b):
+            full.append((len(a), len(b)))
+            return prem(a, b)
+
+        monkeypatch.setattr(polys, "inverse_mod", counted_inverse)
+        monkeypatch.setattr(polys, "_ext_subresultant", counted_ext)
+        monkeypatch.setattr(polys, "_int_prem", counted_prem)
+        monkeypatch.setattr(polys, "_subresultant", lambda a, b: calls.append((a, b)))
+        for n in (10, 20):
+            rng = random.Random(11)
+            q = Poly([rng.randint(-9, 9) for _ in range(n)] + [1])
+            den = q * q.shift(3) * q.shift(7)
+            fs = [RatFun(Poly(range(k, k + den.degree)), den) for k in range(1, 5)]
+            assert all(f.den == den for f in fs)
+            runs = [
+                lambda: _reduce(fs + [RF_ZERO], True),
+                lambda: discrete_residues_coordinated(RatFun(ONE, den)),
+                lambda: is_summable(RatFun(ONE, q) + RatFun(ONE, q.shift(3)) - RatFun(Poly([2]), q.shift(7)), True),
+            ]
+            for run in runs:
+                moduli.clear()
+                full.clear()
+                out = run()
+                assert max(moduli) <= n and full.count((3 * n + 1, 3 * n + 1)) == 3, (n, run)
+            assert out[0] and out[1].den.degree > 0
+            outs = _reduce(fs + [RF_ZERO], True)
+            parts = outs[0].parts
+            assert parts.indices == (0, 4, 7) and parts.shift_gcds == {3: q, 4: q.shift(3), 7: q}
+            assert max(f.degree for f in parts.factors.values()) == parts.initial.degree == n
+            factors = [out.parts.factors for out in outs]
+            assert len({id(d) for d in factors}) == len(factors)
+        assert calls == []
 
 
 def _cost_targets():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import gcd_prs
+
 from dresidues import polys
 from dresidues.errors import DomainError
 from dresidues.polys import Poly, X, gcd
@@ -175,6 +177,35 @@ class TestShiftSet:
             roots = polys.integer_roots(polys.resultant_shift(b))
             assert tuple(sorted(ell for ell in roots if ell > 0)) == tuple(want), b
         assert routes == {False, True}
+
+    def test_gcds_match_the_prs_reference_on_both_routes(self):
+        # gcds[i] is the monic gcd(b(x), b(x + shifts[i])) that the candidate loop kept,
+        # checked against the primitive PRS on every pair.  The last input is the CI
+        # interpolation-route step, whose shifts reach 5991.
+        rng = random.Random(3131)
+        bs = [x * (x + 3) * (x + 7), (x**2 + 1) * ((x + 2) ** 2 + 1) * (x - 5) * (x + 1)]
+        for spread in (6, 40):
+            for _ in range(4):
+                centre = rng.randint(-(10**6), 10**6)
+                b = Poly([1])
+                for r in rng.sample(range(-spread, spread + 1), rng.randint(2, 5)):
+                    b = b * (x - centre - r)
+                bs.append(b)
+        for _ in range(4):
+            q = random_poly(rng, 2)
+            bs.append(q * q.shift(rng.randint(1, 4)) * random_poly(rng, 3))
+        bs.append((x - 3000) * (x + 2990) * (x**2 + 1) * (x**2 + 2 * x + 2) * (x**3 - 2) * (x**3 - 3 * x + 5) * (x - 3001) * x)
+        routes = set()
+        for b in bs:
+            big = polys._to_int_primitive(b)
+            centred = list(big)
+            polys._taylor_shift(centred, -big[-2] // (b.degree * big[-1]))
+            routes.add(2 * polys._cauchy_bound(centred) > b.degree**2 + 1)
+            got = shift_set(b)
+            assert got.shifts and len(got.gcds) == len(got.shifts), b
+            assert list(got.gcds) == [gcd_prs(b, b.shift(ell)) for ell in got.shifts], b
+        assert routes == {False, True}
+        assert shift_set(bs[-1]).shifts == (1, 2990, 3000, 3001, 5990, 5991)
 
     def test_no_gcd_calls(self, monkeypatch, golden):
         calls = []
