@@ -32,7 +32,7 @@ from .polys import (
     resultant_shift,
     squarefree_decomposition,
 )
-from .ratfun import RatFun, normalize, parfrac
+from .ratfun import RatFun, parfrac
 from .hermite import hermite_list, hermite_reduction
 from .shiftset import ShiftSetResult, dispersion, shift_set
 from .reduction import ReductionOutput, ReductionParts, simple_reduction, simple_reduction_multi
@@ -79,7 +79,6 @@ __all__ = [
     "resultant_shift",
     "squarefree_decomposition",
     "RatFun",
-    "normalize",
     "parfrac",
     "hermite_list",
     "hermite_reduction",

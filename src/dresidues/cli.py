@@ -38,6 +38,7 @@ import math
 import operator
 import re
 import sys
+from typing import Iterator
 
 from . import __version__, galois, residues, shiftset, summability, testkit
 from .errors import DomainError, InexactDivisionError, InternalError, ParseError
@@ -312,12 +313,14 @@ def _vec_str(vec) -> str:
     return " ".join(str(v) for v in vec)
 
 
-# -- subcommand handlers ----------------------------------------------------------
+# -- subcommand handlers: each computes, yields, then renders and yields (lines, payload) --
+_Steps = Iterator[tuple[list[str], dict] | None]
 
 
-def _cmd_dres(args) -> tuple[list[str], dict]:
+def _cmd_dres(args) -> _Steps:
     _, f = parse(args.expr).proper_part()
     pairs = (residues.discrete_residues if args.per_order else residues.discrete_residues_coordinated)(f)
+    yield
     if args.json:  # main prints the payload alone
         lines = []
     elif args.pretty:
@@ -330,12 +333,13 @@ def _cmd_dres(args) -> tuple[list[str], dict]:
             for k, p in enumerate(pairs, 1)
         ]
     }
-    return lines, payload
+    yield lines, payload
 
 
-def _cmd_dres_multi(args) -> tuple[list[str], dict]:
+def _cmd_dres_multi(args) -> _Steps:
     fs = [parse(e).proper_part()[1] for e in args.exprs]
     md = residues.discrete_residues_multi(fs)
+    yield
     eq, colon = (" = ", ":") if args.pretty else ("", "")
     lines = [f"B{eq}{_fmt_poly(md.places, args.pretty)}"]
     for i, row in enumerate(md.values, 1):
@@ -345,51 +349,57 @@ def _cmd_dres_multi(args) -> tuple[list[str], dict]:
         "B": _poly_coeffs(md.places),
         "D": [[_poly_coeffs(d) for d in row] for row in md.values],
     }
-    return lines, payload
+    yield lines, payload
 
 
-def _cmd_reduce(args) -> tuple[list[str], dict]:
+def _cmd_reduce(args) -> _Steps:
     _, f = parse(args.expr).proper_part()
     out = simple_reduction(f, want_certificate=args.certificate)
+    yield
     lines = [f"reduced {_fmt_ratfun(out.reduced, args.pretty)}"]
     payload = {"reduced": _ratfun_json(out.reduced), "certificate": None}
     if args.certificate:
         lines.append(f"certificate {_fmt_ratfun(out.certificate, args.pretty)}")
         payload["certificate"] = _ratfun_json(out.certificate)
-    return lines, payload
+    yield lines, payload
 
 
-def _cmd_hermite(args) -> tuple[list[str], dict]:
+def _cmd_hermite(args) -> _Steps:
     _, f = parse(args.expr).proper_part()
     layers = hermite_list(f) if not f.is_zero else []
+    yield
     lines = [f"k={k} {_fmt_ratfun(layer, args.pretty)}" for k, layer in enumerate(layers, 1)]
-    return lines, {"layers": [_ratfun_json(layer) for layer in layers]}
+    yield lines, {"layers": [_ratfun_json(layer) for layer in layers]}
 
 
-def _cmd_shift_set(args) -> tuple[list[str], dict]:
+def _cmd_shift_set(args) -> _Steps:
     shifts = shiftset.shift_set(parse_poly(args.expr)).shifts
-    return [" ".join(str(s) for s in shifts)], {"shifts": list(shifts)}
+    yield
+    yield [" ".join(str(s) for s in shifts)], {"shifts": list(shifts)}
 
 
-def _cmd_summable(args) -> tuple[list[str], dict]:
+def _cmd_summable(args) -> _Steps:
     ok, cert = summability.is_summable(parse(args.expr), want_certificate=args.certificate)
+    yield
     lines = ["summable" if ok else "not summable"]
     payload = {"summable": ok, "certificate": None}
     if ok and args.certificate:
         lines.append(f"certificate {_fmt_ratfun(cert, args.pretty)}")
         payload["certificate"] = _ratfun_json(cert)
-    return lines, payload
+    yield lines, payload
 
 
-def _cmd_vspace(args) -> tuple[list[str], dict]:
+def _cmd_vspace(args) -> _Steps:
     fs = [parse(e).proper_part()[1] for e in args.exprs]
     basis = summability.vspace(fs)
-    return [_vec_str(v) for v in basis], {"basis": [[str(c) for c in v] for v in basis]}
+    yield
+    yield [_vec_str(v) for v in basis], {"basis": [[str(c) for c in v] for v in basis]}
 
 
-def _cmd_mult_relations(args) -> tuple[list[str], dict]:
+def _cmd_mult_relations(args) -> _Steps:
     rs = [parse(e) for e in args.exprs]
     rel = galois.multiplicative_relations(rs)
+    yield
     lines = []
     for e, gamma in zip(rel.candidate_basis, rel.gammas):
         lines.append(f"candidate {_vec_str(e)} gamma {gamma}")
@@ -400,18 +410,19 @@ def _cmd_mult_relations(args) -> tuple[list[str], dict]:
         "gammas": [str(g) for g in rel.gammas],
         "basis": rel.basis,
     }
-    return lines, payload
+    yield lines, payload
 
 
-def _cmd_oracle(args) -> tuple[list[str], dict]:
+def _cmd_oracle(args) -> _Steps:
     with open(args.specfile, encoding="utf-8") as handle:
         spec = testkit.parse_spec_text(handle.read())
     table = testkit.dres_by_definition(spec)
+    yield
     lines = [f"{rep} {k} {value}" for rep, k, value in table]
     payload = {
         "table": [{"alpha": str(rep), "k": k, "value": str(value)} for rep, k, value in table]
     }
-    return lines, payload
+    yield lines, payload
 
 
 @functools.cache
@@ -487,7 +498,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        lines, payload = args.handler(args)
+        steps = args.handler(args)
+        next(steps)  # the output is rendered only when it is printed
+        if args.quiet:
+            return 0
+        lines, payload = next(steps)
         if args.json:
             lines = [json.dumps(payload)]
     except ParseError as exc:
@@ -509,9 +524,8 @@ def main(argv=None) -> int:
             raise
         print(f"error: the output has a number longer than the limit of {_max_digits()} digits", file=sys.stderr)
         return 1
-    if not args.quiet:
-        for line in lines:
-            print(line)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -172,8 +172,7 @@ def integer_lattice_solutions(fs: list[RatFun]) -> list[list[int]]:
     for f in fs:
         if not f.is_proper or not polys.is_squarefree(f.den):
             raise DomainError("inputs must be proper with simple poles")
-    (_, _, initial, _), _, terms = _simple_readout(fs)
-    return _solution_lattice([sum((t for _, t in ts), ZERO) % initial for ts in terms])
+    return _solution_lattice(_simple_readout(fs)[2])
 
 
 def _solution_lattice(sums: list[Poly]) -> list[list[int]]:
@@ -213,8 +212,7 @@ def multiplicative_relations(rs: list[RatFun]) -> RelationLattice:
         raise DomainError("multiplicative_relations requires at least one function")
     if any(r.is_zero for r in rs):
         raise DomainError("multiplicative_relations requires nonzero functions")
-    (_, _, initial, _), _, terms = _simple_readout([log_derivative(r) for r in rs])
-    sums = [sum((t for _, t in ts), ZERO) % initial for ts in terms]
+    (_, _, initial, _), terms, sums = _simple_readout([log_derivative(r) for r in rs])
     candidates = _solution_lattice(sums)
     gammas: list[Fraction] = []
     witnesses: list[RatFun] = []

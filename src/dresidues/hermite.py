@@ -25,9 +25,10 @@ layer starts from a coprime to q (the split of a reduced f gives that), so
 its first b is coprime to q too, and the class's part of g is G/q^(e-1),
 whose digits are the -b/(e-1) of the steps: in lowest terms, and again
 coprime to q for the next layer, which starts from them with no second
-squarefree decomposition.  Only h = sum r_i/q_i, whose numerators may vanish
-or share a factor with q_i, is normalised, by one gcd per layer; `_remainders`, for several
-numerators over one den, skips it and gives each r_i/q_i as it is, with no inverse.
+squarefree decomposition.  `_remainders`, the one layer loop, gives each
+layer's parts r_i/q_i for several numerators over one den with no gcd and no
+inverse; only h = sum r_i/q_i, whose numerators may vanish or share a factor
+with q_i, is normalised (`hermite_reduction`, each layer of `hermite_list`).
 
 The set-up (Yun, q^i, den/q^i and the inverses), the split and the steps run
 on the integer-list kernels of `polys`, each digit, q' and s a Poly's
@@ -44,7 +45,7 @@ from typing import Sequence
 
 from . import polys
 from .errors import DomainError, InternalError
-from .polys import ONE, ZERO, Poly
+from .polys import ZERO, Poly
 from .ratfun import RF_ZERO, RatFun, _over_product
 
 # A polynomial (c_0 + c_1 x + ...) / d as a Poly's (_c, _d) pair.  The state
@@ -186,18 +187,8 @@ def hermite_list(f: RatFun) -> list[RatFun]:
     """
     if f.is_zero or not f.is_proper:
         raise DomainError("hermite_list requires a nonzero proper rational function")
-    setup = _setup(f.den)
-    if not setup[0]:
-        return [f]
-    states, top = _split(f.num, setup), setup[0][-1][1]
-    layers: list[RatFun] = []
-    while states:
-        k = len(layers)
-        states, parts = _step(states)
-        num, den = _over_product(parts)
-        layers.append(RatFun(num * ((-1) ** k * math.factorial(k)), den))
-    if len(layers) != top:
-        raise InternalError(f"{len(layers)} Hermite layers for a pole of order {top}")
+    (row,), _ = _remainders([f.num], f.den)
+    layers = [RatFun(*_over_product(parts)) for parts in row] if len(row) > 1 else [f]
     if layers[-1].is_zero:
         raise InternalError("the last Hermite layer is zero")
     return layers
@@ -206,15 +197,20 @@ def hermite_list(f: RatFun) -> list[RatFun]:
 def _remainders(nums: list[Poly], den: Poly) -> tuple[list[list[list[tuple[Poly, Poly]]]], Poly]:
     """(per proper num/den and layer k, the part ((-1)^(k-1) (k-1)! r, q) of each class q, with r/q
     its part of the k-th Hermite remainder, so the residue of the part at each root of q is the order-k
-    coefficient of num/den there; and b = prod q).  A zero num has no layers.  The parts are plain
-    proper fractions: `reduction._orbit_residues` reads their residues per orbit piece."""
+    coefficient of num/den there; and b = prod q).  A zero num has no layers, any other one a layer per pole order,
+    checked.  The parts are plain proper fractions: `reduction._orbit_residues` reads their residues per orbit piece."""
     setup = _setup(den)
-    rows = []
+    if not setup[0]:  # a squarefree den: each nonzero num/den is its one layer
+        return [[[(num, den)]] if not num.is_zero else [] for num in nums], den
+    top, rows = setup[0][-1][1], []
     for num in nums:
         states, row = ([] if num.is_zero else _split(num, setup)), []
         while states:
             states, parts = _step(states)
             scale = (-1) ** len(row) * math.factorial(len(row))
-            row.append([(r * scale, q) for r, q in parts])
+            row.append([(r * scale, q) for r, q in parts] if row else parts)
+        if row and len(row) != top:
+            raise InternalError(f"{len(row)} Hermite layers for a pole of order {top}")
         rows.append(row)
-    return rows, math.prod((c[0] for c in [*setup[0], setup[1]] if c), start=ONE)
+    qs = [c[0] for c in [*setup[0], setup[1]] if c]
+    return rows, math.prod(qs[1:], start=qs[0])

@@ -441,9 +441,9 @@ def _gcd_int(a: list[int], b: list[int]) -> list[int]:
         a, b = b, a
     if b and _coprime(a, b):
         return [1]
-    # Primitive PRS, for the pairs not certified coprime: on the gcd calls of the perfbench
-    # workloads the subresultant PRS gave the same gcds ~10% slower, and lazy scaling (as
-    # in divrem) was no faster.
+    # Primitive PRS, for the pairs not certified coprime: on the perfbench workloads' non-coprime
+    # pairs one subresultant PRS shared with `_subresultant` and `_ext_subresultant` gave the same
+    # gcds 1.5-1.6x slower (ops/s 7-9% lower), and lazy scaling (as in divrem) was no faster.
     while b:
         a, b = b, _int_primitive(_int_prem(a, b))
     return a

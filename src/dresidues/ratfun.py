@@ -189,11 +189,6 @@ class RatFun:
 RF_ZERO = RatFun(ZERO)
 
 
-def normalize(num: Poly, den: Poly) -> RatFun:
-    """The reduced, monic-denominator representative of num/den."""
-    return RatFun(num, den)
-
-
 def parfrac(f: RatFun, parts: list[Poly]) -> list[Poly]:
     """Partial fractions of a proper f over a pairwise coprime monic
     factorization of its squarefree denominator.

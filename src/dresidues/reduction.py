@@ -6,15 +6,15 @@ pole of the orbit).  `simple_reduction` handles one function;
 `simple_reduction_multi` reduces several against the one divisor I of initial
 roots of the lcm b of their denominators, so common orbits give common poles.
 
-Everything is read off one orbit read-out, `_orbit_residues`: per shift l a
-term T_l whose value at each root u of I is the residue at u + l, from proper
-fractions num/q, q | b (Hermite remainder parts for the residue pipelines and
-`is_summable`, each input itself for simple poles), each distinct q split
-over the moved copies of I once (`_orbit_split`, checked to multiply to q)
-with one inverse per piece and none modulo a whole q; the shift gcds come
-from the shift set.  With R = sum_l T_l mod I and P = I/gcd(I, R), the reduced
-form is (R P' mod P)/P, the proper simple-pole function with residue R(u) at
-each root u of I.  The certificate g, f = f-bar + g(x+1) - g(x), moves the
+Everything is read off one orbit read-out, `_orbit_residues(rows, b)`: one
+`_orbits(b)`, then per row of proper fractions num/q, q | b (Hermite remainder
+parts for the residue pipelines and `is_summable`, each input itself for
+simple poles) a term T_l per shift l, whose value at each root u of I is the
+residue at u + l, and the residue sum R = sum_l T_l mod I, each distinct q
+split over the moved copies of I once (`_orbit_split`, checked to multiply to
+q) with one inverse per piece.  With P = I/gcd(I, R), the reduced form is
+(R P' mod P)/P, the proper simple-pole function with residue R(u) at each
+root u of I.  The certificate g, f = f-bar + g(x+1) - g(x), moves the
 pole at u + l to u through u + l - 1, ..., u + 1, so it has residue
 -rho_j(u) at u + j for rho_j = sum_(l>=j) T_l mod I, summable f or not: it is
 -sum_j sigma^(-j)(P_j/I_j), I_j = I/gcd(I, rho_j), P_j = rho_j I_j' mod I_j, by
@@ -86,24 +86,21 @@ def _orbit_split(den: Poly, moved: dict[int, Poly]) -> dict[int, Poly]:
     return factors
 
 
-def _simple_readout(fs: list[RatFun]) -> tuple[tuple, dict[Poly, dict[int, tuple[Poly, Poly]]], list]:
-    """For proper fs with squarefree denominators: `_orbits` of the lcm b of the denominators, each
-    distinct denominator's pieces {l: (F_l, c_l)} (`_orbit_residues`) and per input, read as its one
-    part (num, den), its `_orbit_residues` terms."""
-    orbits, splits = _orbits(polys.lcm_all(f.den for f in fs)), {}
-    _, terms = _orbit_residues([[(f.num, f.den)] for f in fs], orbits, splits)
-    return orbits, splits, terms
+def _simple_readout(fs: list[RatFun], splits: dict | None = None) -> tuple[tuple, list, list[Poly]]:
+    """The simple-pole call of `_orbit_residues`: proper fs with squarefree denominators, each read as
+    its one part (num, den), over the lcm of the denominators."""
+    return _orbit_residues([[(f.num, f.den)] for f in fs], polys.lcm_all(f.den for f in fs), splits)
 
 
 def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     """Reduce each of fs against the divisor of initial roots of the lcm of their denominators, from
     `_simple_readout` (module docstring); a zero input has the one part {0: 1} with numerator 0."""
-    (shift_gcds, overlap, initial, _), splits, terms = _simple_readout(fs)
+    splits: dict[Poly, dict[int, tuple[Poly, Poly]]] = {}
+    (shift_gcds, overlap, initial, _), terms, sums = _simple_readout(fs, splits)
     out: list[ReductionOutput] = []
-    for f, ts in zip(fs, terms):
+    for f, ts, r in zip(fs, terms, sums):
         pieces = sorted(splits.get(f.den, {0: (ONE, ONE)}).items())
         numerators = {ell: f.num * c % q for ell, (q, c) in pieces}
-        r = sum((term for _, term in ts), ZERO) % initial
         p = initial.exact_div(polys.gcd(initial, r))
         factors = {ell: q for ell, (q, _) in pieces}
         parts = ReductionParts(initial, tuple(numerators), factors, numerators, shift_gcds, overlap)
@@ -112,12 +109,13 @@ def _reduce(fs: list[RatFun], want_certificate: bool) -> list[ReductionOutput]:
     return out
 
 
-def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], orbits: tuple, splits: dict | None = None) -> tuple[Poly, list]:
-    """(initial of the squarefree b of `orbits` = `_orbits(b)`, per row its terms (l, sigma^l(num mod F_l) * e_l), not
-    reduced mod initial, one per part, a proper num/q with q | b, and l).  Each distinct q is split once, into `splits`
-    when given, as {l: (F_l, c_l)}, c_l = 1/(q/F_l) mod F_l.  With G = F_l(x + l) and w = 1/initial' mod initial,
-    e_l = (initial/G) * (sigma^l(c_l) * w mod G) is 0 mod initial/G and 1/q'(u + l) at each root u of G, so T_l,
-    the sum of a row's terms at l, takes num/q'(u + l), the residue of num/q at u + l, at each root u of initial."""
+def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], b: Poly, splits: dict | None = None) -> tuple[tuple, list, list[Poly]]:
+    """(`_orbits(b)` for squarefree b; per row its terms (l, sigma^l(num mod F_l) * e_l), one per part, a proper num/q
+    with q | b, and l; per row R = sum_l T_l mod initial).  Each distinct q is split once, into `splits` when given, as
+    {l: (F_l, c_l)}, c_l = 1/(q/F_l) mod F_l.  With G = F_l(x + l) and w = 1/initial' mod initial, e_l = (initial/G) *
+    (sigma^l(c_l) * w mod G) is 0 mod initial/G and 1/q'(u + l) at each root u of G, so T_l, the sum of a row's terms
+    at l, takes num/q'(u + l), the residue of num/q at u + l, at each root u of initial."""
+    orbits = _orbits(b)
     _, _, initial, moved = orbits
     w = polys.inverse_mod(initial.derivative(), initial)
     splits = {} if splits is None else splits
@@ -132,7 +130,7 @@ def _orbit_residues(rows: list[list[tuple[Poly, Poly]]], orbits: tuple, splits: 
                 idempotents[q] = [(ell, f, initial.exact_div(g) * (c.shift(ell) * w % g)) for ell, f, c, g in gs]
             terms += [(ell, (num % f).shift(ell) * e) for ell, f, e in idempotents[q]]
         out.append(terms)
-    return initial, out
+    return orbits, out, [sum((t for _, t in terms), ZERO) % initial for terms in out]
 
 
 def _suffix_certificate(terms: list[tuple[int, Poly]], initial: Poly) -> RatFun:

@@ -20,7 +20,7 @@ from .errors import DomainError
 from .hermite import _remainders
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
-from .reduction import _orbit_residues, _orbits
+from .reduction import _orbit_residues
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,7 @@ def discrete_residues_coordinated(f: RatFun) -> list[ResiduePair]:
     if f.is_zero:
         return []
     (row,), b = _remainders([f.num], f.den)
-    initial, terms = _orbit_residues(row, _orbits(b))
-    rs = [sum((t for _, t in ts), ZERO) % initial for ts in terms]
+    (_, _, initial, _), _, rs = _orbit_residues(row, b)
     places = [initial.exact_div(polys.gcd(initial, r)) for r in rs]
     return [ResiduePair(p, r % p) for p, r in zip(places, rs)]
 
@@ -175,7 +174,6 @@ def _read(rows: list[list[list[tuple[Poly, Poly]]]], b: Poly) -> MultiResidues:
     """Each input's layers, padded to one count, give R mod initial at every root of initial
     (`_orbit_residues`); places keeps the roots where some R is nonzero, values = R mod places."""
     m = max(len(row) for row in rows)
-    initial, terms = _orbit_residues([layer for row in rows for layer in row + [[]] * (m - len(row))], _orbits(b))
-    rs = [sum((t for _, t in ts), ZERO) % initial for ts in terms]
+    (_, _, initial, _), _, rs = _orbit_residues([layer for row in rows for layer in row + [[]] * (m - len(row))], b)
     places = initial.exact_div(functools.reduce(polys.gcd, rs, initial))
     return MultiResidues(places, [[r % places for r in rs[i : i + m]] for i in range(0, len(rs), m)])

@@ -18,7 +18,7 @@ from .galois import _integer_row, hermite_normal_form
 from .hermite import _remainders
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
-from .reduction import _orbit_residues, _orbits, _suffix_certificate
+from .reduction import _orbit_residues, _suffix_certificate
 
 
 def poly_antidifference(p: Poly) -> Poly:
@@ -48,8 +48,8 @@ def is_summable(f: RatFun, want_certificate: bool = False) -> tuple[bool, RatFun
     if fp.is_zero:
         return True, cert
     (row,), b = _remainders([fp.num], fp.den)
-    initial, layers = _orbit_residues(row, _orbits(b))
-    if any(not (sum((t for _, t in terms), ZERO) % initial).is_zero for terms in layers):
+    (_, _, initial, _), layers, sums = _orbit_residues(row, b)
+    if any(not r.is_zero for r in sums):
         return False, None
     if want_certificate:
         num, den = _assemble([_suffix_certificate(terms, initial) for terms in layers])

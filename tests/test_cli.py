@@ -494,6 +494,22 @@ class TestMain:
         assert main(["dres", "--quiet", "1/x"]) == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string conversion limit")
+    def test_quiet_renders_nothing(self, capsys):
+        # The certificate of 1/x - 1/(x+500) has numbers longer than 640 digits, the least limit
+        # Python allows: only a run that prints it fails.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["reduce", "--certificate", "--quiet", "1/x - 1/(x+500)"]) == 0
+            assert capsys.readouterr() == ("", "")
+            assert main(["reduce", "--certificate", "1/x - 1/(x+500)"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["error: the output has a number longer than the limit of 640 digits"]
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_denominator_with_uncertifiable_constant_term(self, capsys):
         # The shift set's constant term has a cofactor above the trial limit.
         for cmd in ("dres", "summable"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import ref_setup, yun_inputs
 
-from dresidues import hermite, polys
+from dresidues import hermite, polys, residues, summability
 from dresidues.errors import DomainError, InternalError
 from dresidues.hermite import hermite_list, hermite_reduction
 from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree, squarefree_decomposition
@@ -317,15 +317,37 @@ class TestOneDecomposition:
 class TestExactOrException:
     """Each consistency check of `hermite_list` fires when the core misbehaves."""
 
-    def test_layer_count_below_pole_order(self, monkeypatch):
+    @staticmethod
+    def _drop_g(monkeypatch):
         original = hermite._reduce
 
         def drops_g(q, e, n, dq, s):
             return [], original(q, e, n, dq, s)[1]
 
         monkeypatch.setattr(hermite, "_reduce", drops_g)
+
+    def test_layer_count_below_pole_order(self, monkeypatch):
+        self._drop_g(monkeypatch)
         with pytest.raises(InternalError, match="layers for a pole of order 3"):
             hermite_list(RatFun(ONE, x**3 * (x + 1)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            residues.discrete_residues_coordinated,
+            residues.discrete_residues,
+            lambda f: residues.discrete_residues_multi([f, RatFun(ONE, x + 1)]),
+            summability.is_summable,
+            lambda f: summability.is_summable(f, True),
+        ],
+        ids=["coordinated", "per-order", "multi", "summable", "certificate"],
+    )
+    def test_layer_count_checked_for_every_reader(self, monkeypatch, call):
+        """The count is checked where the layers are made (`_remainders`), so the pipelines that read
+        the remainders without `hermite_list` cannot return an answer from a dropped layer."""
+        self._drop_g(monkeypatch)
+        with pytest.raises(InternalError, match="layers for a pole of order 3"):
+            call(RatFun(ONE, x**3 * (x + 1)))
 
     def test_last_layer_zero(self, monkeypatch):
         original = hermite._reduce

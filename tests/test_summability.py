@@ -237,7 +237,7 @@ class TestOneReduction:
         for ok, p in zip(decided, proper):
             if ok and not p.is_zero:
                 (row,), b = hermite._remainders([p.num], p.den)
-                shifts = [{ell for ell, _ in ts} for ts in reduction._orbit_residues(row, reduction._orbits(b))[1]]
+                shifts = [{ell for ell, _ in ts} for ts in reduction._orbit_residues(row, b)[1]]
                 gaps += [set(range(1, max(ls, default=0))) - ls for ls in shifts]
         assert any(gaps)
 
