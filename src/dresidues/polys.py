@@ -10,11 +10,12 @@ Gathen & Gerhard, *Modern Computer Algebra*, §6.2).  The zero polynomial is
 arithmetic could silently consume.
 
 The arithmetic is one set of kernels on integer lists (`_mul_int`,
-`_divrem_int`, `_lin_int`, `_pow_int` and `_norm`, one gcd per result), where a
-tuple of `Fraction`s pays a gcd on every coefficient operation.  The Poly
-operators wrap them; Yun's algorithm (`_yun`, on `_gcd_int` and `_exact_int`)
-and the Hermite set-up and steps run them on primitive lists or (list,
-denominator) pairs, and every modular inverse is one extended subresultant PRS.  Division is
+`_divrem_int`, `_lin_int`, `_pow_int`, `_taylor_shift` and `_norm`, one gcd per
+result), where a tuple of `Fraction`s pays a gcd on every coefficient operation.
+The Poly operators wrap them and build only the Poly they return (`%` builds no
+quotient, and an int shift no Fraction); Yun's algorithm (`_yun`, on `_gcd_int`
+and `_exact_int`) and the Hermite set-up and steps run them on primitive lists or
+(list, denominator) pairs, and every modular inverse is one extended subresultant PRS.  Division is
 fraction-free, and it scales the remainder (by lc / gcd(top, lc)) only at a
 step where the divisor's leading integer lc does not divide the top
 coefficient: an integer-monic divisor or an integral quotient never scales,
@@ -168,29 +169,38 @@ class Poly:
 
     # -- division ----------------------------------------------------------
 
-    def divrem(self, other: Poly) -> tuple[Poly, Poly]:
-        """Euclidean division: self = q * other + r with r = 0 or deg r < deg
-        other, from `_divrem_int` on the integer parts of self and other."""
-        if other.is_zero:
+    def _divide(self, other: Poly) -> tuple[list[int], Sequence[int], int]:
+        """`_divrem_int`'s raw (q, r, s) for self = P/d and other = Q/e, so that
+        self = (q*e/(s*d)) * other + r/(s*d); q = [] when self is the shorter."""
+        if not other._c:
             raise DomainError("division by the zero polynomial")
         if len(self._c) < len(other._c):
+            return [], self._c, 1
+        return _divrem_int(self._c, other._c)
+
+    def divrem(self, other: Poly) -> tuple[Poly, Poly]:
+        """Euclidean division: self = q * other + r with r = 0 or deg r < deg
+        other; `//`, `%` and `exact_div` build only the half they return."""
+        q, r, s = self._divide(other)
+        if not q:
             return ZERO, self
-        q, r, s = _divrem_int(self._c, other._c)
         den = s * self._d
         return _new([c * other._d for c in q], den), _new(r, den)
 
     def __floordiv__(self, other: Poly) -> Poly:
-        return self.divrem(other)[0]
+        q, _, s = self._divide(other)
+        return _new([c * other._d for c in q], s * self._d) if q else ZERO
 
     def __mod__(self, other: Poly) -> Poly:
-        return self.divrem(other)[1]
+        q, r, s = self._divide(other)
+        return _new(r, s * self._d) if q else self
 
     def exact_div(self, other: Poly) -> Poly:
         """Division known to be exact; a nonzero remainder is an internal error."""
-        q, r = self.divrem(other)
-        if not r.is_zero:
+        q, r, s = self._divide(other)
+        if any(r):
             raise InexactDivisionError(f"inexact division: {self} by {other}")
-        return q
+        return _new([c * other._d for c in q], s * self._d)
 
     def monic(self) -> Poly:
         if self.is_zero:
@@ -205,9 +215,15 @@ class Poly:
         return _new([k * c for k, c in enumerate(self._c[1:], 1)], self._d)
 
     def shift(self, c) -> Poly:
-        """The composition p(x + c).  With c = u/v and p = P/d for an integer
-        P of degree n, Q(y) = v^n P(y/v) has integer coefficients and
+        """The composition p(x + c) for p = P/d, P in Z[x] of degree n: an int c
+        shifts a copy of P in place; for c = u/v, Q(y) = v^n P(y/v) is in Z[x] and
         Q(vx + u) = v^n P(x + c), so only Q is shifted, by the integer u."""
+        if isinstance(c, int):
+            if not c or not self._c:
+                return self
+            cs = list(self._c)
+            _taylor_shift(cs, c)
+            return _new(cs, self._d)
         c = _as_rat(c)
         if c == 0 or self.is_zero:
             return self

@@ -10,6 +10,7 @@ solved here with exact integer elimination.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import polys, residues
@@ -91,8 +92,8 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
     Rows are cleared of denominators and brought to echelon form by
     `galois.hermite_normal_form`; every echelon form of the same row space has
     the same pivot columns, so back-substitution gives one vector per free
-    column, zero in the other free columns.  Basis vectors are then scaled to
-    have leading entry 1.
+    column, zero in the other free columns, on integers (a pivot p with row sum
+    s past it scales the vector by p / gcd(s, p)); each ends over its lead.
     """
     if ncols is None:
         if not rows:
@@ -106,13 +107,16 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis: list[list[Fraction]] = []
     for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = 1
         for row, c in reversed(pivots):
-            s = sum((Fraction(row[j]) * vec[j] for j in range(c + 1, ncols)), Fraction(0))
-            vec[c] = -s / row[c]
-        lead = next(c for c in vec if c != 0)
-        basis.append([c / lead for c in vec])
+            s = sum(map(operator.mul, row[c + 1 :], vec[c + 1 :]))
+            g = math.gcd(s, row[c])
+            if g != row[c]:
+                vec = [v * (row[c] // g) for v in vec]
+            vec[c] = -s // g
+        lead = next(v for v in vec if v)
+        basis.append([Fraction(v, lead) for v in vec])
     return basis
 
 
@@ -127,6 +131,6 @@ def vspace(fs: list[RatFun]) -> list[list[Fraction]]:
     if not fs:
         raise DomainError("vspace requires at least one function")
     md = residues.discrete_residues_multi(fs)
-    width = len(md.places.coeffs) - 1  # deg(places); value polys have smaller degree
+    width = md.places.degree  # value polys have smaller degree
     rows = [[row[k].coeff(power) for row in md.values] for k in range(md.order_count) for power in range(width)]
     return nullspace(rows, ncols=len(fs))

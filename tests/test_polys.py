@@ -1,9 +1,10 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from conftest import RefPoly, gcd_prs, ref_squarefree_decomposition, resultant_shift_prs, yun_inputs
+from conftest import RefPoly, count_calls, gcd_prs, ref_squarefree_decomposition, resultant_shift_prs, yun_inputs
 
 from dresidues import polys
 from dresidues.errors import DomainError, FactorLimitError, InexactDivisionError
@@ -44,6 +45,22 @@ def frac(a, b=1):
     return Fraction(a, b)
 
 
+def _rational_poly(rng, degree):
+    """A random polynomial of exactly the given degree with rational coefficients."""
+    lead = 0
+    while not lead:
+        lead = rng.randint(-9, 9)
+    return Poly([frac(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(degree)] + [frac(lead, rng.randint(1, 9))])
+
+
+def _compose(p: Poly, c) -> Poly:
+    """p(x + c) by a Horner scheme over Poly products; a test-only reference."""
+    acc = ZERO
+    for coef in reversed(p.coeffs):
+        acc = acc * Poly([c, 1]) + coef
+    return acc
+
+
 class TestDivrem:
     def test_exact_factor(self):
         assert (x**2 - 1).divrem(x - 1) == (x + 1, ZERO)
@@ -57,6 +74,46 @@ class TestDivrem:
     def test_zero_divisor(self):
         with pytest.raises(DomainError):
             x.divrem(ZERO)
+        for a in (x, ZERO, Poly([frac(3, 4)])):
+            for op in (lambda: a // ZERO, lambda: a % ZERO, lambda: a.exact_div(ZERO)):
+                with pytest.raises(DomainError):
+                    op()
+
+    def test_each_half_matches_divrem(self):
+        # `//`, `%` and `exact_div` build only the half they return; divrem builds both.
+        rng = random.Random(3302)
+        fixed = [Poly([7]), Poly([frac(-3, 5)]), 3 * x - 2, Poly([frac(1, 2), 0, frac(-7, 3)])]
+        inexact = 0
+        for k in range(300):
+            b = fixed[k % 4] if k % 3 else _rational_poly(rng, rng.randint(0, 5))
+            kind = k % 5
+            if kind == 0:
+                a = ZERO
+            elif kind == 1:
+                a = _rational_poly(rng, rng.randint(0, 8)) * b
+            else:
+                a = _rational_poly(rng, rng.randint(0, 8))
+            q, r = a.divrem(b)
+            assert a // b == q and a % b == r
+            assert q * b + r == a
+            if r.is_zero:
+                assert a.exact_div(b) == q
+            else:
+                inexact += 1
+                with pytest.raises(InexactDivisionError, match=f"^{re.escape(f'inexact division: {a} by {b}')}$"):
+                    a.exact_div(b)
+        assert inexact > 100
+
+    def test_each_operator_builds_one_poly(self, monkeypatch):
+        a, b = Poly([frac(1, 2), 3, -1, 4]), Poly([2, frac(5, 3)])
+        product = a * b
+        calls = count_calls(monkeypatch, [(polys, "_new"), (polys, "_as_rat")])
+        for op in (lambda: a % b, lambda: a // b, lambda: product.exact_div(b)):
+            calls["_new"] = 0
+            op()
+            assert calls["_new"] == 1
+        a.shift(3)
+        assert calls["_as_rat"] == 0
 
     def test_reconstruction_random(self):
         rng = random.Random(101)
@@ -213,20 +270,22 @@ class TestShiftEvalDerivative:
             assert p.shift(c).shift(-c) == p
 
     def test_shift_matches_horner_composition(self):
-        # Reference: p(x + c) by a Horner scheme over Poly products.
-        def compose(p: Poly, c: Fraction) -> Poly:
-            acc = ZERO
-            for coef in reversed(p.coeffs):
-                acc = acc * Poly([c, 1]) + coef
-            return acc
-
         rng = random.Random(37)
         for deg in range(9):
             for _ in range(4):
                 lead = frac(rng.randint(1, 9), rng.randint(1, 5))
                 p = Poly([frac(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(deg)] + [lead])
                 c = frac(rng.randint(-9, 9), rng.randint(1, 7))
-                assert p.shift(c) == compose(p, c)
+                assert p.shift(c) == _compose(p, c)
+
+    def test_int_shift_matches_rational_path(self):
+        # An int c shifts the integer part in place; Fraction(c) takes the u/v-scaled path.
+        rng = random.Random(3301)
+        ps = [ZERO, Poly([5]), Poly([frac(-7, 3)])] + [_rational_poly(rng, rng.randint(1, 7)) for _ in range(24)]
+        shifts = [0, 1, -1, True, False, 10**6, -(10**6)] + [rng.randint(-(10**6), 10**6) for _ in range(4)]
+        for p in ps:
+            for c in shifts:
+                assert p.shift(c) == p.shift(Fraction(c)) == _compose(p, c), (p, c)
 
     def test_shift_composes(self):
         rng = random.Random(41)

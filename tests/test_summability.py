@@ -8,6 +8,7 @@ from conftest import random_matrices, ref_reduce
 
 from dresidues import hermite, polys, reduction, shiftset, summability
 from dresidues.errors import DomainError
+from dresidues.galois import _integer_row, hermite_normal_form
 from dresidues.hermite import hermite_list
 from dresidues.polys import ONE, ZERO, Poly, X, integer_roots, lcm_all
 from dresidues.ratfun import RF_ZERO, RatFun
@@ -60,6 +61,28 @@ def ref_nullspace(rows, ncols):
         lead = next(c for c in vec if c != 0)
         basis.append([c / lead for c in vec])
     return basis
+
+
+def _large_matrices(rng, count):
+    """Seeded m x (m + 3) matrices, m = 6..9, of integer and rational entries up
+    to 10^6, some rows integer combinations of others."""
+    out = []
+    for k in range(count):
+        m = 6 + k % 4
+        n = m + 3
+
+        def entry():
+            num = rng.randint(-(10**6), 10**6)
+            return Fraction(num, rng.randint(1, 10**6)) if rng.random() < 0.5 else num
+
+        base = [[entry() for _ in range(n)] for _ in range(rng.randint(m - 3, m))]
+        rows = list(base)
+        for _ in range(m - len(base)):
+            coef = [rng.randint(-3, 3) for _ in base]
+            rows.append([sum(c * row[j] for c, row in zip(coef, base)) for j in range(n)])
+        rng.shuffle(rows)
+        out.append((rows, n))
+    return out
 
 
 class TestPolyAntidifference:
@@ -462,6 +485,18 @@ class TestNullspace:
             assert nullspace(rows, ncols=n) == ref_nullspace(rows, n), rows
         assert any(len(ref_nullspace(rows, n)) not in (0, n) for rows, n in cases)
         assert any(any(c.denominator != 1 for row in rows for c in row) for rows, n in cases)
+        # Wide matrices with entries up to 10^6, so the integer back-substitution
+        # meets Hermite-normal-form pivots above 1 and several free columns.
+        large = _large_matrices(random.Random(5151), 24)
+        pivots, nullities = [], []
+        for rows, n in large:
+            basis = nullspace(rows, ncols=n)
+            assert basis == ref_nullspace(rows, n), rows
+            echelon = hermite_normal_form([_integer_row(row) for row in rows])
+            pivots += [next(a for a in row if a) for row in echelon]
+            nullities.append(len(basis))
+        assert max(pivots) > 1
+        assert max(nullities) >= 3
 
     def test_empty_matrix_needs_ncols(self):
         with pytest.raises(DomainError):
