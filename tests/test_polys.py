@@ -83,7 +83,7 @@ class TestDivrem:
         # `//`, `%` and `exact_div` build only the half they return; divrem builds both.
         rng = random.Random(3302)
         fixed = [Poly([7]), Poly([frac(-3, 5)]), 3 * x - 2, Poly([frac(1, 2), 0, frac(-7, 3)])]
-        inexact = 0
+        inexact = short = 0
         for k in range(300):
             b = fixed[k % 4] if k % 3 else _rational_poly(rng, rng.randint(0, 5))
             kind = k % 5
@@ -96,13 +96,14 @@ class TestDivrem:
             q, r = a.divrem(b)
             assert a // b == q and a % b == r
             assert q * b + r == a
+            short += q.is_zero
             if r.is_zero:
                 assert a.exact_div(b) == q
             else:
                 inexact += 1
                 with pytest.raises(InexactDivisionError, match=f"^{re.escape(f'inexact division: {a} by {b}')}$"):
                     a.exact_div(b)
-        assert inexact > 100
+        assert inexact > 100 and short > 50
 
     def test_each_operator_builds_one_poly(self, monkeypatch):
         a, b = Poly([frac(1, 2), 3, -1, 4]), Poly([2, frac(5, 3)])
