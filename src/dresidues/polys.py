@@ -305,9 +305,7 @@ def _lin_int(a: Sequence[int], ma: int, b: Sequence[int], mb: int) -> list[int]:
 
 
 def _pow_int(a: Sequence[int], n: int) -> list[int]:
-    """a^n for an integer list a, by binary powering; (c x)^n has one coefficient: no squarings."""
-    if len(a) == 2 and not a[0]:
-        return [0] * n + [a[1] ** n]
+    """a^n for an integer list a, by binary powering."""
     out = [1]
     while n:
         if n & 1:
@@ -333,7 +331,7 @@ def _divrem_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
         top = r[i]
         if not top:
             continue
-        if top % lc:
+        if top % lc:  # scaling every step, to retire `_int_prem`, made seed-1 perfbench passes 1.12-1.26x slower
             m = abs(lc) // math.gcd(top, lc)
             s *= m
             top *= m
@@ -457,9 +455,9 @@ def _gcd_int(a: list[int], b: list[int]) -> list[int]:
         a, b = b, a
     if b and _coprime(a, b):
         return [1]
-    # Primitive PRS, for the pairs not certified coprime: on the perfbench workloads' non-coprime
-    # pairs one subresultant PRS shared with `_subresultant` and `_ext_subresultant` gave the same
-    # gcds 1.5-1.6x slower (ops/s 7-9% lower), and lazy scaling (as in divrem) was no faster.
+    # Primitive PRS, for the pairs not certified coprime: on the perfbench workloads' non-coprime pairs one
+    # subresultant PRS shared with `_subresultant` and `_ext_subresultant` was 1.5-1.6x slower (ops/s 7-9% lower),
+    # and this PRS on `_divrem_int` 1.12x slower on the 5,633 such pairs of a seed-1 pass (1.04-1.05x at degree 60).
     while b:
         a, b = b, _int_primitive(_int_prem(a, b))
     return a
@@ -566,8 +564,6 @@ def is_squarefree(p: Poly) -> bool:
     """b is squarefree when gcd(b, db/dx) = 1 (constants count as squarefree)."""
     if p.is_zero:
         return False
-    if p.is_constant:
-        return True
     return gcd(p, p.derivative()).is_constant
 
 
@@ -590,7 +586,7 @@ class SquarefreeDecomposition:
 
 
 def _yun(p: list[int]) -> list[list[int]]:
-    """Yun's algorithm on a primitive integer list p of positive degree: primitive
+    """Yun's algorithm on a nonzero primitive integer list p: primitive
     f_1, ..., f_m with p = prod f_i^i, f_i = [1] for each multiplicity i < m that does
     not occur.  Every divisor is primitive, so each quotient is integral (`_exact_int`)."""
     dp = [k * c for k, c in enumerate(p[1:], 1)]
@@ -615,8 +611,6 @@ def squarefree_decomposition(p: Poly) -> SquarefreeDecomposition:
     """
     if p.is_zero:
         raise DomainError("squarefree decomposition of the zero polynomial")
-    if p.is_constant:
-        return SquarefreeDecomposition(p.lc, ())
     classes = _yun(_to_int_primitive(p))
     return SquarefreeDecomposition(p.lc, tuple((_new(q, q[-1]), i) for i, q in enumerate(classes, 1) if len(q) > 1))
 
@@ -638,7 +632,7 @@ def _subresultant(a: list[int], b: list[int]) -> int:
         delta = len(a) - len(b)
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
             sign = -sign
-        r = _int_prem(a, b)
+        r = _int_prem(a, b)  # on `_divrem_int`, shift-set "(x-100000)*(x^19+x+1)" took 1.25-1.35x as long
         if not r:
             return 0
         a = b
@@ -806,8 +800,6 @@ def integer_roots(p: Poly) -> set[int]:
     if low > 0:
         roots.add(0)
         cs = cs[low:]
-    if len(cs) == 1:
-        return roots
     limit = _cauchy_bound(cs)
     for d in divisors_upto(factor_int(abs(cs[0]), limit), limit):
         roots.update(r for r in (d, -d) if not _horner(cs, r))

@@ -6,7 +6,7 @@ partial-fraction reference, the character-loop tokenizer and expression-tree
 parser references, the Fraction-tuple polynomial reference, the
 subresultant-PRS shift-resultant reference, the primitive-PRS gcd
 reference, the Poly Yun and Hermite set-up references and their seeded
-inputs."""
+inputs, and the seeded algebraic-pole instances."""
 
 from __future__ import annotations
 
@@ -826,3 +826,65 @@ def yun_inputs(count: int = 40, seed: int = 20261020) -> list[Poly]:
             p = p * Poly(low + [Fraction(rng.randint(2, 5), rng.randint(1, 3))]) ** (top if j == 0 else rng.randint(1, top))
         out.append(p)
     return out
+
+
+# -- algebraic poles: Z-orbits of irreducible quadratics ----------------------
+#
+# An element u + v*beta of Q(beta), beta a root of x^2 + p x + q, is the pair
+# (u, v); beta^2 = -p beta - q, and the conjugate of beta is -p - beta.
+
+
+def _qmul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction], p: int, q: int) -> tuple[Fraction, Fraction]:
+    top = a[1] * b[1]
+    return a[0] * b[0] - q * top, a[0] * b[1] + a[1] * b[0] - p * top
+
+
+def algebraic_term(p: int, q: int, s: int, k: int, c: tuple[Fraction, Fraction]) -> RatFun:
+    """c/(x - beta - s)^k + conj(c)/(x - conj(beta) - s)^k for c = c[0] + c[1] beta: the trace of
+    c (x - s - conj(beta))^k over m(x - s)^k, with m = x^2 + p x + q."""
+    num = [c]  # c (x - s + p + beta)^k, ascending in x, by one linear factor at a time
+    for _ in range(k):
+        low = [_qmul(a, (Fraction(p - s), Fraction(1)), p, q) for a in num]
+        num = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(low + [(0, 0)], [(0, 0)] + num)]
+    m = Poly([q, p, 1]).shift(-s)
+    return RatFun(Poly([2 * u - p * v for u, v in num]), m**k)
+
+
+def algebraic_instance(rng: random.Random, zero_sums: bool = False) -> tuple[RatFun, list[tuple]]:
+    """f from seeded pole data on 2-3 Z-orbits of monic irreducible quadratics x^2 + p x + q with distinct
+    discriminants (so distinct orbits), and per orbit (p, q, terms), each term (s, k, c): the pair of
+    conjugate poles beta + s, conj(beta) + s of order k <= 3, shift 0 <= s <= 4, with coefficient
+    c = c[0] + c[1] beta and its conjugate.  Each order's coefficients on an orbit are one group of 1-3
+    shifts; with zero_sums every group sums to 0, and otherwise about a third of those with two or more."""
+    orbits, seen, count = [], set(), rng.randint(2, 3)
+    while len(orbits) < count:
+        p, q = rng.randint(-3, 3), rng.randint(-5, 5)
+        disc = p * p - 4 * q
+        if disc in seen or (disc >= 0 and math.isqrt(disc) ** 2 == disc):
+            continue
+        seen.add(disc)
+        terms = []
+        for k in rng.sample(range(1, 4), rng.randint(1, 2)):
+            shifts = rng.sample(range(5), rng.randint(2 if zero_sums else 1, 3))
+            cs = [(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), Fraction(rng.randint(-6, 6))) for _ in shifts]
+            cs = [c if any(c) else (Fraction(1), Fraction(0)) for c in cs]
+            if len(cs) > 1 and (zero_sums or rng.random() < 0.35):
+                rest = (-sum(c[0] for c in cs[:-1]), -sum(c[1] for c in cs[:-1]))
+                if any(rest):
+                    cs[-1] = rest
+                else:
+                    del cs[-1], shifts[-1]
+            terms += [(s, k, c) for s, c in zip(shifts, cs)]
+        orbits.append((p, q, terms))
+    f = sum((algebraic_term(p, q, *t) for p, q, terms in orbits for t in terms), RF_ZERO)
+    return f, orbits
+
+
+def algebraic_sums(orbit: tuple) -> dict[int, tuple[Fraction, Fraction]]:
+    """Per order k, the order-k discrete residue of f at the orbit of beta: the sum of its order-k
+    coefficients, as a pair (u, v) for u + v beta; zero sums are kept."""
+    sums: dict[int, tuple[Fraction, Fraction]] = {}
+    for _, k, (u, v) in orbit[2]:
+        a, b = sums.get(k, (Fraction(0), Fraction(0)))
+        sums[k] = (a + u, b + v)
+    return sums

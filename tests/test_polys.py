@@ -305,6 +305,23 @@ class TestShiftEvalDerivative:
         assert d1(-3) == frac(71, 5000)
 
 
+class TestConstantsAndMonomials:
+    """Constants and c x^k take the general paths: gcd(c, 0) = 1, Yun finds no class, a Cauchy bound
+    of 1 leaves +-1 as the only candidates, and binary powering of c x needs no case of its own."""
+
+    def test_constants(self):
+        for c in (Poly([Fraction(-3, 7)]), Poly([5]), ONE):
+            assert is_squarefree(c)
+            assert squarefree_decomposition(c) == polys.SquarefreeDecomposition(c.lc, ())
+            assert integer_roots(c) == set()
+        assert integer_roots(Poly([0, 0, 0, Fraction(-2, 3)])) == {0}
+
+    def test_monomial_powers(self):
+        for c, n in ((1, 1), (-3, 5), (7, 12)):
+            assert _pow_int([0, c], n) == [0] * n + [c**n]
+        assert not is_squarefree(x**2) and is_squarefree(Poly([0, 4]))
+
+
 class TestSquarefree:
     def test_golden_decomposition(self):
         p = x**3 * (x + 2) ** 3 * (x + 3) * (x**2 + 1) * (x**2 + 4 * x + 5) ** 2
