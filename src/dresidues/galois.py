@@ -4,10 +4,10 @@ For nonzero rational functions r_1, ..., r_n, the lattice of integer vectors
 e with r_1^e_1 ... r_n^e_n a shift-quotient sigma(p)/p determines the
 difference Galois group of the diagonal system sigma(Y) = diag(r_i) Y.  It is
 computed factorization-free: log-derivatives turn the multiplicative problem
-into a summability problem with integer residues, the integer kernel of their
-residue sums over the orbits (`reduction._simple_readout`) gives the candidate
-lattice, and exact constants gamma_j decide which candidates are genuine
-relations.
+into a summability problem with integer residues, the integer kernel of the
+rows of their residue sums (`reduction._simple_readout`, `_coefficient_rows`,
+as in `summability.vspace`) gives the candidate lattice, and exact constants
+gamma_j decide which candidates are genuine relations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import polys
 from .errors import DomainError, InternalError
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
-from .reduction import _simple_readout, _suffix_certificate
+from .reduction import _simple_readout, _suffix_certificate, _validate_simple
 
 
 def log_derivative(r: RatFun) -> RatFun:
@@ -170,15 +170,20 @@ def integer_lattice_solutions(fs: list[RatFun]) -> list[list[int]]:
     if not fs:
         raise DomainError("integer_lattice_solutions requires at least one function")
     for f in fs:
-        if not f.is_proper or not polys.is_squarefree(f.den):
-            raise DomainError("inputs must be proper with simple poles")
+        _validate_simple(f, "integer_lattice_solutions")
     return _solution_lattice(_simple_readout(fs)[2])
 
 
+def _coefficient_rows(sums: list[list[Poly]]) -> list[list[int]]:
+    """The conditions sum_i v_i R_ik = 0 on the residue sums R_ik of input i and order k: one integer
+    row per order and power of x, cleared of denominators, zero rows dropped."""
+    rows = [_integer_row([r.coeff(power) for r in col]) for col in zip(*sums) for power in range(max(len(r._c) for r in col))]
+    return [row for row in rows if any(row)]
+
+
 def _solution_lattice(sums: list[Poly]) -> list[list[int]]:
-    """The integer kernel of the residue sums R_i, one integer row per power of x."""
-    rows = [_integer_row([r.coeff(power) for r in sums]) for power in range(max(len(r._c) for r in sums))]
-    return integer_kernel([row for row in rows if any(row)], len(sums))
+    """The integer kernel of the residue sums R_i."""
+    return integer_kernel(_coefficient_rows([[r] for r in sums]), len(sums))
 
 
 @dataclass(frozen=True)

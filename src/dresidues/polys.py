@@ -364,7 +364,7 @@ ONE = Poly([1])
 X = Poly([0, 1])
 
 
-def poly_str(p: Poly, var: str = "x") -> str:
+def poly_str(p: Poly) -> str:
     """Render a polynomial in the expression syntax the CLI parser accepts."""
     if p.is_zero:
         return "0"
@@ -379,7 +379,7 @@ def poly_str(p: Poly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
+            xpow = "x" if i == 1 else f"x^{i}"
             body = xpow if mag == 1 else f"{mag}*{xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")

@@ -6,7 +6,8 @@ representative per Z-orbit carrying a nonzero residue, and evaluating
 `values` at such a root gives the residue there.  No denominator is ever
 factored into linear factors; everything runs on gcds, resultants and modular
 inverses, and discrete residues are read straight from the Hermite remainders
-(`_remainders`, `_orbit_residues`) with no reduced form.
+(`_remainders`, `_orbit_residues`; several functions at once by `_sums`, over
+the groups of `_groups`) with no reduced form.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def first_residues_multi(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
 def discrete_residues(f: RatFun) -> list[ResiduePair]:
     """All discrete residues of a proper f, one ResiduePair per order k.
 
-    Pipeline: one pass of Hermite remainders, then `_read` of each layer alone
-    in lowest terms (zero parts dropped, each part r/q as RatFun(r, q)),
-    so each order keeps its own leftmost representatives.  Pair
+    Pipeline: one pass of Hermite remainders, then `_orbit_residues` of each
+    layer alone in lowest terms (zero parts dropped, each part r/q as
+    RatFun(r, q)), so each order keeps its own leftmost representatives.  Pair
     k is (1, 0) exactly when every order-k discrete residue of f vanishes.
     The zero function yields an empty list.
     """
@@ -113,8 +114,10 @@ def discrete_residues(f: RatFun) -> list[ResiduePair]:
     out = []
     for layer in _remainders([f.num], f.den)[0][0]:
         cuts = [RatFun(r, q) for r, q in layer if not r.is_zero]
-        md = _read([[[(g.num, g.den) for g in cuts]]], math.prod((g.den for g in cuts), start=ONE)) if cuts else None
-        out.append(ResiduePair(md.places, md.values[0][0]) if md else TRIVIAL_PAIR)
+        if cuts:  # a zero layer takes no shift set
+            (_, _, initial, _), _, (r,) = _orbit_residues([[(g.num, g.den) for g in cuts]], math.prod((g.den for g in cuts), start=ONE))
+            places = initial.exact_div(polys.gcd(initial, r))
+        out.append(ResiduePair(places, r % places) if cuts else TRIVIAL_PAIR)
     return out
 
 
@@ -134,46 +137,40 @@ def discrete_residues_coordinated(f: RatFun) -> list[ResiduePair]:
 
 def discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     """Discrete residues of several functions over one shared places
-    polynomial, compatible across both functions and orders.
-
-    Read over L = lcm of the denominators (`_over_lcm`) when the cofactors
-    L/den_i have lower total degree than the den_i; else each distinct
-    denominator takes its own Hermite remainders (`_per_function`).  A zero
-    input's row is all zero.
+    polynomial, compatible across both functions and orders: places keeps
+    the roots of initial where some residue sum R of `_sums` is nonzero, and
+    values = R mod places.  A zero input's row is all zero, and with no pole
+    at all places is 1 and every row empty.
     """
+    initial, sums = _sums(fs)
+    places = initial.exact_div(functools.reduce(polys.gcd, (r for row in sums for r in row), initial))
+    return MultiResidues(places, [[r % places for r in row] for row in sums])
+
+
+def _groups(fs: list[RatFun]) -> dict[Poly, list[Poly]]:
+    """The Hermite inputs of `_sums`, {den: one numerator per input}: every num*(L/den) over L = lcm of
+    the denominators when the cofactors L/den_i have lower total degree than the den_i, else each
+    distinct denominator with its inputs' numerators and 0 for the other inputs."""
+    degrees = [f.den.degree for f in fs if not f.is_zero]
+    big = polys.lcm_all(f.den for f in fs)
+    if len(degrees) * big.degree < 2 * sum(degrees):
+        return {big: [f.num * big.exact_div(f.den) for f in fs]}
+    return {den: [f.num if f.den == den else ZERO for f in fs] for den in dict.fromkeys(f.den for f in fs if not f.is_zero)}
+
+
+def _sums(fs: list[RatFun]) -> tuple[Poly, list[list[Poly]]]:
+    """(initial, per input its residue sum R at every root of initial, one per order k): one
+    `_remainders` per group of `_groups`, each input's layers (from the one group where its numerator
+    is nonzero) padded to one count, read by one `_orbit_residues` over the lcm of the classes."""
     if not fs:
         raise DomainError("discrete_residues_multi requires at least one function")
     if not all(f.is_proper for f in fs):
         raise DomainError("discrete_residues_multi requires proper rational functions")
-    big = polys.lcm_all(f.den for f in fs)
-    if big.is_constant:
-        return MultiResidues(ONE, [[] for _ in fs])
-    degrees = [f.den.degree for f in fs if not f.is_zero]
-    if len(degrees) * big.degree < 2 * sum(degrees):
-        return _over_lcm(fs, big)
-    return _per_function(fs)
-
-
-def _over_lcm(fs: list[RatFun], big: Poly) -> MultiResidues:
-    """The Hermite remainders of every num*(big/den) over big, read at the orbits by `_read`."""
-    return _read(*_remainders([f.num * big.exact_div(f.den) for f in fs], big))
-
-
-def _per_function(fs: list[RatFun]) -> MultiResidues:
-    """The Hermite remainders of the inputs over each distinct denominator, read at the orbits by `_read`."""
-    rows, bs = {}, []
-    for den in dict.fromkeys(f.den for f in fs if not f.is_zero):
-        ids = [i for i, f in enumerate(fs) if f.den == den]
-        got, b = _remainders([fs[i].num for i in ids], den)
-        rows.update(zip(ids, got))
+    rows, bs = [[] for _ in fs], []
+    for den, nums in _groups(fs).items():
+        got, b = _remainders(nums, den)
+        rows = [row + new for row, new in zip(rows, got)]  # an input has layers in one group at most
         bs.append(b)
-    return _read([rows.get(i, []) for i in range(len(fs))], polys.lcm_all(bs))
-
-
-def _read(rows: list[list[list[tuple[Poly, Poly]]]], b: Poly) -> MultiResidues:
-    """Each input's layers, padded to one count, give R mod initial at every root of initial
-    (`_orbit_residues`); places keeps the roots where some R is nonzero, values = R mod places."""
-    m = max(len(row) for row in rows)
-    (_, _, initial, _), _, rs = _orbit_residues([layer for row in rows for layer in row + [[]] * (m - len(row))], b)
-    places = initial.exact_div(functools.reduce(polys.gcd, rs, initial))
-    return MultiResidues(places, [[r % places for r in rs[i : i + m]] for i in range(0, len(rs), m)])
+    m = max(map(len, rows))
+    (_, _, initial, _), _, rs = _orbit_residues([layer for row in rows for layer in row + [[]] * (m - len(row))], polys.lcm_all(bs))
+    return initial, [rs[i * m : (i + 1) * m] for i in range(len(fs))]

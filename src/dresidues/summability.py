@@ -3,8 +3,8 @@
 A rational function is summable (a first difference g(x+1) - g(x) of another
 rational function) exactly when all its discrete residues vanish.  For a
 tuple of functions, the coefficient vectors v making v . f summable form a
-vector space cut out by linear conditions on the residue-value polynomials,
-solved here with exact integer elimination.
+vector space cut out by linear conditions on the residue sums R at the roots
+of initial (`residues._sums`), solved here with exact integer elimination.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import polys, residues
 from .errors import DomainError
-from .galois import _integer_row, hermite_normal_form
+from .galois import _coefficient_rows, _integer_row, hermite_normal_form
 from .hermite import _remainders
 from .polys import ONE, ZERO, Poly
 from .ratfun import RatFun
@@ -123,14 +123,11 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
 def vspace(fs: list[RatFun]) -> list[list[Fraction]]:
     """Basis of the space of coefficient vectors v with v . f summable.
 
-    One linear condition per (order, power-of-x) coefficient of the shared
-    residue-value polynomials from `discrete_residues_multi`; v belongs to the
-    space exactly when each order's combined value polynomial vanishes
-    identically.
+    v . f is summable exactly when sum_i v_i R_ik = 0 for the residue sums
+    R_ik of input i and order k at the roots of initial (`residues._sums`),
+    so the space is the nullspace of their coefficient rows
+    (`galois._coefficient_rows`).
     """
     if not fs:
         raise DomainError("vspace requires at least one function")
-    md = residues.discrete_residues_multi(fs)
-    width = md.places.degree  # value polys have smaller degree
-    rows = [[row[k].coeff(power) for row in md.values] for k in range(md.order_count) for power in range(width)]
-    return nullspace(rows, ncols=len(fs))
+    return nullspace(_coefficient_rows(residues._sums(fs)[1]), ncols=len(fs))

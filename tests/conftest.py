@@ -1,6 +1,7 @@
 """Shared fixtures: the worked golden example, the oracle alignment check,
 seeded random matrices, a call counter, the per-function first-residues and
-multi-residues references, the per-input shift-reduction reference, the
+multi-residues references, the residue-value `vspace` reference, the
+per-input shift-reduction reference, the
 reduced-layer discrete-residues reference, the per-part-inverse
 partial-fraction reference, the character-loop tokenizer and expression-tree
 parser references, the Fraction-tuple polynomial reference, the
@@ -16,13 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from dresidues import cli, polys, shiftset
+from dresidues import cli, polys, residues, shiftset
 from dresidues.errors import DomainError, InexactDivisionError, ParseError
 from dresidues.polys import _COEF_TYPES, ONE, ZERO, Poly, X, _as_rat, _taylor_shift, poly_str
 from dresidues.hermite import hermite_list
 from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.reduction import ReductionOutput, ReductionParts
 from dresidues.residues import TRIVIAL_PAIR, MultiResidues, ResiduePair, first_residues_multi
+from dresidues.summability import nullspace
 from dresidues.testkit import OrbitSpec, dres_by_definition, rational_roots
 
 x = X
@@ -242,6 +244,19 @@ def ref_discrete_residues_multi(fs: list[RatFun]) -> MultiResidues:
     places, ps = first_residues_multi([out.reduced for out in ref_reduce(flat, False)])
     values = [ps[i * m : (i + 1) * m] for i in range(len(fs))]
     return MultiResidues(places, values)
+
+
+def ref_vspace(fs: list[RatFun]) -> list[list[Fraction]]:
+    """`summability.vspace` as it was before it read the residue sums R: one
+    linear condition per (order, power-of-x) coefficient of the shared
+    residue-value polynomials D of `discrete_residues_multi`, kept verbatim
+    apart from its name and this docstring; a test-only reference."""
+    if not fs:
+        raise DomainError("vspace requires at least one function")
+    md = residues.discrete_residues_multi(fs)
+    width = md.places.degree  # value polys have smaller degree
+    rows = [[row[k].coeff(power) for row in md.values] for k in range(md.order_count) for power in range(width)]
+    return nullspace(rows, ncols=len(fs))
 
 
 def ref_discrete_residues(f: RatFun, coordinated: bool) -> list[ResiduePair]:

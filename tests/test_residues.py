@@ -18,9 +18,8 @@ from dresidues.errors import DomainError
 from dresidues.polys import ONE, ZERO, Poly, X, is_squarefree
 from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.residues import (
+    MultiResidues,
     TRIVIAL_PAIR,
-    _over_lcm,
-    _per_function,
     discrete_residues,
     discrete_residues_coordinated,
     discrete_residues_multi,
@@ -404,32 +403,53 @@ def _common_den_families():
         p, *rest = rng.sample(_BASES, 4)
         fs = [_random_term(rng, rest) + _random_term(rng, [p]).delta() for _ in range(rng.randint(2, 4))]
         out.append(("cancel", fs, p))
+    out += [("all-zero", [RF_ZERO], None), ("all-zero", [RF_ZERO] * 3, None)]
+    return out
+
+
+def _lcm_grouping(fs):
+    """`residues._groups` forced over L = lcm of the denominators (no group when no input has a pole)."""
+    big = polys.lcm_all(f.den for f in fs)
+    return {big: [f.num * big.exact_div(f.den) for f in fs]} if big.degree else {}
+
+
+def _per_den_grouping(fs):
+    """`residues._groups` forced per distinct denominator."""
+    return {den: [f.num if f.den == den else ZERO for f in fs] for den in dict.fromkeys(f.den for f in fs if not f.is_zero)}
+
+
+def _each_grouping(fs, monkeypatch):
+    """`discrete_residues_multi(fs)` with the grouping it chooses, then with each grouping forced."""
+    out = [discrete_residues_multi(fs)]
+    for grouping in (_lcm_grouping, _per_den_grouping):
+        with monkeypatch.context() as patch:
+            patch.setattr(residues, "_groups", grouping)
+            out.append(discrete_residues_multi(fs))
     return out
 
 
 class TestCommonDenominator:
     """`discrete_residues_multi` reads inputs that share most of their
-    denominator over one common denominator (`_over_lcm`); places and values
-    are canonical, so on every family, whichever path it takes, both equal
-    the per-function reference pipeline's exactly."""
+    denominator over one common denominator (`residues._groups`); places and
+    values are canonical, so on every family, whichever grouping it takes,
+    both equal the per-function reference pipeline's exactly."""
 
     @pytest.fixture(scope="class")
     def families(self):
         return _common_den_families()
 
-    def test_matches_per_function_reference(self, families):
+    def test_matches_per_function_reference(self, families, monkeypatch):
         for kind, fs, _ in families:
             ref = ref_discrete_residues_multi(fs)
-            md = discrete_residues_multi(fs)
-            assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
-            md = _over_lcm(fs, polys.lcm_all(f.den for f in fs))
-            assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
+            for md in _each_grouping(fs, monkeypatch):
+                assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
 
     def test_families_cover_the_cases(self, families):
         by_kind = {}
         for kind, fs, _ in families:
             by_kind.setdefault(kind, []).append(discrete_residues_multi(fs))
         assert all(md.places == ONE for md in by_kind["summable"])
+        assert all(md.places == ONE and md.values == [[]] * len(md.values) for md in by_kind["all-zero"])
         assert any(md.places.degree >= 2 for md in by_kind["shared"])
         assert all(any(row == [ZERO] * md.order_count for row in md.values) for md in by_kind["zero"])
         assert all(md.order_count == 3 and md.values[1][2].is_zero for md in by_kind["low-order"])
@@ -500,6 +520,7 @@ def _remainder_families():
         den = _pole(rng, own[0], rng.randint(1, 3)).den * _pole(rng, own[1].shift(rng.randint(1, 3)), rng.randint(1, 3)).den
         fs = [RatFun(_random_poly_below(rng, den.degree), den) for _ in range(2)]
         out.append(("same-den", fs + [_random_term(rng, other) + _random_term(rng, other) for _ in range(2)]))
+    out.append(("all-zero", [RF_ZERO, RF_ZERO]))
     return out
 
 
@@ -508,21 +529,20 @@ def _radical(p):
 
 
 class TestHermiteRemainders:
-    """Both branches of `discrete_residues_multi`, over the lcm (`_over_lcm`)
-    and per distinct denominator (`_per_function`), read each part r/q of a
-    Hermite remainder through its Trager polynomial and sum it over each
-    Z-orbit; places and values are canonical, so on every family both equal
-    the per-function reference pipeline's exactly."""
+    """Both groupings of `discrete_residues_multi` (`residues._groups`), over
+    the lcm and per distinct denominator, read each part r/q of a Hermite
+    remainder through its Trager polynomial and sum it over each Z-orbit;
+    places and values are canonical, so on every family both equal the
+    per-function reference pipeline's exactly."""
 
     @pytest.fixture(scope="class")
     def families(self):
         return _remainder_families()
 
-    def test_both_branches_match_reference(self, families):
+    def test_both_branches_match_reference(self, families, monkeypatch):
         for kind, fs in families:
             ref = ref_discrete_residues_multi(fs)
-            big = polys.lcm_all(f.den for f in fs)
-            for md in (discrete_residues_multi(fs), _over_lcm(fs, big), _per_function(fs)):
+            for md in _each_grouping(fs, monkeypatch):
                 assert (md.places, md.values) == (ref.places, ref.values), (kind, fs)
 
     def test_families_cover_the_cases(self, families):
@@ -542,6 +562,7 @@ class TestHermiteRemainders:
         for fs in by_kind["zero"]:
             md = discrete_residues_multi(fs)
             assert md.values[0] == md.values[2] == [ZERO] * md.order_count
+        assert [discrete_residues_multi(fs) for fs in by_kind["all-zero"]] == [MultiResidues(ONE, [[], []])]
         for fs in by_kind["same-den"]:
             assert fs[0].den == fs[1].den != fs[2].den
             # the path rule of `discrete_residues_multi` picks the per-function branch

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrices, ref_reduce
+from conftest import random_matrices, ref_reduce, ref_vspace
 
-from dresidues import hermite, polys, reduction, shiftset, summability
+from dresidues import hermite, polys, reduction, residues, shiftset, summability
 from dresidues.errors import DomainError
 from dresidues.galois import _integer_row, hermite_normal_form
 from dresidues.hermite import hermite_list
@@ -569,3 +569,66 @@ class TestVspace:
         fs = [random_summable(rng, bases=bases, max_shift=2) for _ in range(3)]
         basis = vspace(fs)
         assert len(basis) == 3
+
+
+# Orbit bases of the differential vspace families: rational and quadratic poles.
+_VSPACE_BASES = (x, x + Fraction(1, 2), x**2 + 1, x**2 + x + 3)
+
+
+def _vspace_families():
+    """Seeded vspace inputs on both sides of the path choice of `residues._groups`:
+    pole orders up to 3, rational and quadratic orbits, zero inputs, and inputs
+    with a polynomial part, read by their proper part as the CLI reads them.
+    Each input is an integer combination of a few shifted pole terms, plus a
+    summable tail in the "lcm" kind, so the space is rarely trivial."""
+    rng = random.Random(3535)
+
+    def term():
+        p = rng.choice(_VSPACE_BASES)
+        num = Poly([rng.randint(-4, 4) for _ in range(p.degree - 1)] + [rng.randint(1, 4)])
+        return RatFun(num, p.shift(rng.randint(0, 2)) ** rng.randint(1, 3))
+
+    out = []
+    for _ in range(10):
+        pool = [term() for _ in range(rng.randint(1, 3))]
+        fs = [sum((t * rng.randint(-2, 2) for t in pool), rng.choice(pool).delta()) for _ in range(rng.randint(2, 4))]
+        out.append(("lcm", fs))
+        pool = [term() for _ in range(rng.randint(2, 3))]
+        fs = [rng.choice(pool).sigma(rng.randint(0, 3)) * rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
+        out.append(("per-den", fs))
+        fs = [RF_ZERO, term() + term(), RF_ZERO, term()]
+        out.append(("zero", fs))
+        fs = [RatFun(random_poly(rng, rng.randint(0, 3))) + term() for _ in range(3)] + [RatFun(random_poly(rng, 2))]
+        out.append(("polynomial", [f.proper_part()[1] for f in fs]))
+    return out
+
+
+class TestVspaceReference:
+    """`vspace` reads the residue sums R at the roots of initial, `ref_vspace`
+    the residue values D at the roots of places: sum v_i R_i = 0 exactly when
+    sum v_i D_i = 0, and the nullspace basis depends only on the solution
+    space, so both give the same basis."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        return _vspace_families()
+
+    def test_matches_reference(self, families):
+        for kind, fs in families:
+            assert vspace(fs) == ref_vspace(fs), (kind, fs)
+
+    def test_families_cover_both_groupings(self, families):
+        sides = set()
+        for _, fs in families:
+            degrees = [f.den.degree for f in fs if not f.is_zero]
+            sides.add(len(degrees) * lcm_all(f.den for f in fs).degree < 2 * sum(degrees))
+        assert sides == {True, False}
+        assert any(len(vspace(fs)) not in (0, len(fs)) for kind, fs in families if kind == "per-den")
+        assert any(max(len(row) for row in residues._sums(fs)[1]) == 3 for _, fs in families)
+        assert any(f.is_zero for kind, fs in families if kind == "polynomial" for f in fs)
+
+    def test_same_errors(self):
+        for fs in ([], [RatFun(x)], [RatFun(ONE, x), RatFun(x**2, x + 1)]):
+            for fn in (vspace, ref_vspace):
+                with pytest.raises(DomainError):
+                    fn(fs)
