@@ -5,9 +5,10 @@ e with r_1^e_1 ... r_n^e_n a shift-quotient sigma(p)/p determines the
 difference Galois group of the diagonal system sigma(Y) = diag(r_i) Y.  It is
 computed factorization-free: log-derivatives turn the multiplicative problem
 into a summability problem with integer residues, the integer kernel of the
-rows of their residue sums (`reduction._simple_readout`, `_coefficient_rows`,
+integer rows of their residue sums (`reduction._simple_readout`, `_coefficient_rows`,
 as in `summability.vspace`) gives the candidate lattice, and exact constants
-gamma_j decide which candidates are genuine relations.
+gamma_j decide which candidates are genuine relations.  Log-derivatives, witnesses
+and gamma_j are built in lowest terms, with no gcd of a quotient or product.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import polys
 from .errors import DomainError, InternalError
@@ -26,14 +28,19 @@ from .reduction import _simple_readout, _suffix_certificate, _validate_simple
 def log_derivative(r: RatFun) -> RatFun:
     """d/dx(r) / r.  Always proper with simple poles and integer residues
     (the residue at a root of the numerator or denominator of r is its
-    multiplicity, with sign).
+    multiplicity, with sign).  For r = n/d it is ((n'd - nd')/(g_n g_d)) / ((n/g_n)(d/g_d)),
+    g_n = gcd(n, n') and g_d = gcd(d, d'), in lowest terms with no gcd of the quotient:
+    for p^e || n, p^(e-1) || g_n and p^(e-1) || n'd - nd', and likewise for d.
 
     >>> log_derivative(RatFun(Poly([0, 0, 1])))
     RatFun('(2)/(x)')
     """
     if r.is_zero:
         raise DomainError("log derivative of zero")
-    out = r.derivative() / r
+    n, d, dn, dd = r.num, r.den, r.num.derivative(), r.den.derivative()
+    gn, gd = polys.gcd(n, dn), polys.gcd(d, dd)
+    den = n.exact_div(gn) * d.exact_div(gd)
+    out = RatFun.from_lowest_terms((dn * d - n * dd).exact_div(gn * gd) * (1 / den.lc), den.monic())
     if not out.is_proper or not polys.is_squarefree(out.den):
         raise InternalError("log derivative must be proper with simple poles")
     return out
@@ -68,13 +75,10 @@ def exp_log_derivative(g: RatFun) -> RatFun:
     for c in cands:
         part = polys.gcd(b, a - db * c)
         cover = cover * part
-        if c > 0:
-            num = num * part**c
-        else:
-            den = den * part ** (-c)
+        num, den = (num * part**c, den) if c > 0 else (num, den * part ** (-c))
     if cover != b:
         raise DomainError("input is not a logarithmic derivative (non-integer residues)")
-    p = RatFun(num, den)
+    p = RatFun.from_lowest_terms(num, den)  # the monic parts are pairwise coprime: a common root t has b'(t) = 0
     if log_derivative(p) != g:
         raise DomainError("input is not a logarithmic derivative (reconstruction failed)")
     return p
@@ -176,8 +180,14 @@ def integer_lattice_solutions(fs: list[RatFun]) -> list[list[int]]:
 
 def _coefficient_rows(sums: list[list[Poly]]) -> list[list[int]]:
     """The conditions sum_i v_i R_ik = 0 on the residue sums R_ik of input i and order k: one integer
-    row per order and power of x, cleared of denominators, zero rows dropped."""
-    rows = [_integer_row([r.coeff(power) for r in col]) for col in zip(*sums) for power in range(max(len(r._c) for r in col))]
+    row per order and power of x, zero rows dropped.  The entry c/d of integers c over a sum's d is cut
+    by gcd(c, d) and the row scaled by the lcm of the cut d, as `_integer_row` scales Fractions."""
+    rows = []
+    for col in zip(*sums):
+        for cs in zip_longest(*(r._c for r in col), fillvalue=0):
+            cut = [(c // g, r._d // g) for c, r in zip(cs, col) for g in (math.gcd(c, r._d),)]
+            scale = math.lcm(*(d for _, d in cut))
+            rows.append([c * (scale // d) for c, d in cut])
     return [row for row in rows if any(row)]
 
 
@@ -226,10 +236,13 @@ def multiplicative_relations(rs: list[RatFun]) -> RelationLattice:
             raise InternalError("candidate relation is not summable")
         weighted = [(ell, t * ei) for ei, ts in zip(e, terms) if ei for ell, t in ts]
         p = exp_log_derivative(_suffix_certificate(weighted, initial))
-        gamma_fun = math.prod((ri**ei for ei, ri in zip(e, rs)), start=RatFun(ONE)) * p / p.sigma()
-        if not (gamma_fun.num.is_constant and gamma_fun.den.is_constant):
+        top, bot = p.num * p.den.shift(1), p.den * p.num.shift(1)
+        for ei, ri in zip(e, rs):
+            top, bot = (top * ri.num**ei, bot * ri.den**ei) if ei >= 0 else (top * ri.den**-ei, bot * ri.num**-ei)
+        gamma = top.lc / bot.lc  # (prod r_i^e_i) p / sigma(p) = top/bot, with no RatFun product or gcd
+        if top != bot * gamma:
             raise InternalError("relation constant is not constant")
-        gammas.append(gamma_fun.num.coeff(0))
+        gammas.append(gamma)
         witnesses.append(p)
     basis = [_combine(m, candidates) for m in _unit_product_kernel(gammas)]
     return RelationLattice(candidates, gammas, witnesses, hermite_normal_form(basis))

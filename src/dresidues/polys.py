@@ -25,8 +25,8 @@ Every private kernel runs on integer lists.  One Newton kernel (`_newton`, then
 `galois.exp_log_derivative` and `summability.poly_antidifference`.
 Most gcds are coprimality questions: `_coprime` settles those by one integer
 gcd of values at a power of 2 beyond a root bound (the coprime half of Char,
-Geddes & Gonnet's heuristic gcd), ahead of the primitive PRS of `_gcd_int`,
-under `gcd`, Yun and each candidate of `shiftset.shift_set`.
+Geddes & Gonnet's heuristic gcd), ahead of the primitive PRS `_prs`; both run
+under `_gcd_int` (`gcd`, `lcm`, Yun) and each candidate of `shiftset.shift_set`.
 At the API coefficients are exact rationals (``.coeffs``, ``.lc`` and
 ``.coeff(k)`` are `Fraction` views); there is no floating point anywhere.
 """
@@ -436,28 +436,39 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True only if the integer lists a and b (b nonzero) share no factor of
-    positive degree: gcd(a(xi), b(xi)) < xi - m at xi = 2^k, k = bitlen(m) + 32,
-    where every root of b lies below m = 2 + max|b_i| // |lc b| (Cauchy's bound).
-    Proof: a common factor G in Z[x] has G(xi) | gcd(a(xi), b(xi)) by Gauss's lemma, and
-    b(xi) != 0; G's roots are b's, so |G(xi)| >= (xi - m)^deg G.  False proves nothing."""
+def _coprime_point(b: Sequence[int]) -> tuple[int, int]:
+    """(xi, xi - m) for `_coprime`: xi = 2^k, k = bitlen(m) + 32, where every root of
+    the nonzero integer list b lies below m = 2 + max|b_i| // |lc b| (Cauchy's bound)."""
     m = 2 + max(map(abs, b)) // abs(b[-1])
     xi = 1 << (m.bit_length() + 32)
-    return math.gcd(_horner(a, xi), _horner(b, xi)) < xi - m
+    return xi, xi - m
+
+
+def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True only if the integer lists a and b (b nonzero) share no factor of
+    positive degree: gcd(a(xi), b(xi)) < xi - m for (xi, xi - m) = `_coprime_point`(b).
+    Proof: a common factor G in Z[x] has G(xi) | gcd(a(xi), b(xi)) by Gauss's lemma, and
+    b(xi) != 0; G's roots are b's, so |G(xi)| >= (xi - m)^deg G.  False proves nothing."""
+    xi, bound = _coprime_point(b)
+    return math.gcd(_horner(a, xi), _horner(b, xi)) < bound
 
 
 def _gcd_int(a: list[int], b: list[int]) -> list[int]:
     """The primitive gcd, with a positive leading coefficient, of primitive integer
     lists a and b, not both empty: [1] when `_coprime` certifies it (most calls),
-    otherwise by primitive PRS."""
+    otherwise by `_prs`."""
     if len(a) < len(b):
         a, b = b, a
     if b and _coprime(a, b):
         return [1]
-    # Primitive PRS, for the pairs not certified coprime: on the perfbench workloads' non-coprime pairs one
-    # subresultant PRS shared with `_subresultant` and `_ext_subresultant` was 1.5-1.6x slower (ops/s 7-9% lower),
-    # and this PRS on `_divrem_int` 1.12x slower on the 5,633 such pairs of a seed-1 pass (1.04-1.05x at degree 60).
+    return _prs(a, b)
+
+
+def _prs(a: list[int], b: list[int]) -> list[int]:
+    """The primitive PRS of primitive integer lists a and b, len(a) >= len(b): their primitive gcd."""
+    # On the perfbench workloads' non-coprime pairs one subresultant PRS shared with `_subresultant` and
+    # `_ext_subresultant` was 1.5-1.6x slower (ops/s 7-9% lower), and this PRS on `_divrem_int` 1.12x
+    # slower on the 5,633 such pairs of a seed-1 pass (1.04-1.05x at degree 60).
     while b:
         a, b = b, _int_primitive(_int_prem(a, b))
     return a
@@ -478,7 +489,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
 def lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero or b.is_zero:
         raise DomainError("lcm with the zero polynomial")
-    return (a * b).exact_div(gcd(a, b)).monic()
+    return (a * b.exact_div(gcd(a, b))).monic()
 
 
 def lcm_all(ps: Iterable[Poly]) -> Poly:

@@ -8,13 +8,15 @@ translating by c moves every root and changes no difference.  When
 L <= deg(b)^2 + 1 the candidates are 1, ..., L-1.  Otherwise they are the
 positive integer roots of `polys.resultant_shift`(b), a constant multiple of
 R(z) = Res_x(B(x), B(x+z)) interpolated from deg(b)^2 + 1 values.  Both
-routes end in one loop: per candidate l one `polys._gcd_int`(B(x), B(x+l)),
-the `polys._coprime` certificate and, where it fails, the primitive PRS, so
+routes end in one loop that clears l by the `polys._coprime` bound on values,
+gcd(B(xi + l), B(xi)) < xi - m (`polys._coprime_point`, B(xi) taken once), and
+only where that fails shifts B(x+l) and runs the primitive PRS (`polys._prs`):
 l is a shift exactly when that gcd is nonconstant, and the loop keeps it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import polys
@@ -53,10 +55,13 @@ def shift_set(b: Poly) -> ShiftSetResult:
         candidates = range(1, bound)
     else:
         candidates = sorted(ell for ell in polys.integer_roots(polys.resultant_shift(b)) if ell > 0)
-    shifted, at, found = list(big), 0, []
+    xi, bound = polys._coprime_point(big)
+    at_xi, shifted, at, found = polys._horner(big, xi), list(big), 0, []
     for ell in candidates:
+        if math.gcd(polys._horner(big, xi + ell), at_xi) < bound:
+            continue
         polys._taylor_shift(shifted, ell - at)
-        at, g = ell, polys._gcd_int(shifted, big)
+        at, g = ell, polys._prs(shifted, big)
         if len(g) > 1:
             found.append((ell, polys._new(g, g[-1])))
     return ShiftSetResult(tuple(ell for ell, _ in found), tuple(g for _, g in found))

@@ -87,21 +87,22 @@ def _assemble(certs: list[RatFun]) -> tuple[Poly, Poly]:
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Exact basis of the right nullspace of a rational matrix.
-
-    Rows are cleared of denominators and brought to echelon form by
-    `galois.hermite_normal_form`; every echelon form of the same row space has
-    the same pivot columns, so back-substitution gives one vector per free
-    column, zero in the other free columns, on integers (a pivot p with row sum
-    s past it scales the vector by p / gcd(s, p)); each ends over its lead.
-    """
+    """Exact basis of the right nullspace of a rational matrix, its rows cleared of denominators for `_integer_nullspace`."""
     if ncols is None:
         if not rows:
             raise DomainError("nullspace of an empty matrix needs an explicit column count")
         ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise DomainError("ragged matrix")
-    echelon = hermite_normal_form([_integer_row(row) for row in rows])
+    return _integer_nullspace([_integer_row(row) for row in rows], ncols)
+
+
+def _integer_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
+    """The nullspace basis of integer rows of length ncols, from `galois.hermite_normal_form`: every echelon
+    form of the same row space has the same pivot columns, so back-substitution gives one vector per free column,
+    zero in the other free columns, on integers (a pivot p with row sum s past it scales the vector by
+    p / gcd(s, p)); each ends over its lead."""
+    echelon = hermite_normal_form(rows)
     pivots = [(row, next(c for c, a in enumerate(row) if a)) for row in echelon]
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
@@ -125,9 +126,9 @@ def vspace(fs: list[RatFun]) -> list[list[Fraction]]:
 
     v . f is summable exactly when sum_i v_i R_ik = 0 for the residue sums
     R_ik of input i and order k at the roots of initial (`residues._sums`),
-    so the space is the nullspace of their coefficient rows
+    so the space is the nullspace of their integer coefficient rows
     (`galois._coefficient_rows`).
     """
     if not fs:
         raise DomainError("vspace requires at least one function")
-    return nullspace(_coefficient_rows(residues._sums(fs)[1]), ncols=len(fs))
+    return _integer_nullspace(_coefficient_rows(residues._sums(fs)[1]), len(fs))

@@ -6,7 +6,7 @@ reduced-layer discrete-residues reference, the per-part-inverse
 partial-fraction reference, the character-loop tokenizer and expression-tree
 parser references, the Fraction-tuple polynomial reference, the
 subresultant-PRS shift-resultant reference, the primitive-PRS gcd
-reference, the Poly Yun and Hermite set-up references and their seeded
+reference and the shift scan on it, the quotient log-derivative reference, the Poly Yun and Hermite set-up references and their seeded
 inputs, and the seeded algebraic-pole instances."""
 
 from __future__ import annotations
@@ -785,6 +785,31 @@ def gcd_prs(a: Poly, b: Poly) -> Poly:
         rr = _int_prem_ref(aa, bb)
         aa, bb = bb, _primitive(rr) if rr else rr
     return Poly(aa).monic()
+
+
+def ref_shift_scan(b: Poly) -> tuple[tuple[int, ...], tuple[Poly, ...]]:
+    """`shiftset.shift_set` with no value certificate: the candidates 1..L-1 below the
+    centred bound L, or the positive integer roots of `resultant_shift_prs`(b) when
+    L > deg(b)^2 + 1, each kept with `gcd_prs`(b(x+l), b) when that is nonconstant;
+    a test-only reference for the shifts and their gcds."""
+    big = polys._to_int_primitive(b)
+    centred = list(big)
+    _taylor_shift(centred, -big[-2] // (b.degree * big[-1]))
+    bound = 2 * polys._cauchy_bound(centred)
+    if bound <= b.degree**2 + 1:
+        candidates = range(1, bound)
+    else:
+        candidates = sorted(ell for ell in polys.integer_roots(resultant_shift_prs(b)) if ell > 0)
+    found = [(ell, gcd_prs(b.shift(ell), b)) for ell in candidates]
+    found = [(ell, g) for ell, g in found if not g.is_constant]
+    return tuple(ell for ell, _ in found), tuple(g for _, g in found)
+
+
+def ref_log_derivative(r: RatFun) -> RatFun:
+    """d/dx(r) / r as one `RatFun` quotient, normalised by its gcds: the
+    `galois.log_derivative` that built its result in lowest terms replaced;
+    a test-only reference."""
+    return r.derivative() / r
 
 
 def ref_squarefree_decomposition(p: Poly) -> polys.SquarefreeDecomposition:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrices, ref_first_residues_multi, ref_reduce
+from conftest import random_matrices, ref_first_residues_multi, ref_log_derivative, ref_reduce
 
 from dresidues import galois, polys, shiftset
 from dresidues.errors import DomainError, FactorLimitError, InternalError
@@ -48,6 +48,61 @@ class TestLogDerivative:
             if a.is_zero or b.is_zero:
                 continue
             assert log_derivative(a * b) == log_derivative(a) + log_derivative(b)
+
+
+def _log_derivative_inputs():
+    """Seeded r = c * prod q_j^e_j over shifted linear, quadratic and cubic q_j with
+    e_j in -3..3, so numerators and denominators carry repeated factors; with
+    negative and fractional constants c, constants alone and polynomials."""
+    rng = random.Random(4057)
+    pool = [x, x - Fraction(1, 2), 3 * x + 2, x**2 + 1, 2 * x**2 - x + 3, x**3 - 2]
+    consts = [Fraction(1), Fraction(-1), Fraction(-3), Fraction(2, 7), Fraction(-5, 4)]
+    rs = [RatFun(Poly([c])) for c in consts] + [RatFun(-2 * x**3 + x), RatFun(-5 * (x**2 + 1) ** 3), RatFun(random_poly(rng, 4))]
+    for _ in range(60):
+        r = RatFun(Poly([rng.choice(consts)]))
+        for q in rng.sample(pool, rng.randint(1, 4)):
+            r = r * RatFun(q.shift(rng.randint(-2, 2))) ** rng.choice((-3, -2, -1, 1, 2, 3))
+        rs.append(r)
+    return rs
+
+
+class TestLogDerivativeReference:
+    """`log_derivative` builds d/dx(r) / r in lowest terms from gcd(n, n') and
+    gcd(d, d'); `ref_log_derivative` forms the quotient and normalises it."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(r, ref_log_derivative(r)) for r in _log_derivative_inputs()]
+
+    @staticmethod
+    def mismatches(cases):
+        out = []
+        for r, want in cases:
+            got = log_derivative(r)
+            if (got.num, got.den) != (want.num, want.den):
+                out.append(r)
+        return out
+
+    def test_matches_reference(self, cases):
+        assert self.mismatches(cases) == []
+
+    def test_inputs_cover_the_cases(self, cases):
+        rs = [r for r, _ in cases]
+        assert any(r.num.is_constant and r.den.is_constant for r in rs)
+        assert any(not r.num.is_constant and r.den.is_constant for r in rs)
+        assert any(r.num.lc < 0 and not r.num.is_constant for r in rs)
+        assert sum(not polys.is_squarefree(r.num) for r in rs) >= 10
+        assert sum(not polys.is_squarefree(r.den) for r in rs) >= 10
+
+    def test_catches_a_dropped_gcd(self, monkeypatch, cases):
+        # With gcd(n, n') and gcd(d, d') taken as 1, repeated factors leave a common factor in the result.
+        monkeypatch.setattr(polys, "gcd", lambda a, b: ONE)
+        assert len(self.mismatches(cases)) >= 10
+
+    def test_catches_a_skipped_normalisation(self, monkeypatch, cases):
+        # With monic() the identity, a numerator whose leading coefficient is not 1 leaves a non-monic denominator.
+        monkeypatch.setattr(Poly, "monic", lambda self: self)
+        assert len(self.mismatches(cases)) >= 10
 
 
 def _factored_products():
@@ -418,7 +473,7 @@ def ref_multiplicative_relations(rs):
     """The candidate lattice from per-function first residues and CRT, then
     one reduction of the summed log-derivatives per candidate, both by the
     per-input `ref_reduce`; a test-only reference."""
-    fs = [log_derivative(r) for r in rs]
+    fs = [ref_log_derivative(r) for r in rs]
     big, ps = ref_first_residues_multi([out.reduced for out in ref_reduce(fs, False)])
     rows = []
     for power in range(len(big.coeffs) - 1):

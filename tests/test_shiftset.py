@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import gcd_prs
+from conftest import count_calls, gcd_prs, ref_shift_scan
 
 from dresidues import polys
+from dresidues.cli import parse
 from dresidues.errors import DomainError
 from dresidues.polys import Poly, X, gcd
 from dresidues.shiftset import dispersion, shift_set
@@ -206,6 +207,49 @@ class TestShiftSet:
             assert list(got.gcds) == [gcd_prs(b, b.shift(ell)) for ell in got.shifts], b
         assert routes == {False, True}
         assert shift_set(bs[-1]).shifts == (1, 2990, 3000, 3001, 5990, 5991)
+
+    def test_matches_the_prs_scan_on_every_candidate(self, monkeypatch):
+        # `ref_shift_scan` runs `gcd_prs` on every candidate, with no value certificate.  The inputs are
+        # the shift-set steps of CI and seeded products on both routes; the certificate on values must
+        # clear candidates, so the PRS runs on fewer of them than the reference.
+        ci = [
+            "(8*x^2 - 3*x - 9)*(8*x^2 + 13*x - 4)*(-9*x^2 + 4*x + 7)*(-9*x^2 - 50*x - 62)*(4*x^2 + 5*x + 3)*(4*x^2 + 29*x + 54)*(-6*x^2 + x + 7)",
+            "x^30+x+1",
+            "(x-3000)*(x+2990)*(x^2+1)*(x^2+2*x+2)*(x^3-2)*(x^3-3*x+5)*(x-3001)*x",
+            "(x^2+3*x-7)*((x+2)^2+3*(x+2)-7)*(2*x^2-5*x+1)*(2*(x+3)^2-5*(x+3)+1)*(x^2+x+5)*((x+1)^2+(x+1)+5)"
+            "*(3*x^2-x-4)*(3*(x+2)^2-(x+2)-4)*(x^2-6*x+2)*((x+3)^2-6*(x+3)+2)*(x^2+7)*((x+1)^2+7)",
+        ]
+        bs = [parse(text).num for text in ci]
+        rng = random.Random(4421)
+        for _ in range(6):
+            b = Poly([1])
+            for _ in range(rng.randint(1, 3)):
+                q = random_poly(rng, rng.randint(1, 3))
+                b = b * q * q.shift(rng.randint(1, 5))
+            bs.append(b)
+        for spread in (8, 40):
+            for _ in range(3):
+                centre = rng.randint(-(10**6), 10**6)
+                b = Poly([1])
+                for r in rng.sample(range(-spread, spread + 1), rng.randint(3, 5)):
+                    b = b * (x - centre - r)
+                bs.append(b)
+        refs = [ref_shift_scan(b) for b in bs]
+        calls = count_calls(monkeypatch, [(polys, "_prs"), (polys, "_gcd_int")])
+        routes, candidates = set(), 0
+        for b, (shifts, gcds) in zip(bs, refs):
+            big = polys._to_int_primitive(b)
+            centred = list(big)
+            polys._taylor_shift(centred, -big[-2] // (b.degree * big[-1]))
+            bound = 2 * polys._cauchy_bound(centred)
+            routes.add(bound > b.degree**2 + 1)
+            candidates += bound - 1 if bound <= b.degree**2 + 1 else sum(ell > 0 for ell in polys.integer_roots(polys.resultant_shift(b)))
+            got = shift_set(b)
+            assert (got.shifts, got.gcds) == (shifts, gcds), b
+        assert routes == {False, True}
+        assert sum(len(shifts) for shifts, _ in refs) <= calls["_prs"] < candidates
+        assert calls["_gcd_int"] == 0
+        assert refs[2][0] == (1, 2990, 3000, 3001, 5990, 5991) and refs[3][0] == (1, 2, 3)
 
     def test_no_gcd_calls(self, monkeypatch, golden):
         calls = []

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrices, ref_reduce, ref_vspace
+from conftest import count_calls, random_matrices, ref_reduce, ref_vspace
 
-from dresidues import hermite, polys, reduction, residues, shiftset, summability
+from dresidues import galois, hermite, polys, reduction, residues, shiftset, summability
 from dresidues.errors import DomainError
 from dresidues.galois import _integer_row, hermite_normal_form
 from dresidues.hermite import hermite_list
@@ -632,3 +632,33 @@ class TestVspaceReference:
             for fn in (vspace, ref_vspace):
                 with pytest.raises(DomainError):
                     fn(fs)
+
+
+class TestIntegerRows:
+    """`galois._coefficient_rows` builds each row from the sums' integers over
+    their denominators with no Fraction, and `vspace` passes those rows to
+    `summability._integer_nullspace`, with no second clearing."""
+
+    def test_rows_match_the_fraction_rows(self):
+        rng = random.Random(3739)
+        cases = [residues._sums(fs)[1] for _, fs in _vspace_families()]
+        cases += [[row[-1:] for row in sums] for sums in cases if sums[0]]  # one order per input, as the relation lattices read
+        for _ in range(40):
+            width, orders = rng.randint(1, 5), rng.randint(1, 3)
+
+            def entry():
+                return Fraction(rng.choice((0, rng.randint(-9, 9))), rng.choice((1, 2, 3, 4, 6, 9)))
+
+            cases.append([[Poly([entry() for _ in range(rng.randint(0, 4))]) for _ in range(orders)] for _ in range(width)])
+        for sums in cases:
+            want = [_integer_row([r.coeff(k) for r in col]) for col in zip(*sums) for k in range(max(len(r._c) for r in col))]
+            assert galois._coefficient_rows(sums) == [row for row in want if any(row)], sums
+        assert any(r._d > 1 and any(math.gcd(c, r._d) > 1 for c in r._c) for sums in cases for col in sums for r in col)
+
+    def test_vspace_clears_no_fraction_row(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(galois, "_integer_row"), (summability, "_integer_row")])
+        for _, fs in _vspace_families():
+            vspace(fs)
+        assert calls["_integer_row"] == 0
+        nullspace([[Fraction(1, 2), Fraction(1, 3)]])
+        assert calls["_integer_row"] == 1
