@@ -78,7 +78,7 @@ def exp_log_derivative(g: RatFun) -> RatFun:
         num, den = (num * part**c, den) if c > 0 else (num, den * part ** (-c))
     if cover != b:
         raise DomainError("input is not a logarithmic derivative (non-integer residues)")
-    p = RatFun.from_lowest_terms(num, den)  # the monic parts are pairwise coprime: a common root t has b'(t) = 0
+    p = RatFun.from_lowest_terms(num, den)  # monic parts; a root t of two has a(t) = c b'(t) = c' b'(t) = 0 = b(t)
     if log_derivative(p) != g:
         raise DomainError("input is not a logarithmic derivative (reconstruction failed)")
     return p

@@ -87,7 +87,7 @@ def _assemble(certs: list[RatFun]) -> tuple[Poly, Poly]:
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Exact basis of the right nullspace of a rational matrix, its rows cleared of denominators for `_integer_nullspace`."""
+    """Exact basis of the right nullspace of a rational matrix: `_integer_nullspace` of its cleared rows."""
     if ncols is None:
         if not rows:
             raise DomainError("nullspace of an empty matrix needs an explicit column count")
