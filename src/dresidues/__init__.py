@@ -21,7 +21,6 @@ from .polys import (
     ZERO,
     X,
     Poly,
-    Rat,
     SquarefreeDecomposition,
     ext_gcd,
     gcd,
@@ -52,11 +51,9 @@ from .galois import (
     hermite_normal_form,
     integer_kernel,
     integer_lattice_solutions,
-    lattice_contains,
     log_derivative,
     multiplicative_relations,
 )
-from .testkit import OrbitSpec, build_from_spec, dres_by_definition
 
 __all__ = [
     "DomainError",
@@ -68,7 +65,6 @@ __all__ = [
     "ZERO",
     "X",
     "Poly",
-    "Rat",
     "SquarefreeDecomposition",
     "ext_gcd",
     "gcd",
@@ -105,10 +101,6 @@ __all__ = [
     "hermite_normal_form",
     "integer_kernel",
     "integer_lattice_solutions",
-    "lattice_contains",
     "log_derivative",
     "multiplicative_relations",
-    "OrbitSpec",
-    "build_from_spec",
-    "dres_by_definition",
 ]

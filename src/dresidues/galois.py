@@ -143,11 +143,6 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     return mat[:rank]
 
 
-def lattice_contains(basis: list[list[int]], vec: list[int]) -> bool:
-    """Membership of an integer vector in the lattice spanned by `basis`."""
-    return hermite_normal_form(basis + [vec]) == hermite_normal_form(basis)
-
-
 def factor_rational(q: Fraction) -> tuple[int, dict[int, int]]:
     """Sign and prime exponent vector of a nonzero rational number."""
     if q == 0:

@@ -39,8 +39,6 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, FactorLimitError, InexactDivisionError
 
-Rat = Fraction
-
 _COEF_TYPES = (int, Fraction)
 _TRIAL_LIMIT = 10**6  # the trial-division limit of factor_int
 
@@ -585,15 +583,6 @@ class SquarefreeDecomposition:
 
     unit: Fraction
     factors: tuple[tuple[Poly, int], ...]
-
-    def expand(self) -> Poly:
-        acc = Poly([self.unit])
-        for q, m in self.factors:
-            acc = acc * q**m
-        return acc
-
-    def max_multiplicity(self) -> int:
-        return max((m for _, m in self.factors), default=0)
 
 
 def _yun(p: list[int]) -> list[list[int]]:

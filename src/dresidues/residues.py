@@ -34,13 +34,6 @@ class ResiduePair:
     places: Poly
     values: Poly
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.places == ONE
-
-    def astuple(self) -> tuple[Poly, Poly]:
-        return self.places, self.values
-
 
 TRIVIAL_PAIR = ResiduePair(ONE, ZERO)
 
@@ -57,10 +50,6 @@ class MultiResidues:
 
     places: Poly
     values: list[list[Poly]]
-
-    @property
-    def order_count(self) -> int:
-        return len(self.values[0]) if self.values else 0
 
 
 def first_residues(f: RatFun) -> ResiduePair:
@@ -91,8 +80,6 @@ def first_residues_multi(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
     if not all(f.is_proper for f in fs):
         raise DomainError("first residues require proper rational functions")
     big = polys.lcm_all(f.den for f in fs)
-    if big.is_constant:
-        return big, [ZERO] * len(fs)
     try:
         w = polys.inverse_mod(big.derivative(), big)
     except DomainError:

@@ -31,9 +31,6 @@ class ShiftSetResult:
     shifts: tuple[int, ...]
     gcds: tuple[Poly, ...]
 
-    def as_set(self) -> set[int]:
-        return set(self.shifts)
-
 
 def shift_set(b: Poly) -> ShiftSetResult:
     """All positive integers l with gcd(b(x), b(x+l)) nonconstant.

@@ -3,8 +3,10 @@
 Builds rational functions from prescribed pole data with *rational* poles
 (so orbit membership is decidable by exact subtraction) and computes their
 discrete residues directly from the definition: group poles by integer
-difference, sum the order-k coefficients within each orbit.  Also hosts the
-seeded random instance generators the test suite drives everything with.
+difference, sum the order-k coefficients within each orbit.  The CLI's
+`oracle` command reads its spec files here.  Also holds the two seeded
+generators the benchmark corpora draw from, `random_orbit_spec` and
+`random_poly`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polys
 from .errors import DomainError
 from .polys import Poly
 from .ratfun import RatFun
@@ -38,10 +39,6 @@ class OrbitSpec:
             if (alpha, k) in seen:
                 raise DomainError(f"duplicate term at ({alpha}, {k})")
             seen.add((alpha, k))
-
-
-def orbit_spec(terms) -> OrbitSpec:
-    return OrbitSpec(tuple((Fraction(a), int(k), Fraction(c)) for a, k, c in terms))
 
 
 def build_from_spec(spec: OrbitSpec) -> RatFun:
@@ -98,23 +95,6 @@ def parse_spec_text(text: str) -> OrbitSpec:
     return OrbitSpec(tuple(terms))
 
 
-# -- rational root extraction (for aligning symbolic output with the oracle) --
-
-
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, with multiplicity ignored.
-
-    With c the primitive integer coefficients of p, n its degree and
-    l = c_n, the rational roots are y/l for the integer roots y of the monic
-    sum(c_k l^(n-1-k) y^k) (y = l*x)."""
-    if p.is_zero:
-        raise DomainError("the zero polynomial has every rational as a root")
-    cs = polys._to_int_primitive(p)
-    n, lead = len(cs) - 1, cs[-1]
-    monic = Poly([c * lead ** (n - 1 - k) for k, c in enumerate(cs[:-1])] + [1])
-    return sorted(Fraction(y, lead) for y in polys.integer_roots(monic))
-
-
 # -- seeded random instance generators ----------------------------------------
 
 
@@ -155,42 +135,6 @@ def random_orbit_spec(
                 c = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             terms.append((alpha, k, c))
     return OrbitSpec(tuple(terms))
-
-
-def random_summable(
-    rng: random.Random,
-    max_order: int = 3,
-    bases: list[Fraction] | None = None,
-    max_shift: int = 4,
-) -> RatFun:
-    """Delta(g) for a random nonzero proper g built from pole data."""
-    while True:
-        g = build_from_spec(
-            random_orbit_spec(
-                rng, max_orbits=3, max_order=max_order, bases=bases, max_shift=max_shift
-            )
-        )
-        if not g.is_zero:
-            return g.delta()
-
-
-def random_dispersion_zero(rng: random.Random, max_poles: int = 4) -> RatFun:
-    """A nonzero simple-pole function whose poles all sit in distinct orbits,
-    hence polar dispersion zero and (being nonzero) never summable."""
-    n = rng.randint(1, max_poles)
-    terms: list[Term] = []
-    fracs = set()
-    while len(terms) < n:
-        alpha = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
-        key = alpha - alpha.numerator // alpha.denominator
-        if key in fracs:
-            continue
-        fracs.add(key)
-        c = Fraction(0)
-        while c == 0:
-            c = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
-        terms.append((alpha, 1, c))
-    return build_from_spec(OrbitSpec(tuple(terms)))
 
 
 def random_poly(rng: random.Random, degree: int, coeff_range: int = 9) -> Poly:

@@ -1,13 +1,15 @@
-"""Shared fixtures: the worked golden example, the oracle alignment check,
-seeded random matrices, a call counter, the per-function first-residues and
-multi-residues references, the residue-value `vspace` reference, the
-per-input shift-reduction reference, the
-reduced-layer discrete-residues reference, the per-part-inverse
+"""Shared fixtures: the worked golden example, the pole-data helpers (spec
+builder, rational roots, summable and dispersion-zero generators), lattice
+membership, the oracle alignment check, seeded random matrices, a call
+counter, the per-function first-residues and multi-residues references, the
+residue-value `vspace` reference, the per-input shift-reduction reference,
+the reduced-layer discrete-residues reference, the per-part-inverse
 partial-fraction reference, the character-loop tokenizer and expression-tree
 parser references, the Fraction-tuple polynomial reference, the
-subresultant-PRS shift-resultant reference, the primitive-PRS gcd
-reference and the shift scan on it, the quotient log-derivative reference, the Poly Yun and Hermite set-up references and their seeded
-inputs, and the seeded algebraic-pole instances."""
+subresultant-PRS shift-resultant reference, the primitive-PRS gcd reference
+and the shift scan on it, the quotient log-derivative reference, the Poly Yun
+and Hermite set-up references and their seeded inputs, and the seeded
+algebraic-pole instances."""
 
 from __future__ import annotations
 
@@ -20,12 +22,13 @@ import pytest
 from dresidues import cli, polys, residues, shiftset
 from dresidues.errors import DomainError, InexactDivisionError, ParseError
 from dresidues.polys import _COEF_TYPES, ONE, ZERO, Poly, X, _as_rat, _taylor_shift, poly_str
+from dresidues.galois import hermite_normal_form
 from dresidues.hermite import hermite_list
 from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.reduction import ReductionOutput, ReductionParts
 from dresidues.residues import TRIVIAL_PAIR, MultiResidues, ResiduePair, first_residues_multi
 from dresidues.summability import nullspace
-from dresidues.testkit import OrbitSpec, dres_by_definition, rational_roots
+from dresidues.testkit import OrbitSpec, Term, build_from_spec, dres_by_definition, random_orbit_spec
 
 x = X
 
@@ -64,6 +67,68 @@ def golden():
     }
 
 
+# -- pole data and lattices: test-only helpers over testkit's OrbitSpec and galois --
+
+
+def orbit_spec(terms) -> OrbitSpec:
+    return OrbitSpec(tuple((Fraction(a), int(k), Fraction(c)) for a, k, c in terms))
+
+
+def rational_roots(p: Poly) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial, with multiplicity ignored.
+
+    With c the primitive integer coefficients of p, n its degree and
+    l = c_n, the rational roots are y/l for the integer roots y of the monic
+    sum(c_k l^(n-1-k) y^k) (y = l*x)."""
+    if p.is_zero:
+        raise DomainError("the zero polynomial has every rational as a root")
+    cs = polys._to_int_primitive(p)
+    n, lead = len(cs) - 1, cs[-1]
+    monic = Poly([c * lead ** (n - 1 - k) for k, c in enumerate(cs[:-1])] + [1])
+    return sorted(Fraction(y, lead) for y in polys.integer_roots(monic))
+
+
+def random_summable(
+    rng: random.Random,
+    max_order: int = 3,
+    bases: list[Fraction] | None = None,
+    max_shift: int = 4,
+) -> RatFun:
+    """Delta(g) for a random nonzero proper g built from pole data."""
+    while True:
+        g = build_from_spec(
+            random_orbit_spec(
+                rng, max_orbits=3, max_order=max_order, bases=bases, max_shift=max_shift
+            )
+        )
+        if not g.is_zero:
+            return g.delta()
+
+
+def random_dispersion_zero(rng: random.Random, max_poles: int = 4) -> RatFun:
+    """A nonzero simple-pole function whose poles all sit in distinct orbits,
+    hence polar dispersion zero and (being nonzero) never summable."""
+    n = rng.randint(1, max_poles)
+    terms: list[Term] = []
+    fracs = set()
+    while len(terms) < n:
+        alpha = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+        key = alpha - alpha.numerator // alpha.denominator
+        if key in fracs:
+            continue
+        fracs.add(key)
+        c = Fraction(0)
+        while c == 0:
+            c = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
+        terms.append((alpha, 1, c))
+    return build_from_spec(OrbitSpec(tuple(terms)))
+
+
+def lattice_contains(basis: list[list[int]], vec: list[int]) -> bool:
+    """Membership of an integer vector in the lattice spanned by `basis`."""
+    return hermite_normal_form(basis + [vec]) == hermite_normal_form(basis)
+
+
 def assert_pairs_match_oracle(pairs: list[ResiduePair], spec: OrbitSpec) -> None:
     """Check symbolic residue pairs against the brute-force definition.
 
@@ -75,7 +140,7 @@ def assert_pairs_match_oracle(pairs: list[ResiduePair], spec: OrbitSpec) -> None
     assert set(by_order) <= set(range(1, len(pairs) + 1))
     for k, pair in enumerate(pairs, 1):
         expected = by_order.get(k, [])
-        if pair.is_trivial:
+        if pair.places == ONE:
             assert not expected, f"order {k}: oracle sees residues, output is trivial"
             continue
         roots = rational_roots(pair.places)
@@ -176,7 +241,7 @@ def ref_first_residues_multi(fs):
     big = polys.lcm_all(pair.places for pair in pairs)
     ps = []
     for pair in pairs:
-        if pair.is_trivial:
+        if pair.places == ONE:
             ps.append(ZERO)
             continue
         cof = big.exact_div(pair.places)
@@ -250,12 +315,13 @@ def ref_vspace(fs: list[RatFun]) -> list[list[Fraction]]:
     """`summability.vspace` as it was before it read the residue sums R: one
     linear condition per (order, power-of-x) coefficient of the shared
     residue-value polynomials D of `discrete_residues_multi`, kept verbatim
-    apart from its name and this docstring; a test-only reference."""
+    apart from its name, this docstring and the order count read off
+    `md.values`; a test-only reference."""
     if not fs:
         raise DomainError("vspace requires at least one function")
     md = residues.discrete_residues_multi(fs)
     width = md.places.degree  # value polys have smaller degree
-    rows = [[row[k].coeff(power) for row in md.values] for k in range(md.order_count) for power in range(width)]
+    rows = [[row[k].coeff(power) for row in md.values] for k in range(len(md.values[0])) for power in range(width)]
     return nullspace(rows, ncols=len(fs))
 
 

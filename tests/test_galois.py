@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrices, ref_first_residues_multi, ref_log_derivative, ref_reduce
+from conftest import lattice_contains, random_matrices, ref_first_residues_multi, ref_log_derivative, ref_reduce
 
 from dresidues import galois, polys, shiftset
 from dresidues.errors import DomainError, FactorLimitError, InternalError
@@ -15,7 +15,6 @@ from dresidues.galois import (
     hermite_normal_form,
     integer_kernel,
     integer_lattice_solutions,
-    lattice_contains,
     log_derivative,
     multiplicative_relations,
 )
@@ -495,6 +494,7 @@ def ref_multiplicative_relations(rs):
         out = ref_reduce([combo], True)[0]
         assert out.reduced.is_zero
         p = exp_log_derivative(out.certificate)
+        assert ref_log_derivative(p) == out.certificate
         gamma_fun = power * p / p.sigma()
         gammas.append(gamma_fun.num.coeff(0))
         witnesses.append(p)

@@ -128,7 +128,7 @@ class TestDelta:
             if g.is_zero:
                 continue
             pairs = discrete_residues(g.delta())
-            assert all(p.is_trivial for p in pairs)
+            assert all(p.places == ONE for p in pairs)
 
 
 class TestParfrac:

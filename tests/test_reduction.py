@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, ref_parfrac, ref_reduce
+from conftest import count_calls, orbit_spec, ref_parfrac, ref_reduce
 
 from dresidues import galois, hermite, polys, reduction, shiftset
 from dresidues.errors import DomainError
@@ -13,7 +13,7 @@ from dresidues.reduction import ReductionOutput, ReductionParts, _reduce, simple
 from dresidues.residues import discrete_residues_coordinated
 from dresidues.shiftset import dispersion
 from dresidues.summability import is_summable
-from dresidues.testkit import build_from_spec, orbit_spec, random_orbit_spec
+from dresidues.testkit import build_from_spec, random_orbit_spec
 
 x = X
 

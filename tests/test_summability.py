@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, random_matrices, ref_reduce, ref_vspace
+from conftest import count_calls, random_dispersion_zero, random_matrices, random_summable, ref_reduce, ref_vspace
 
 from dresidues import galois, hermite, polys, reduction, residues, shiftset, summability
 from dresidues.errors import DomainError
@@ -13,13 +13,7 @@ from dresidues.hermite import hermite_list
 from dresidues.polys import ONE, ZERO, Poly, X, integer_roots, lcm_all
 from dresidues.ratfun import RF_ZERO, RatFun
 from dresidues.summability import _assemble, is_summable, nullspace, poly_antidifference, vspace
-from dresidues.testkit import (
-    build_from_spec,
-    random_dispersion_zero,
-    random_orbit_spec,
-    random_poly,
-    random_summable,
-)
+from dresidues.testkit import build_from_spec, random_orbit_spec, random_poly
 
 x = X
 

@@ -6,16 +6,14 @@ import pytest
 from dresidues.errors import DomainError
 from dresidues.polys import ONE, Poly, X
 from dresidues.ratfun import RatFun
+from conftest import orbit_spec, random_dispersion_zero, random_summable, rational_roots
+
 from dresidues.testkit import (
     OrbitSpec,
     build_from_spec,
     dres_by_definition,
-    orbit_spec,
     parse_spec_text,
-    random_dispersion_zero,
     random_orbit_spec,
-    random_summable,
-    rational_roots,
 )
 
 x = X
